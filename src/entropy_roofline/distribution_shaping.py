@@ -12,6 +12,7 @@ cost accounting; the defaults are documented knobs, not measurements.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Optional, Union
@@ -65,12 +66,12 @@ class ShapingPipelineSpec:
             raise DomainError(f"unknown shaping method {self.method!r}")
         if self.n_entries < 2:
             raise DomainError(f"n_entries must be >= 2, got {self.n_entries!r}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k!r}")
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
-        if self.cost is not None and self.cost < 0:
-            raise DomainError(f"cost must be >= 0, got {self.cost!r}")
+        if self.cost is not None and not (isinstance(self.cost, numbers.Integral) and self.cost >= 0):
+            raise DomainError(f"cost must be an integer >= 0, got {self.cost!r}")
 
     @property
     def ops_per_sample(self) -> int:
@@ -152,16 +153,6 @@ def reparameterize(mu: ArrayLike, sigma: ArrayLike, eps: ArrayLike):
 # ------------------------------------------------------------------------
 # Inverse-CDF tables
 # ------------------------------------------------------------------------
-
-
-def normal_quantile(p: ArrayLike):
-    """High-accuracy standard-normal quantile (inverse CDF)."""
-    if np.isscalar(p):
-        return _STD_NORMAL.inv_cdf(float(p))
-    pa = np.asarray(p, dtype=np.float64)
-    return np.array([_STD_NORMAL.inv_cdf(float(v)) for v in pa.ravel()]).reshape(
-        pa.shape
-    )
 
 
 class InverseCdfTable:

@@ -406,6 +406,35 @@ class EntropyStream:
             raise DomainError(f"p must lie in [0, 1], got {p!r}")
         return 1 if self.next_uniform() < p else 0
 
+    def next_block(self, normal: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Many draws at once, as float64: draw ``i`` is ``next_normal()``
+        where ``normal[i]`` is true, else ``float(next_bit(p[i]))``.
+
+        Bit-identical to those calls made in order, and advances the cursor
+        by the same number of words; all words come from one block.  The
+        two transcendental steps of the normals run through libm
+        (``math.log``, ``math.cos``) as in ``next_normal``: numpy's SIMD
+        ``log`` differs from it in the last bit on some inputs.
+        """
+        normal = np.asarray(normal, dtype=bool)
+        p = np.asarray(p, dtype=np.float64)
+        if normal.ndim != 1 or p.shape != normal.shape:
+            raise DomainError(f"normal and p must be 1-D of one length, got {normal.shape} and {p.shape}")
+        if not (((0.0 <= p) & (p <= 1.0)) | normal).all():
+            raise DomainError("every bit's p must lie in [0, 1]")
+        words = np.where(normal, 2, 1)
+        offsets = np.cumsum(words) - words
+        n_words = int(offsets[-1] + words[-1]) if words.size else 0
+        u = _uniform_block(self._key, self._pos, n_words)
+        out = (u[offsets] < p).astype(np.float64)
+        first = offsets[normal]
+        u1 = 1.0 - u[first]
+        theta = 2.0 * math.pi * u[first + 1]
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, memoryview(u1)), np.float64, u1.size))
+        out[normal] = r * np.fromiter(map(math.cos, memoryview(theta)), np.float64, theta.size)
+        self._pos += n_words
+        return out
+
 
 # ------------------------------------------------------------------------
 # Static mismatch arrays

@@ -230,9 +230,6 @@ class FidelityReport:
 
 Subject = Union[SourceSpec, SourceHandle, ShapingPipelineSpec]
 
-# KS target for uniform shaping output: identity CDF on [0, 1)
-_UNIFORM_SPEC = DistributionSpec.gaussian(0.0, 1.0)
-
 
 def _pipeline_samples(spec: ShapingPipelineSpec, n: int, config: FidelityConfig) -> np.ndarray:
     source = create_source(

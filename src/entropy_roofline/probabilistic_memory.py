@@ -22,13 +22,26 @@ cell and the entropy stream:
 
 Per-operation charges land in a CostReport; per-cell write counts model
 endurance.  Arrays are single-writer: mutation requires exclusive access.
+
+Cells are stored as a structure of arrays: a family code and the ``mu``,
+``sigma`` and ``p`` fields of the cell's DistributionSpec, each a rows x cols
+numpy array, so a spec read back is equal to the one written on every field.
+``batch_sample`` is one vectorized pass over those arrays, bit-identical to
+sequential SAMPLE calls: the same values, the same CostReport fields, endurance
+map and stream position, with all the batch's entropy words drawn as one
+block.  An address is an in-bounds pair of integers (numpy integer types
+included); any other address raises AddressError before anything is charged,
+in every primitive and anywhere in a batch.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
+import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,13 +66,36 @@ BACKEND_KINDS = (
     KIND_DECOUPLED_IN_MEMORY,
 )
 
+# A cell's stored family code is its index here.
+_FAMILIES = (FAMILY_GAUSSIAN, FAMILY_BERNOULLI, FAMILY_POINT_MASS)
+_GAUSSIAN = _FAMILIES.index(FAMILY_GAUSSIAN)
+_BERNOULLI = _FAMILIES.index(FAMILY_BERNOULLI)
+
+
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _fold(total: float, charges: np.ndarray) -> float:
+    """``total`` after ``total += charge`` for each charge in order.
+
+    ``np.add.accumulate`` is a sequential left fold, so this equals a loop of
+    scalar charges bit for bit; ``np.sum`` (pairwise) and ``count * charge``
+    do not.
+    """
+    return float(np.add.accumulate(np.concatenate(([total], charges.ravel())))[-1])
+
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """What a cell returns when sampled: gaussian, bernoulli or point mass.
 
-    A gaussian with sigma == 0 canonicalizes to a point mass on
-    construction; a bernoulli stores its mean in ``mu`` (= p).
+    Every field must be finite.  A gaussian with sigma == 0 canonicalizes
+    to a point mass on construction; a bernoulli stores its mean in ``mu``
+    (= p).
     """
 
     family: str
@@ -68,8 +104,11 @@ class DistributionSpec:
     p: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.family not in (FAMILY_GAUSSIAN, FAMILY_BERNOULLI, FAMILY_POINT_MASS):
+        if self.family not in _FAMILIES:
             raise DomainError(f"unknown distribution family {self.family!r}")
+        for name in ("mu", "sigma", "p"):
+            if not _is_finite(getattr(self, name)):
+                raise DomainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.family == FAMILY_GAUSSIAN:
             if self.sigma < 0.0:
                 raise DomainError(f"sigma must be >= 0, got {self.sigma!r}")
@@ -271,28 +310,57 @@ class PMemArray:
             raise DomainError(f"array shape must be >= 1x1, got {rows!r}x{cols!r}")
         if bytes_per_element < 1:
             raise DomainError("bytes_per_element must be >= 1")
-        if bits_per_raw_sample < 1:
-            raise DomainError("bits_per_raw_sample must be >= 1")
+        if not (isinstance(bits_per_raw_sample, numbers.Integral) and bits_per_raw_sample >= 1):
+            raise DomainError(f"bits_per_raw_sample must be an integer >= 1, got {bits_per_raw_sample!r}")
         self.rows = rows
         self.cols = cols
         self.backend = backend
         self.bytes_per_element = bytes_per_element
         self.bits_per_raw_sample = bits_per_raw_sample
-        self._cells: List[List[DistributionSpec]] = [
-            [DistributionSpec.point_mass(0.0) for _ in range(cols)] for _ in range(rows)
-        ]
+        blank = DistributionSpec.point_mass(0.0)
+        self._family = np.full((rows, cols), _FAMILIES.index(blank.family), dtype=np.int8)
+        self._mu = np.full((rows, cols), blank.mu)
+        self._sigma = np.full((rows, cols), blank.sigma)
+        self._p = np.full((rows, cols), blank.p)
         self._write_counts = np.zeros((rows, cols), dtype=np.int64)
         self._cost = CostReport()
 
     # -- helpers -------------------------------------------------------------
 
     def _check_addr(self, addr: Address) -> Address:
-        r, c = addr
+        try:
+            r, c = addr
+            r, c = operator.index(r), operator.index(c)
+        except (TypeError, ValueError):
+            raise AddressError(f"address {addr!r} is not a pair of integers") from None
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise AddressError(
                 f"address {addr!r} out of bounds for {self.rows}x{self.cols} array"
             )
         return r, c
+
+    def _flat_index(self, addrs: Sequence[Address]) -> np.ndarray:
+        """Row-major cell index of every address, all checked before any use."""
+        try:
+            if not set(map(len, addrs)) <= {2}:
+                raise ValueError("not every address is a pair")
+            # operator.index, as in _check_addr: a float raises, never truncates
+            rc = np.fromiter(map(operator.index, chain.from_iterable(addrs)), np.intp, 2 * len(addrs))
+            return np.ravel_multi_index((rc[0::2], rc[1::2]), (self.rows, self.cols))
+        except (TypeError, ValueError, OverflowError):
+            for addr in addrs:  # the scalar check names the first bad address
+                self._check_addr(addr)
+            raise
+
+    def _spec(self, r: int, c: int) -> DistributionSpec:
+        return DistributionSpec(_FAMILIES[self._family.item(r, c)], self._mu.item(r, c),
+                                self._sigma.item(r, c), self._p.item(r, c))
+
+    def _store(self, r: int, c: int, spec: DistributionSpec) -> None:
+        self._family[r, c] = _FAMILIES.index(spec.family)
+        self._mu[r, c] = spec.mu
+        self._sigma[r, c] = spec.sigma
+        self._p[r, c] = spec.p
 
     def _charge_deterministic_access(self) -> None:
         self._cost.bytes_moved += self.bytes_per_element
@@ -321,7 +389,7 @@ class PMemArray:
         """Replace a cell; counts one physical write for endurance."""
         r, c = self._check_addr(addr)
         spec = _canonical(state)
-        self._cells[r][c] = spec
+        self._store(r, c, spec)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
         self._cost.bytes_moved += spec.parameter_elements * self.bytes_per_element
@@ -333,7 +401,7 @@ class PMemArray:
         r, c = self._check_addr(addr)
         self._cost.total_reads += 1
         self._charge_deterministic_access()
-        return self._cells[r][c].mean
+        return self._mu.item(r, c)
 
     def sample(self, addr: Address, stream: EntropyStream) -> float:
         """SAMPLE primitive: draw one value from the cell's distribution.
@@ -342,7 +410,7 @@ class PMemArray:
         deterministic access -- no entropy is consumed.
         """
         r, c = self._check_addr(addr)
-        spec = self._cells[r][c]
+        spec = self._spec(r, c)
         self._cost.total_samples += 1
         if not spec.consumes_entropy:
             self._charge_deterministic_access()
@@ -357,7 +425,7 @@ class PMemArray:
     def read_distribution(self, addr: Address) -> DistributionSpec:
         """READ_DISTRIBUTION primitive: the cell's parameters."""
         r, c = self._check_addr(addr)
-        spec = self._cells[r][c]
+        spec = self._spec(r, c)
         self._cost.total_reads += 1
         self._cost.bytes_moved += spec.parameter_elements * self.bytes_per_element
         self._cost.energy_pj += self.backend.read_energy_pj
@@ -366,23 +434,22 @@ class PMemArray:
     def set_variance(self, addr: Address, sigma_new: float) -> None:
         """SET_VARIANCE primitive.
 
-        Decoupled and von Neumann backends accept any sigma_new >= 0.  A
-        coupled backend only reaches its device window
+        Decoupled and von Neumann backends accept any finite sigma_new >= 0.
+        A coupled backend only reaches its device window
         [sigma_min_frac, sigma_max_frac] * sigma_dev(mu) and rejects anything
         else, reporting the achievable range.  Bernoulli cells have no
         sigma to program.
         """
         r, c = self._check_addr(addr)
-        spec = self._cells[r][c]
-        if spec.family == FAMILY_BERNOULLI:
+        if self._family[r, c] == _BERNOULLI:
             raise CellTypeError("set_variance needs a gaussian cell, got bernoulli")
-        if sigma_new < 0.0:
-            raise DomainError(f"sigma must be >= 0, got {sigma_new!r}")
+        mu = self._mu.item(r, c)
+        spec = DistributionSpec.gaussian(mu, sigma_new)  # DomainError unless finite and >= 0
         if self.backend.kind == KIND_COUPLED_PCIM:
-            lo, hi = self.backend.variance_window(spec.mu)
+            lo, hi = self.backend.variance_window(mu)
             if not (lo <= sigma_new <= hi):
                 raise VarianceRangeError(sigma_new, lo, hi)
-        self._cells[r][c] = DistributionSpec.gaussian(spec.mu, sigma_new)
+        self._store(r, c, spec)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
         self._cost.bytes_moved += self.bytes_per_element
@@ -392,16 +459,17 @@ class PMemArray:
                      stream: EntropyStream) -> Tuple[List[float], int]:
         """Sample many addresses; returns (values, elapsed model-cycles).
 
-        Values are identical to sequential ``sample`` calls on the same
-        stream.  Elapsed cycles model the backend's sampling parallelism:
-        ceil(n / lanes) * latency_cycles, with lanes = 1 on serial paths
-        (von Neumann RNG, near-memory), one full row on coupled arrays, and
-        the configured lane count in-memory.  Bounds are checked up front so
-        a bad address charges nothing.
+        Bit-identical to sequential ``sample`` calls on the same stream: the
+        values, every CostReport field, the endurance map and the stream
+        position all come out the same, with the batch's entropy words drawn
+        in one block.  Elapsed cycles model the backend's sampling
+        parallelism: ceil(n / lanes) * latency_cycles, with lanes = 1 on
+        serial paths (von Neumann RNG, near-memory), one full row on coupled
+        arrays, and the configured lane count in-memory.  Every address is
+        checked up front, so a bad one charges nothing.
         """
-        checked = [self._check_addr(a) for a in addrs]
-        values = [self.sample(a, stream) for a in checked]
-        n = len(checked)
+        flat = self._flat_index(addrs)
+        n = flat.size
         backend = self.backend
         if backend.kind == KIND_COUPLED_PCIM:
             lanes = self.cols
@@ -410,7 +478,40 @@ class PMemArray:
         else:
             lanes = 1
         cycles = math.ceil(n / lanes) * backend.latency_cycles if n else 0
-        return values, cycles
+        if not n:
+            return [], cycles
+
+        family = self._family.take(flat)
+        values = self._mu.take(flat)  # what a cell that draws nothing returns (p == mu for bernoulli)
+        p = self._p.take(flat)
+        gaussian = family == _GAUSSIAN
+        draws = gaussian | ((family == _BERNOULLI) & (0.0 < p) & (p < 1.0))
+        normal = gaussian[draws]
+        drawn = stream.next_block(normal, p[draws])
+        sigma = self._sigma.take(flat[draws])
+        values[draws] = np.where(normal, values[draws] + sigma * drawn, drawn)
+
+        # Charges in the order sample() makes them, one address after another;
+        # a 0.0 stands for no addition (x + 0.0 == x for every total x >= +0.0).
+        bpe = self.bytes_per_element
+        if backend.kind == KIND_VON_NEUMANN:
+            byte_charges = [np.where(draws, backend.transport_bytes_per_sample, bpe)]
+        elif backend.kind == KIND_COUPLED_PCIM:
+            byte_charges = [np.where(draws, 0.0, bpe)]
+        else:
+            byte_charges = [np.where(draws, np.where(gaussian, 2 * bpe, bpe), bpe)]
+            if backend.kind == KIND_DECOUPLED_NEAR_MEMORY:
+                byte_charges.append(np.where(draws, backend.writeback_bytes_per_sample, 0.0))
+        n_draws = int(np.count_nonzero(draws))
+        cost = self._cost
+        cost.total_samples += n
+        cost.bytes_moved = _fold(cost.bytes_moved, np.column_stack(byte_charges))
+        cost.energy_pj = _fold(cost.energy_pj, np.where(draws, backend.sample_energy_pj, backend.read_energy_pj))
+        cost.entropy_bits_consumed += n_draws * self.bits_per_raw_sample
+        cost.shaping_ops += n_draws * backend.shaping_ops_per_sample  # 0 off von Neumann
+        if backend.kind == KIND_COUPLED_PCIM and backend.write_based_sampling:
+            np.add.at(self._write_counts.reshape(-1), flat[draws], 1)
+        return values.tolist(), cycles
 
     # -- introspection -----------------------------------------------------------
 
@@ -428,8 +529,7 @@ class PMemArray:
 
     def cell(self, addr: Address) -> DistributionSpec:
         """The cell's spec without charging any access (debug/inspection)."""
-        r, c = self._check_addr(addr)
-        return self._cells[r][c]
+        return self._spec(*self._check_addr(addr))
 
 
 # ------------------------------------------------------------------------
@@ -480,5 +580,5 @@ def load_array_csv(path: str, backend: BackendConfig,
     cols = max(c for _, c, _ in entries) + 1
     array = PMemArray(rows, cols, backend, bytes_per_element, bits_per_raw_sample)
     for r, c, spec in entries:
-        array._cells[r][c] = spec
+        array._store(*array._check_addr((r, c)), spec)
     return array

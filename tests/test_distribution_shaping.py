@@ -216,6 +216,11 @@ class TestPipelines:
             ShapingPipelineSpec(method="bernoulli_threshold", p=2.0)
         with pytest.raises(DomainError):
             ShapingPipelineSpec(method="box_muller", cost=-1)
+        # per-sample op counts are integers: batch charges multiply them
+        with pytest.raises(DomainError):
+            ShapingPipelineSpec(method="box_muller", cost=2.5)
+        with pytest.raises(DomainError):
+            ShapingPipelineSpec(method="clt_accumulate", k=2.5)
 
     def test_default_costs(self):
         assert ShapingPipelineSpec(method="box_muller").ops_per_sample == 8

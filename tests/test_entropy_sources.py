@@ -295,3 +295,37 @@ class TestEntropyStream:
     def test_bit_probability_domain(self):
         with pytest.raises(DomainError):
             EntropyStream(seed=1).next_bit(1.5)
+
+    def test_next_block_normals_equal_next_normal(self):
+        # pins the libm log/cos choice: numpy's SIMD log differs in the last bit
+        n = 100_000
+        block = EntropyStream(seed=21, stream_id=3)
+        block.position = 7
+        scalar = EntropyStream(seed=21, stream_id=3)
+        scalar.position = 7
+        got = block.next_block(np.ones(n, dtype=bool), np.zeros(n))
+        want = np.array([scalar.next_normal() for _ in range(n)])
+        assert np.array_equal(got, want)
+        assert block.position == scalar.position == 7 + 2 * n
+
+    def test_next_block_mixed_equals_scalar_calls(self):
+        rng = np.random.default_rng(0)
+        normal = rng.random(5_000) < 0.5
+        p = rng.choice([0.0, 1.0, 0.3, 0.999], normal.size)
+        block, scalar = EntropyStream(seed=4), EntropyStream(seed=4)
+        got = block.next_block(normal, p)
+        want = [scalar.next_normal() if is_normal else float(scalar.next_bit(q))
+                for is_normal, q in zip(normal, p)]
+        assert got.tolist() == want
+        assert block.position == scalar.position
+
+    def test_next_block_empty_and_domain(self):
+        s = EntropyStream(seed=1)
+        assert s.next_block(np.zeros(0, dtype=bool), np.zeros(0)).size == 0
+        assert s.position == 0
+        for p in (1.5, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                s.next_block(np.array([True, False]), np.array([0.5, p]))
+        # a normal's p is unused
+        s.next_block(np.array([True]), np.array([math.nan]))
+        assert s.position == 2

@@ -1,10 +1,14 @@
 """Tests for the unified memory primitives and backend cost models."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from entropy_roofline.distribution_shaping import ShapingPipelineSpec
 from entropy_roofline.entropy_sources import EntropyStream
 from entropy_roofline.errors import (
     AddressError,
@@ -14,7 +18,9 @@ from entropy_roofline.errors import (
 )
 from entropy_roofline.fidelity import ks_test, normal_cdf
 from entropy_roofline.probabilistic_memory import (
+    BACKEND_KINDS,
     BackendConfig,
+    CostReport,
     DistributionSpec,
     PMemArray,
     load_array_csv,
@@ -51,6 +57,13 @@ class TestDistributionSpec:
             DistributionSpec.bernoulli(1.5)
         with pytest.raises(DomainError):
             DistributionSpec(family="beta")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu", "sigma", "p"])
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "point_mass"])
+    def test_non_finite_field_rejected(self, family, field, value):
+        with pytest.raises(DomainError):
+            DistributionSpec(family=family, **{field: value})
 
     def test_entropy_consumption_flags(self):
         assert DistributionSpec.gaussian(0.0, 1.0).consumes_entropy
@@ -138,6 +151,39 @@ class TestWriteRead:
         ):
             with pytest.raises(AddressError):
                 op()
+
+
+class TestAddresses:
+    BAD = [(0.5, 0), (0, 1.0), (np.float64(1.0), 0), ("0", 0), (None, 0), (0,), (0, 0, 0), 3, (2**63, 0)]
+
+    @pytest.mark.parametrize("addr", BAD)
+    def test_bad_address_rejected_before_any_charge(self, addr):
+        arr = PMemArray(2, 2, BackendConfig.coupled_pcim(write_based_sampling=True))
+        arr.write((0, 0), DistributionSpec.gaussian(0.0, 0.1))
+        stream = EntropyStream(1)
+        before, wear = arr.cost_report(), arr.endurance_map
+        for op in (
+            lambda: arr.read(addr),
+            lambda: arr.write(addr, 1.0),
+            lambda: arr.sample(addr, stream),
+            lambda: arr.read_distribution(addr),
+            lambda: arr.set_variance(addr, 0.1),
+            lambda: arr.write_count(addr),
+            lambda: arr.cell(addr),
+        ):
+            with pytest.raises(AddressError):
+                op()
+        assert arr.cost_report() == before
+        assert np.array_equal(arr.endurance_map, wear)
+        assert stream.position == 0
+
+    def test_numpy_integers_accepted(self):
+        arr = fresh(rows=3, cols=3)
+        arr.write((np.int64(1), np.int32(2)), 4.0)
+        assert arr.read((np.uint8(1), np.int16(2))) == 4.0
+        stream = EntropyStream(1)
+        assert arr.batch_sample([(np.int64(1), 2)], stream)[0] == [4.0]
+        assert arr.batch_sample(np.array([[1, 2], [0, 0]]), stream)[0] == [4.0, 0.0]
 
 
 class TestSample:
@@ -327,6 +373,17 @@ class TestSetVariance:
         with pytest.raises(CellTypeError):
             arr.set_variance((0, 0), 0.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        for name in ALL_BACKENDS:
+            arr = fresh(name)
+            arr.write((0, 0), DistributionSpec.gaussian(0.0, 0.1))
+            before = arr.cost_report()
+            with pytest.raises(DomainError):
+                arr.set_variance((0, 0), sigma)
+            assert arr.cost_report() == before
+            assert arr.cell((0, 0)) == DistributionSpec.gaussian(0.0, 0.1)
+
     def test_negative_sigma_rejected(self):
         arr = fresh()
         arr.write((0, 0), DistributionSpec.gaussian(0.0, 1.0))
@@ -374,6 +431,133 @@ class TestBatchSample:
             arr.batch_sample([(0, 0), (9, 9)], EntropyStream(19))
         assert arr.cost_report() == before
 
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (2, 0), (0, 2), (0.5, 0), (1, 1.0), (0,), "ab"])
+    @pytest.mark.parametrize("at", [0, 2, 4])  # first, middle, last
+    def test_bad_address_anywhere_charges_nothing(self, at, bad):
+        arr = PMemArray(2, 2, BackendConfig.coupled_pcim(write_based_sampling=True))
+        for k in range(4):
+            arr.write(divmod(k, 2), DistributionSpec.gaussian(0.0, 0.1))
+        addrs = [(0, 0), (1, 1), (0, 1), (1, 0)]
+        addrs.insert(at, bad)
+        stream = EntropyStream(19)
+        stream.position = 5
+        before, wear = arr.cost_report(), arr.endurance_map
+        with pytest.raises(AddressError):
+            arr.batch_sample(addrs, stream)
+        assert arr.cost_report() == before
+        assert np.array_equal(arr.endurance_map, wear)
+        assert stream.position == 5
+
+    def test_empty_batch(self):
+        arr = fresh()
+        before = arr.cost_report()
+        stream = EntropyStream(3)
+        assert arr.batch_sample([], stream) == ([], 0)
+        assert arr.cost_report() == before
+        assert stream.position == 0
+
+
+_finite = st.floats(-1e6, 1e6)
+_energy = st.one_of(st.sampled_from([0.3, 0.7]), st.floats(1e-3, 10.0))
+_bytes = st.one_of(st.sampled_from([1.3, 3.3]), st.floats(0.0, 10.0))
+_cell_states = st.one_of(
+    st.builds(DistributionSpec.gaussian, _finite, st.one_of(st.just(0.0), st.floats(1e-3, 5.0))),
+    st.builds(DistributionSpec.bernoulli, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+    st.builds(DistributionSpec.point_mass, _finite),
+    _finite,  # raw numbers
+    st.integers(-5, 5),
+)
+
+
+@st.composite
+def _backends(draw):
+    kind = draw(st.sampled_from(BACKEND_KINDS))
+    kw = dict(read_energy_pj=draw(_energy), write_energy_pj=draw(_energy),
+              sample_energy_pj=draw(_energy), latency_cycles=draw(st.integers(1, 4)))
+    if kind == "von_neumann":
+        shaping = ShapingPipelineSpec(method="box_muller", cost=draw(st.integers(0, 20)))
+        return BackendConfig.von_neumann(transport_bytes_per_sample=draw(_bytes), shaping=shaping, **kw)
+    if kind == "coupled_pcim":
+        return BackendConfig.coupled_pcim(write_based_sampling=draw(st.booleans()), **kw)
+    if kind == "decoupled_near_memory":
+        return BackendConfig.decoupled_near_memory(writeback_bytes_per_sample=draw(_bytes), **kw)
+    return BackendConfig.decoupled_in_memory(parallelism=draw(st.integers(1, 16)), **kw)
+
+
+class TestBatchEqualsSequential:
+    @given(data=st.data())
+    def test_batch_sample_is_a_loop_of_sample(self, data):
+        backend = data.draw(_backends())
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        bpe, bits = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 64))
+        states = data.draw(st.lists(_cell_states, min_size=rows * cols, max_size=rows * cols))
+        addr = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        addrs = data.draw(st.lists(addr, max_size=40))
+        seed, start = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 10**6))
+        twins = []
+        for _ in range(2):
+            arr = PMemArray(rows, cols, backend, bytes_per_element=bpe, bits_per_raw_sample=bits)
+            for k, state in enumerate(states):
+                arr.write(divmod(k, cols), state)
+            stream = EntropyStream(seed)
+            stream.position = start
+            twins.append((arr, stream))
+        (batch, batch_stream), (seq, seq_stream) = twins
+
+        values, cycles = batch.batch_sample(addrs, batch_stream)
+        expected = [seq.sample(a, seq_stream) for a in addrs]
+        assert list(map(float.hex, values)) == list(map(float.hex, expected))
+        got, want = batch.cost_report(), seq.cost_report()
+        for f in fields(CostReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert np.array_equal(batch.endurance_map, seq.endurance_map)
+        assert batch_stream.position == seq_stream.position
+        lanes = {"coupled_pcim": cols, "decoupled_in_memory": backend.parallelism}.get(backend.kind, 1)
+        assert cycles == math.ceil(len(addrs) / lanes) * backend.latency_cycles
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_long_batch_with_fractional_charges(self, kind):
+        # long folds of non-integer charges: merging near-memory's parameter
+        # and write-back bytes into one addition is off by an ulp here
+        kw = dict(read_energy_pj=0.3, sample_energy_pj=0.7)
+        backend = {
+            "von_neumann": BackendConfig.von_neumann(transport_bytes_per_sample=3.3, **kw),
+            "coupled_pcim": BackendConfig.coupled_pcim(write_based_sampling=True, **kw),
+            "decoupled_near_memory": BackendConfig.decoupled_near_memory(writeback_bytes_per_sample=3.3, **kw),
+            "decoupled_in_memory": BackendConfig.decoupled_in_memory(parallelism=3, **kw),
+        }[kind]
+        rng = np.random.default_rng(6)
+        cells = [DistributionSpec.gaussian(0.5, 0.1), DistributionSpec.bernoulli(0.3),
+                 DistributionSpec.bernoulli(1.0), 2.5]
+        arrays = []
+        for _ in range(2):
+            arr = PMemArray(2, 2, backend)
+            for k, state in enumerate(cells):
+                arr.write(divmod(k, 2), state)
+            arrays.append(arr)
+        addrs = [divmod(int(k), 2) for k in rng.integers(0, 4, 4000)]
+        batch_stream, seq_stream = EntropyStream(9), EntropyStream(9)
+        values, _ = arrays[0].batch_sample(addrs, batch_stream)
+        assert values == [arrays[1].sample(a, seq_stream) for a in addrs]
+        assert arrays[0].cost_report().to_dict() == arrays[1].cost_report().to_dict()
+        assert np.array_equal(arrays[0].endurance_map, arrays[1].endurance_map)
+        assert batch_stream.position == seq_stream.position
+
+    @given(
+        spec=st.one_of(
+            st.builds(DistributionSpec, family=st.sampled_from(["gaussian", "bernoulli", "point_mass"]),
+                      mu=_finite, sigma=st.floats(0.0, 5.0), p=st.floats(0.0, 1.0)),
+            _cell_states,
+        )
+    )
+    def test_read_back_equals_written(self, spec):
+        arr = fresh(rows=2, cols=2)
+        arr.write((1, 0), spec)
+        written = spec if isinstance(spec, DistributionSpec) else DistributionSpec.point_mass(float(spec))
+        # dataclass == compares every field: family, mu, sigma and p
+        assert arr.cell((1, 0)) == written
+        assert arr.read_distribution((1, 0)) == written
+
 
 class TestCostReport:
     def test_fresh_array_all_zero(self):
@@ -383,6 +567,11 @@ class TestCostReport:
             "bytes_moved": 0.0, "entropy_bits_consumed": 0,
             "energy_pj": 0.0, "shaping_ops": 0,
         }
+
+    def test_bits_per_raw_sample_must_be_integer(self):
+        with pytest.raises(DomainError):
+            PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=32.5)
+        assert PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=np.int64(16)).bits_per_raw_sample == 16
 
     def test_reads_counted(self):
         arr = fresh()
@@ -427,6 +616,12 @@ class TestCsvRoundTrip:
             for c in range(3):
                 assert loaded.cell((r, c)) == arr.cell((r, c))
         assert loaded.cost_report().total_writes == 0
+
+    def test_negative_address_rejected(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("addr_row,addr_col,family,mu,sigma_or_p\n1,1,point_mass,2.0,0.0\n-1,0,point_mass,1.0,0.0\n")
+        with pytest.raises(AddressError):
+            load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "cells.csv"
