@@ -17,8 +17,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, fields as dc_fields, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import __version__
 from .distribution_shaping import ShapingPipelineSpec
@@ -51,7 +51,6 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
-_WORKLOAD_ARITY = {"bnn": 3, "conv": 6, "conv-stoch": 6, "mc": 2}
 _WORKLOAD_DEFAULT_SHAPE = {
     "bnn": (128, 128, 1),
     "conv": (64, 64, 3, 32, 32, 1),
@@ -94,12 +93,22 @@ _NONIDEALITY_KEYS = {f.name for f in dc_fields(NonidealitySpec)}
 _TOP_KEYS = {"arch", "backend", "shaping", "nonideality", "seed", "mode"}
 
 
-def _check_section(section: str, payload: Dict, allowed: set) -> None:
+def _load_section(doc: Dict, section: str, allowed: set, build: Callable):
+    """``build(payload)`` for the ``section`` object of ``doc`` ({} if absent).
+
+    Unknown keys fail with their dotted path; a value the component rejects,
+    out of its domain or of the wrong JSON type, fails with the section name.
+    """
+    payload = doc.get(section, {})
     if not isinstance(payload, dict):
         raise ConfigError(section, f"expected an object, got {type(payload).__name__}")
     for key in payload:
         if key not in allowed:
             raise ConfigError(f"{section}.{key}", "unknown key")
+    try:
+        return build(payload)
+    except (DomainError, TypeError) as exc:
+        raise ConfigError(section, str(exc)) from exc
 
 
 def parse_config(doc: Dict) -> ConfigDocument:
@@ -115,46 +124,19 @@ def parse_config(doc: Dict) -> ConfigDocument:
             raise ConfigError(key, "unknown key")
 
     defaults = ConfigDocument.default()
-    try:
-        arch_payload = doc.get("arch", {})
-        _check_section("arch", arch_payload, _ARCH_KEYS)
-        arch_kwargs = {
-            "pi": defaults.arch.pi,
-            "beta_data": defaults.arch.beta_data,
-            "beta_rand": defaults.arch.beta_rand,
-            "bytes_per_element": defaults.arch.bytes_per_element,
-        }
-        arch_kwargs.update(arch_payload)
-        arch = ArchParams(**arch_kwargs)
-    except DomainError as exc:
-        raise ConfigError("arch", str(exc)) from exc
+    arch = _load_section(doc, "arch", _ARCH_KEYS, lambda kw: replace(defaults.arch, **kw))
+    shaping = _load_section(doc, "shaping", _SHAPING_KEYS, lambda kw: ShapingPipelineSpec(
+        **{"method": defaults.shaping.method, **kw}))
 
-    try:
-        shaping_payload = doc.get("shaping", {})
-        _check_section("shaping", shaping_payload, _SHAPING_KEYS)
-        shaping_kwargs = {"method": defaults.shaping.method}
-        shaping_kwargs.update(shaping_payload)
-        shaping = ShapingPipelineSpec(**shaping_kwargs)
-    except DomainError as exc:
-        raise ConfigError("shaping", str(exc)) from exc
+    def backend_config(kw):
+        kw = {"kind": defaults.backend.kind, **kw}
+        if kw["kind"] == "von_neumann":
+            kw["shaping"] = shaping
+        return BackendConfig(**kw)
 
-    try:
-        backend_payload = dict(doc.get("backend", {}))
-        _check_section("backend", backend_payload, _BACKEND_KEYS)
-        backend_kwargs = {"kind": defaults.backend.kind}
-        backend_kwargs.update(backend_payload)
-        if backend_kwargs["kind"] == "von_neumann":
-            backend_kwargs["shaping"] = shaping
-        backend = BackendConfig(**backend_kwargs)
-    except DomainError as exc:
-        raise ConfigError("backend", str(exc)) from exc
-
-    try:
-        ni_payload = doc.get("nonideality", {})
-        _check_section("nonideality", ni_payload, _NONIDEALITY_KEYS)
-        nonideality = NonidealitySpec(**ni_payload)
-    except DomainError as exc:
-        raise ConfigError("nonideality", str(exc)) from exc
+    backend = _load_section(doc, "backend", _BACKEND_KEYS, backend_config)
+    nonideality = _load_section(doc, "nonideality", _NONIDEALITY_KEYS,
+                                lambda kw: NonidealitySpec(**kw))
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
@@ -232,46 +214,31 @@ def _parse_floats(parser: argparse.ArgumentParser, flag: str, text: str) -> List
         parser.error(f"{flag}: expected a comma-separated list of numbers, got {text!r}")
 
 
-def _build_workload(parser: argparse.ArgumentParser, name: str, shape_text: Optional[str]):
-    arity = _WORKLOAD_ARITY[name]
-    if shape_text is None:
-        shape = _WORKLOAD_DEFAULT_SHAPE[name]
-    else:
+def _workload(parser: argparse.ArgumentParser, args: argparse.Namespace, trace: bool = False):
+    """The ``--workload`` generator at ``--shape``: its WorkloadSpec, or with
+    ``trace`` its trace records.  Any bad shape is a ``--shape`` usage error."""
+    name = args.workload
+    shape = default = _WORKLOAD_DEFAULT_SHAPE[name]
+    if args.shape is not None:
         try:
-            shape = tuple(int(tok) for tok in shape_text.split(","))
+            shape = tuple(int(tok) for tok in args.shape.split(","))
         except ValueError:
-            parser.error(f"--shape: expected integers, got {shape_text!r}")
-        if len(shape) != arity:
-            parser.error(f"--shape: workload {name!r} takes {arity} integers, got {len(shape)}")
+            parser.error(f"--shape: expected integers, got {args.shape!r}")
+        if len(shape) != len(default):
+            parser.error(
+                f"--shape: workload {name!r} takes {len(default)} integers, got {len(shape)}"
+            )
     try:
         if name == "bnn":
-            return bnn_layer(*shape)
-        if name == "conv":
-            return conv_layer(*shape)
-        if name == "conv-stoch":
-            return conv_layer(*shape, stochastic_weights=True)
-        return mc_estimator(*shape)
+            return bnn_trace(*shape) if trace else bnn_layer(*shape)
+        if name == "mc":
+            return mc_trace(*shape) if trace else mc_estimator(*shape)
+        stochastic = name == "conv-stoch"
+        if trace:
+            return conv_trace(*shape, stochastic_weights=stochastic)
+        return conv_layer(*shape, stochastic_weights=stochastic)
     except DomainError as exc:
         parser.error(f"--shape: {exc}")
-
-
-def _trace_records(parser: argparse.ArgumentParser, name: str, shape_text: Optional[str]):
-    arity = _WORKLOAD_ARITY[name]
-    shape = _WORKLOAD_DEFAULT_SHAPE[name] if shape_text is None else None
-    if shape is None:
-        try:
-            shape = tuple(int(tok) for tok in shape_text.split(","))
-        except ValueError:
-            parser.error(f"--shape: expected integers, got {shape_text!r}")
-        if len(shape) != arity:
-            parser.error(f"--shape: workload {name!r} takes {arity} integers, got {len(shape)}")
-    if name == "bnn":
-        return bnn_trace(*shape)
-    if name == "conv":
-        return conv_trace(*shape)
-    if name == "conv-stoch":
-        return conv_trace(*shape, stochastic_weights=True)
-    return mc_trace(*shape)
 
 
 # ------------------------------------------------------------------------
@@ -322,22 +289,11 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     if args.trace is not None:
         _, workload = load_trace(args.trace)
     else:
-        workload = _build_workload(parser, args.workload, args.shape)
+        workload = _workload(parser, args)
 
     backend = config.backend
-    if args.backend is not None and args.backend != backend.kind:
-        if args.backend == "von_neumann":
-            backend = BackendConfig.von_neumann(
-                rng_rate=backend.rng_rate, shaping=config.shaping
-            )
-        elif args.backend == "coupled_pcim":
-            backend = BackendConfig.coupled_pcim()
-        elif args.backend == "decoupled_near_memory":
-            backend = BackendConfig.decoupled_near_memory(rng_rate=backend.rng_rate)
-        else:
-            backend = BackendConfig.decoupled_in_memory(
-                rng_rate=backend.rng_rate, parallelism=backend.parallelism
-            )
+    if args.backend is not None:
+        backend = BackendConfig.for_kind(args.backend, backend)
     mode = args.mode if args.mode is not None else config.mode
     seed = _resolve_seed(args.seed, config.seed)
 
@@ -377,21 +333,16 @@ def cmd_fidelity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_gen_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    records = _trace_records(parser, args.workload, args.shape)
-    if args.out is None:
-        buf = io.StringIO()
-        buf.write("op,row,col,count\n")
-        for rec in records:
-            row = "" if rec.row is None else rec.row
-            col = "" if rec.col is None else rec.col
-            buf.write(f"{rec.op},{row},{col},{rec.count}\n")
-        sys.stdout.write(buf.getvalue())
-    else:
-        save_trace(records, args.out)
+    records = _workload(parser, args, trace=True)
+    save_trace(records, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
 
 def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        parser.error(f"--jobs: must be >= 1, got {args.jobs!r}")
+    if args.shape is not None and args.workload is None:
+        parser.error("--shape: needs --workload")
     config = load_config(args.config)
     with open(args.grid) as fh:
         try:
@@ -400,9 +351,7 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             raise ConfigError("<grid>", f"invalid JSON: {exc}") from exc
     if not isinstance(grid, dict):
         raise ConfigError("<grid>", "grid document must be a JSON object")
-    workload = None
-    if args.workload is not None:
-        workload = _build_workload(parser, args.workload, args.shape)
+    workload = None if args.workload is None else _workload(parser, args)
     seed = _resolve_seed(args.seed, config.seed)
     sim_config = SimConfig(
         arch=config.arch, backend=config.backend, mode=config.mode,
@@ -457,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one workload, emit a SimResult JSON")
     p.add_argument("--config", default=None)
-    p.add_argument("--workload", choices=sorted(_WORKLOAD_ARITY), default="bnn")
+    p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), default="bnn")
     p.add_argument("--shape", default=None, help="comma-separated workload shape")
     p.add_argument("--trace", default=None, help="trace CSV instead of a generator")
     p.add_argument("--backend", choices=BACKEND_KINDS, default=None)
@@ -475,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("gen-trace", help="expand a workload generator into a trace CSV")
-    p.add_argument("--workload", choices=sorted(_WORKLOAD_ARITY), required=True)
+    p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), required=True)
     p.add_argument("--shape", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_trace)
@@ -483,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="simulate a parameter grid, emit a CSV table")
     p.add_argument("--config", default=None)
     p.add_argument("--grid", required=True, help="JSON grid document")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--workload", choices=sorted(_WORKLOAD_ARITY), default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; points run serially")
+    p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), default=None)
     p.add_argument("--shape", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

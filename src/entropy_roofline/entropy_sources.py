@@ -26,6 +26,7 @@ correlation filter, an additive bias, and a linear drift of the mean
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -140,6 +141,10 @@ class NonidealitySpec:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("bias", "drift"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
         if not (abs(self.rho) < 1.0):
             raise DomainError(f"|rho| must be < 1, got {self.rho!r}")
 

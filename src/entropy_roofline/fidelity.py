@@ -43,6 +43,10 @@ _SQRT2 = math.sqrt(2.0)
 # 99% two-sided normal quantile used for the min-entropy confidence bound
 _MCV_Z = 2.576
 
+# A target is a DistributionSpec, or this string for raw uniform streams.
+UNIFORM_TARGET = "uniform"
+Target = Union[DistributionSpec, str]
+
 
 def normal_cdf(x, mu: float = 0.0, sigma: float = 1.0):
     """Gaussian CDF via erf (independent of every sampler in the package)."""
@@ -59,10 +63,12 @@ def uniform_cdf(x):
     return float(out) if np.isscalar(x) else out
 
 
-def target_cdf(spec: DistributionSpec) -> Optional[Callable]:
+def target_cdf(target: Target) -> Optional[Callable]:
     """CDF callable for continuous targets; None for discrete/degenerate."""
-    if spec.family == FAMILY_GAUSSIAN and spec.sigma > 0.0:
-        return lambda x: normal_cdf(x, spec.mu, spec.sigma)
+    if target == UNIFORM_TARGET:
+        return uniform_cdf
+    if target.family == FAMILY_GAUSSIAN and target.sigma > 0.0:
+        return lambda x: normal_cdf(x, target.mu, target.sigma)
     return None
 
 
@@ -157,31 +163,28 @@ def min_entropy(symbols: np.ndarray) -> float:
     return -math.log2(p_up)
 
 
-def symbolize(samples: np.ndarray, target: DistributionSpec, symbol_bits: int = 8) -> np.ndarray:
+def symbolize(samples: np.ndarray, target: Target, symbol_bits: int = 8) -> np.ndarray:
     """Map a stream to integer symbols for min-entropy estimation.
 
-    Bernoulli streams pass through as bits; continuous streams go through
-    the target's probability integral transform and quantize to
-    2**symbol_bits bins (ideal streams then look uniform over symbols).
+    Bernoulli streams pass through as bits and point masses give one symbol;
+    continuous streams go through the target's CDF (the identity on [0, 1]
+    for the "uniform" target) and quantize to 2**symbol_bits bins (ideal
+    streams then look uniform over symbols).
     """
     x = np.asarray(samples, dtype=np.float64)
     levels = 1 << symbol_bits
-    if target.family == FAMILY_BERNOULLI:
-        return x.astype(np.int64)
-    if target.family == FAMILY_GAUSSIAN and target.sigma > 0.0:
-        u = normal_cdf(x, target.mu, target.sigma)
-    elif target.family == FAMILY_POINT_MASS:
-        return np.zeros(x.shape[0], dtype=np.int64)
-    else:  # uniform-in-[0,1) convention for a unit-window gaussian-less target
-        u = np.clip(x, 0.0, 1.0)
+    if target != UNIFORM_TARGET:
+        if target.family == FAMILY_BERNOULLI:
+            return x.astype(np.int64)
+        if target.family == FAMILY_POINT_MASS:
+            return np.zeros(x.shape[0], dtype=np.int64)
+    u = target_cdf(target)(x)
     return np.minimum((u * levels).astype(np.int64), levels - 1)
 
 
 # ------------------------------------------------------------------------
 # Report composition
 # ------------------------------------------------------------------------
-
-UNIFORM_TARGET = "uniform"
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ def _pipeline_samples(spec: ShapingPipelineSpec, n: int, config: FidelityConfig)
 def fidelity_report(
     subject: Subject,
     n: int,
-    target: Union[DistributionSpec, str],
+    target: Target,
     config: FidelityConfig = FidelityConfig(),
 ) -> FidelityReport:
     """Run the full battery over ``n`` samples of a source or pipeline.
@@ -270,17 +273,13 @@ def fidelity_report(
     else:
         raise DomainError(f"cannot build samples from {type(subject).__name__}")
 
-    uniform_target = isinstance(target, str)
-    if uniform_target and target != UNIFORM_TARGET:
+    if isinstance(target, str) and target != UNIFORM_TARGET:
         raise DomainError(f"unknown target {target!r}")
 
     mean, variance, skew, kurt = moments(samples)
     degenerate = variance == 0.0
 
-    if uniform_target:
-        cdf: Optional[Callable] = uniform_cdf
-    else:
-        cdf = target_cdf(target)
+    cdf = target_cdf(target)
     ks_d = ks_crit = ks_ok = None
     if cdf is not None and not degenerate:
         ks_d, ks_ok = ks_test(samples, cdf, config.significance)
@@ -288,14 +287,7 @@ def fidelity_report(
 
     rho = autocorrelation(samples, config.max_lag)
 
-    if uniform_target:
-        symbols = np.minimum(
-            (np.clip(samples, 0.0, 1.0) * (1 << config.symbol_bits)).astype(np.int64),
-            (1 << config.symbol_bits) - 1,
-        )
-    else:
-        symbols = symbolize(samples, target, config.symbol_bits)
-    h_min = min_entropy(symbols)
+    h_min = min_entropy(symbolize(samples, target, config.symbol_bits))
 
     return FidelityReport(
         n=n,

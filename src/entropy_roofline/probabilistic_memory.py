@@ -275,6 +275,22 @@ class BackendConfig:
         return cls(kind=KIND_DECOUPLED_IN_MEMORY, rng_rate=rng_rate,
                    parallelism=parallelism, **kw)
 
+    @classmethod
+    def for_kind(cls, kind: str, base: "BackendConfig") -> "BackendConfig":
+        """``base`` switched to backend ``kind``: ``base`` itself when the kind
+        matches, else the kind's defaults with ``base.rng_rate`` carried over
+        (coupled_pcim samples at the data rate, so it takes none) and, for
+        decoupled_in_memory, ``base.parallelism``."""
+        if kind == base.kind:
+            return base
+        if kind == KIND_COUPLED_PCIM:
+            return cls.coupled_pcim()
+        if kind == KIND_DECOUPLED_IN_MEMORY:
+            return cls.decoupled_in_memory(rng_rate=base.rng_rate, parallelism=base.parallelism)
+        if kind == KIND_VON_NEUMANN:
+            return cls.von_neumann(rng_rate=base.rng_rate)
+        return cls(kind=kind, rng_rate=base.rng_rate)
+
     # -- coupled device model ------------------------------------------------
 
     def sigma_dev(self, mu: float) -> float:

@@ -31,7 +31,6 @@ timing.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +38,7 @@ from .distribution_shaping import ShapingPipelineSpec
 from .errors import DegenerateWorkloadError, DomainError
 from .perf_model import ArchParams, RegimeLabel
 from .probabilistic_memory import (
+    BACKEND_KINDS,
     KIND_COUPLED_PCIM,
     KIND_DECOUPLED_IN_MEMORY,
     KIND_DECOUPLED_NEAR_MEMORY,
@@ -222,25 +222,6 @@ def _synthetic_workload(alpha: float, ai: float, base_accesses: int) -> Workload
     )
 
 
-def _backend_for(value: object, base: BackendConfig) -> BackendConfig:
-    if isinstance(value, BackendConfig):
-        return value
-    if isinstance(value, str):
-        if value == base.kind:
-            return base
-        if value == KIND_VON_NEUMANN:
-            return BackendConfig.von_neumann(rng_rate=base.rng_rate)
-        if value == KIND_COUPLED_PCIM:
-            return BackendConfig.coupled_pcim()
-        if value == KIND_DECOUPLED_NEAR_MEMORY:
-            return BackendConfig.decoupled_near_memory(rng_rate=base.rng_rate)
-        if value == KIND_DECOUPLED_IN_MEMORY:
-            return BackendConfig.decoupled_in_memory(
-                rng_rate=base.rng_rate, parallelism=base.parallelism
-            )
-    raise DomainError(f"invalid backend grid value {value!r}")
-
-
 def _evaluate_point(
     point: Dict[str, object],
     config: SimConfig,
@@ -265,7 +246,13 @@ def _evaluate_point(
         arch = replace(arch, beta_rand=float(beta_rand))
         backend = replace(backend, rng_rate=float(beta_rand))
     if "backend" in point:
-        backend = _backend_for(point["backend"], backend)
+        value = point["backend"]
+        if isinstance(value, BackendConfig):
+            backend = value
+        elif value in BACKEND_KINDS:
+            backend = BackendConfig.for_kind(value, backend)
+        else:
+            raise DomainError(f"invalid backend grid value {value!r}")
     mode = point.get("mode", config.mode)
     if mode not in MODES:
         raise DomainError(f"invalid mode grid value {mode!r}")
@@ -298,9 +285,9 @@ def sweep(
     ``beta_rand`` (retimes both the analytic rate and the backend RNG),
     ``backend`` (kind names or configs), ``mode``.  Dimensions absent from
     the grid stay at the base config / workload values.  Rows are ordered
-    by grid position (row-major over the canonical dimension order), so the
-    output is independent of ``jobs``; points are pure and may run
-    concurrently.
+    by grid position (row-major over the canonical dimension order).  Points
+    are evaluated one after another; ``jobs`` must be >= 1 and selects
+    nothing.
     """
     if not grid:
         raise DomainError("empty parameter grid")
@@ -318,10 +305,7 @@ def sweep(
         workload = _synthetic_workload(0.5, 2.0, base_accesses)
 
     dims = [d for d in SWEEP_DIMENSIONS if d in grid]
-    points = [dict(zip(dims, combo)) for combo in itertools.product(*(grid[d] for d in dims))]
-    if jobs == 1 or len(points) < 2:
-        return [_evaluate_point(p, config, workload, base_accesses) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(lambda p: _evaluate_point(p, config, workload, base_accesses), points)
-        )
+    return [
+        _evaluate_point(dict(zip(dims, combo)), config, workload, base_accesses)
+        for combo in itertools.product(*(grid[d] for d in dims))
+    ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, TextIO, Tuple, Union
 
 from .errors import DegenerateWorkloadError, DomainError, TraceParseError
 
@@ -190,17 +190,26 @@ def aggregate(records: List[TraceRecord], name: str = "trace") -> WorkloadSpec:
 # ------------------------------------------------------------------------
 
 
-def save_trace(records: List[TraceRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER)
-        for rec in records:
-            writer.writerow([
-                rec.op,
-                "" if rec.row is None else rec.row,
-                "" if rec.col is None else rec.col,
-                rec.count,
-            ])
+def save_trace(records: List[TraceRecord], dest: Union[str, TextIO]) -> None:
+    """Write ``records`` as trace CSV to the path or open text file ``dest``.
+
+    Lines end in CRLF, the csv module's dialect.  A file object writes the
+    same bytes as a path when it does not translate line ends, as with
+    ``open(..., newline="")`` or ``sys.stdout`` on POSIX.
+    """
+    if isinstance(dest, str):
+        with open(dest, "w", newline="") as fh:
+            save_trace(records, fh)
+        return
+    writer = csv.writer(dest)
+    writer.writerow(TRACE_CSV_HEADER)
+    for rec in records:
+        writer.writerow([
+            rec.op,
+            "" if rec.row is None else rec.row,
+            "" if rec.col is None else rec.col,
+            rec.count,
+        ])
 
 
 def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:

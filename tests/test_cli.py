@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from entropy_roofline import cli
 from entropy_roofline.cli import SEED_ENV_VAR, main, parse_config
 from entropy_roofline.errors import ConfigError
 from entropy_roofline.workload import load_trace
@@ -48,6 +49,23 @@ class TestConfigDocument:
     def test_shaping_attached_to_von_neumann(self):
         doc = parse_config({"shaping": {"method": "inverse_cdf_table", "cost": 3}})
         assert doc.backend.shaping_ops_per_sample == 3
+
+    @pytest.mark.parametrize("section, payload", [
+        ("arch", {"pi": "fast"}),
+        ("arch", {"bytes_per_element": None}),
+        ("shaping", {"n_entries": "257"}),
+        ("backend", {"kind": "decoupled_in_memory", "parallelism": "4"}),
+        ("backend", {"rng_rate": [1e9]}),
+        ("nonideality", {"rho": "0.1"}),
+        ("nonideality", {"bias": "0.1"}),
+    ])
+    def test_wrong_typed_value_names_its_section(self, section, payload, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            parse_config({section: payload})
+        assert info.value.path == section
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: payload}))
+        assert run_cli("simulate", "--config", str(cfg)) == 3
 
     def test_full_document(self):
         doc = parse_config({
@@ -190,10 +208,26 @@ class TestGenTrace:
         assert sum(1 for r in records if r.op == "sample") == 10
         assert sum(1 for r in records if r.op == "write") == 1
 
-    def test_bad_shape_exits_2(self):
+    def test_bad_shape_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli("gen-trace", "--workload", "bnn", "--shape", "1,2")
         assert info.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            run_cli("gen-trace", "--workload", "mc", "--shape", "0,4")
+        assert info.value.code == 2
+        assert "--shape:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload, shape", [
+        ("bnn", "4,3,2"), ("conv", "2,2,3,4,4,1"), ("conv-stoch", "2,2,3,4,4,2"), ("mc", "7,3"),
+    ])
+    def test_stdout_equals_out_file(self, workload, shape, tmp_path, capsysbinary):
+        out = tmp_path / "t.csv"
+        assert run_cli("gen-trace", "--workload", workload, "--shape", shape,
+                       "--out", str(out)) == 0
+        capsysbinary.readouterr()
+        assert run_cli("gen-trace", "--workload", workload, "--shape", shape) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 class TestSweep:
@@ -238,6 +272,27 @@ class TestSweep:
     def test_missing_grid_exits_4(self, tmp_path):
         assert run_cli("sweep", "--grid", str(tmp_path / "nope.json")) == 4
 
+    def test_jobs_zero_exits_2(self, tmp_path, capsys):
+        grid = self.grid(tmp_path, {"alpha": [0.5]})
+        with pytest.raises(SystemExit) as info:
+            run_cli("sweep", "--grid", grid, "--jobs", "0")
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_shape_without_workload_exits_2(self, tmp_path, capsys):
+        grid = self.grid(tmp_path, {"alpha": [0.5]})
+        with pytest.raises(SystemExit) as info:
+            run_cli("sweep", "--grid", grid, "--shape", "10,4")
+        assert info.value.code == 2
+        assert "--shape:" in capsys.readouterr().err
+
+    def test_workload_shape_error_exits_2(self, tmp_path, capsys):
+        grid = self.grid(tmp_path, {"alpha": [0.5]})
+        with pytest.raises(SystemExit) as info:
+            run_cli("sweep", "--grid", grid, "--workload", "bnn", "--shape", "0,4,1")
+        assert info.value.code == 2
+        assert "--shape:" in capsys.readouterr().err
+
 
 class TestSeedEnvVar:
     def test_env_seed_applies(self, tmp_path, monkeypatch):
@@ -260,3 +315,32 @@ class TestSeedEnvVar:
         ra = json.loads(a.read_text())["report"]["ks_statistic"]
         rb = json.loads(b.read_text())["report"]["ks_statistic"]
         assert ra != rb
+
+
+class TestPatchableNames:
+    """Names a caller may swap in ``cli``'s namespace (the benchmark's traced
+    run does) must be looked up there on every call, once per command."""
+
+    @pytest.mark.parametrize("name, command", [
+        ("mc_trace", ["gen-trace", "--workload", "mc", "--shape", "10,4"]),
+        ("save_trace", ["gen-trace", "--workload", "mc", "--shape", "10,4"]),
+        ("load_trace", ["simulate", "--trace", "{trace}"]),
+        ("run_sim", ["simulate", "--workload", "mc"]),
+        ("run_sweep", ["sweep", "--grid", "{grid}"]),
+        ("roofline_curve", ["roofline", "--alpha", "0.5", "--points", "4"]),
+    ])
+    def test_called_once_through_module_globals(self, name, command, tmp_path, monkeypatch):
+        trace, grid = tmp_path / "t.csv", tmp_path / "g.json"
+        assert run_cli("gen-trace", "--workload", "mc", "--shape", "10,4", "--out", str(trace)) == 0
+        grid.write_text(json.dumps({"alpha": [0.0, 1.0]}))
+        calls = []
+        original = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        argv = [arg.format(trace=trace, grid=grid) for arg in command]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
+        assert calls == [name]

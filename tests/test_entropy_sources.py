@@ -198,6 +198,12 @@ class TestNonidealities:
         with pytest.raises(DomainError):
             NonidealitySpec(rho=-1.0)
 
+    @pytest.mark.parametrize("field", ["bias", "drift"])
+    @pytest.mark.parametrize("value", ["0.1", None, float("nan"), float("inf")])
+    def test_bias_and_drift_must_be_finite_numbers(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            NonidealitySpec(**{field: value})
+
     def test_ar1_preserves_unit_variance(self):
         spec = SourceSpec.thermal_gaussian(
             sigma=1.0, seed=21, nonideality=NonidealitySpec(rho=0.5)

@@ -18,6 +18,8 @@ from entropy_roofline.fidelity import (
     moments,
     normal_cdf,
     symbolize,
+    target_cdf,
+    uniform_cdf,
 )
 from entropy_roofline.probabilistic_memory import DistributionSpec
 
@@ -172,6 +174,16 @@ class TestSymbolize:
         s = symbolize(x, DistributionSpec.gaussian(0.0, 1.0), symbol_bits=4)
         counts = np.bincount(s, minlength=16)
         assert counts.min() > 0.8 * 100_000 / 16
+
+    def test_uniform_target_quantizes_the_unit_interval(self):
+        x = np.array([-0.5, 0.0, 0.2, 0.5, 0.999, 1.0, 3.0])
+        s = symbolize(x, "uniform", symbol_bits=3)
+        assert s.tolist() == [0, 0, 1, 4, 7, 7, 7]
+        assert target_cdf("uniform") is uniform_cdf
+
+    def test_point_mass_is_one_symbol(self):
+        s = symbolize(np.full(5, 2.0), DistributionSpec.point_mass(2.0))
+        assert s.tolist() == [0] * 5
 
 
 class TestFidelityReport:

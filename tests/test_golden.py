@@ -1,0 +1,108 @@
+"""CLI output bytes pinned by sha256.
+
+Each case runs one command into ``--out`` and compares the file's sha256 with
+the value recorded for this release, so a refactor that moves any output byte
+fails here.  ``fidelity`` is left out: its numpy reductions are not pinned
+across platforms.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from entropy_roofline.cli import main
+
+BACKENDS = ("von_neumann", "coupled_pcim", "decoupled_near_memory", "decoupled_in_memory")
+
+# acceptance criterion 11's grid
+CRITERION_11_GRID = {
+    "alpha": [0.0, 0.01, 0.1, 0.5, 1.0],
+    "backend": ["von_neumann", "coupled_pcim", "decoupled_in_memory"],
+    "mode": ["serialized", "overlapped"],
+}
+# retimed RNG under every backend, from a non-default base backend
+BACKEND_GRID = {
+    "beta_rand": [1e8, 3e9],
+    "backend": list(BACKENDS),
+    "mode": ["serialized", "overlapped"],
+}
+CONFIG = {
+    "backend": {"kind": "decoupled_in_memory", "rng_rate": 2e9, "parallelism": 16},
+    "shaping": {"method": "clt_accumulate", "k": 6},
+}
+# lanes set on another kind carry over to decoupled_in_memory
+LANES_CONFIG = {"backend": {"kind": "von_neumann", "rng_rate": 4e9, "parallelism": 8}}
+
+CASES = {
+    "roofline": ["roofline", "--alpha", "0,0.01,0.5,1", "--points", "32"],
+    "roofline-overrides": ["roofline", "--alpha", "0.25", "--pi", "1e9", "--beta-data", "1e8",
+                           "--beta-rand", "1e6", "--ai-min", "0.5", "--ai-max", "500"],
+    "sweep-backends-lanes": "f62268a36fca99635f1ebc01bbd507e6bd8e1f53fd7d38e490efcec9f8b41870",
+    "sweep-criterion-11": ["sweep", "--grid", "{criterion_11_grid}"],
+    "sweep-backends": ["sweep", "--grid", "{backend_grid}", "--config", "{config}",
+                       "--workload", "mc", "--shape", "5000,3"],
+    "sweep-backends-lanes": ["sweep", "--grid", "{backend_grid}", "--config", "{lanes_config}"],
+    "simulate-lanes-decoupled_in_memory": ["simulate", "--workload", "mc", "--config",
+                                           "{lanes_config}", "--backend", "decoupled_in_memory"],
+}
+for _workload in ("bnn", "mc"):
+    for _backend in BACKENDS:
+        CASES[f"simulate-{_workload}-{_backend}"] = [
+            "simulate", "--workload", _workload, "--backend", _backend]
+for _backend in BACKENDS:
+    CASES[f"simulate-config-{_backend}"] = [
+        "simulate", "--workload", "conv-stoch", "--shape", "4,8,3,6,6,2",
+        "--config", "{config}", "--backend", _backend]
+for _workload, _shape in (("bnn", "6,5,2"), ("conv", "2,3,3,4,4,1"),
+                          ("conv-stoch", "2,3,3,4,4,2"), ("mc", "20,3")):
+    CASES[f"gen-trace-{_workload}"] = ["gen-trace", "--workload", _workload, "--shape", _shape]
+
+EXPECTED = {
+    "gen-trace-bnn": "bb0b792b46f2a9d93f2db784a73f1fe8805e9d451c4f4da6055fce567fe7371c",
+    "gen-trace-conv": "96d68df7c16ff7b4a79722a839820c54febe39a1842229fba444a09c9c8b3572",
+    "gen-trace-conv-stoch": "d52b122229772a6dff9974bce486f6164f23677996722cfeeae70f8449736476",
+    "gen-trace-mc": "13c9581b2a7e9669ad5dc6291a737b503ac0d2b595ed24df417330f471829780",
+    "roofline": "46437d6370d7478b74416ea5d58b3a6677e56eb442bba96e605d3b8c2f68aba9",
+    "roofline-overrides": "2776b294aa9a86d24677b7863bc04abfb24703c6f06a1d264348760f907e23d0",
+    "simulate-bnn-coupled_pcim": "50d6a590dbdc1721766995a612a8b4e2d801fab0c1e225466980a8d646fa1d85",
+    "simulate-bnn-decoupled_in_memory": "3166ce5e3a3453f16f002fc544c1a567809d87e56009e43637346447c7a82e19",
+    "simulate-bnn-decoupled_near_memory": "b22ccf2667838ac23ec6067268b558bd35584a2a53042584c9740a05d83a10de",
+    "simulate-bnn-von_neumann": "1c0b30725c9a72b2a127f3d5c80389a9df7c3d8c5dfa8f035d47e23415ed6176",
+    "simulate-lanes-decoupled_in_memory": "e4c150256a0e839637fe11f9f031f1c406241a0c3e12e8df052eee267e9aed04",
+    "simulate-config-coupled_pcim": "ce1f5ba343f4599a20a1983ab244c72827d0d68d842e417c533ccba5016c6c00",
+    "simulate-config-decoupled_in_memory": "2d9a0981badb53e00ddefa34a7cab25193d2efc90369ceb79b4aab0969c29990",
+    "simulate-config-decoupled_near_memory": "c72ad7141fe3100f3e27f8824648629b95cd64ec801aaf7a3ad4f37dc7ef2309",
+    "simulate-config-von_neumann": "bdd74cf6b871f2dffc9a6a553cecbdc2b4854a3ad512748f42c500ebbad8ecb9",
+    "simulate-mc-coupled_pcim": "aa756c281e0c4ab15baf9d293c5cb9e1867ca180c97d5222f0e958de015a3a86",
+    "simulate-mc-decoupled_in_memory": "6a2a5c86a5ad49016e5ef46eaa5560d9555ac2f6c5c0530e831281d241b2ffc1",
+    "simulate-mc-decoupled_near_memory": "aea6caa3740342a239838dc762330ea9f365db7c51613c6047d4b1179db1be64",
+    "simulate-mc-von_neumann": "89e23fcb92f8150853a94e2f8c1a324f49731fed781d258b9228319264b6552a",
+    "sweep-backends": "7bb76204491b4e1e32f0a07f41cb207d907deefc2a5117ef4227856ddffdb925",
+    "sweep-backends-lanes": "f62268a36fca99635f1ebc01bbd507e6bd8e1f53fd7d38e490efcec9f8b41870",
+    "sweep-criterion-11": "04c851c3f4e9dc0c14c6ae2f01d308f0efb544d5a399e59c64c33b19590a1bf5",
+}
+
+
+def case_digest(name, tmp_path):
+    """sha256 of the ``--out`` bytes of case ``name``, run in ``tmp_path``."""
+    files = {
+        "criterion_11_grid": CRITERION_11_GRID,
+        "backend_grid": BACKEND_GRID,
+        "config": CONFIG,
+        "lanes_config": LANES_CONFIG,
+    }
+    paths = {}
+    for key, payload in files.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        with open(paths[key], "w") as fh:
+            json.dump(payload, fh)
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in CASES[name]] + ["--out", str(out)]
+    assert main(argv) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_pinned(name, tmp_path):
+    assert case_digest(name, tmp_path) == EXPECTED[name]

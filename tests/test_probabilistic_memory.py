@@ -93,6 +93,27 @@ class TestBackendConfig:
         assert BackendConfig.von_neumann().shaping_ops_per_sample == 8
         assert BackendConfig.coupled_pcim().shaping_ops_per_sample == 0
 
+    @pytest.mark.parametrize("base", [
+        BackendConfig.von_neumann(rng_rate=3e9, transport_bytes_per_sample=2.0, parallelism=8),
+        BackendConfig.coupled_pcim(sigma0=0.2),
+        BackendConfig.decoupled_near_memory(rng_rate=5e8, writeback_bytes_per_sample=8.0),
+        BackendConfig.decoupled_in_memory(rng_rate=2e9, parallelism=16),
+    ])
+    def test_for_kind_carries_rate_and_lanes(self, base):
+        expected = {
+            "von_neumann": BackendConfig.von_neumann(rng_rate=base.rng_rate),
+            "coupled_pcim": BackendConfig.coupled_pcim(),
+            "decoupled_near_memory": BackendConfig.decoupled_near_memory(rng_rate=base.rng_rate),
+            "decoupled_in_memory": BackendConfig.decoupled_in_memory(
+                rng_rate=base.rng_rate, parallelism=base.parallelism),
+        }
+        expected[base.kind] = base
+        for kind in BACKEND_KINDS:
+            assert BackendConfig.for_kind(kind, base) == expected[kind]
+        assert BackendConfig.for_kind(base.kind, base) is base
+        with pytest.raises(DomainError):
+            BackendConfig.for_kind("quantum", base)
+
 
 class TestWriteRead:
     def test_round_trip_distribution(self):
