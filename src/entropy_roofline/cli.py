@@ -128,18 +128,14 @@ def parse_config(doc: Dict) -> ConfigDocument:
     shaping = _load_section(doc, "shaping", _SHAPING_KEYS, lambda kw: ShapingPipelineSpec(
         **{"method": defaults.shaping.method, **kw}))
 
-    def backend_config(kw):
-        kw = {"kind": defaults.backend.kind, **kw}
-        if kw["kind"] == "von_neumann":
-            kw["shaping"] = shaping
-        return BackendConfig(**kw)
-
-    backend = _load_section(doc, "backend", _BACKEND_KEYS, backend_config)
+    # the shaping section rides on every kind, so a switch to von_neumann keeps it
+    backend = _load_section(doc, "backend", _BACKEND_KEYS, lambda kw: BackendConfig(
+        **{"kind": defaults.backend.kind, **kw, "shaping": shaping}))
     nonideality = _load_section(doc, "nonideality", _NONIDEALITY_KEYS,
                                 lambda kw: NonidealitySpec(**kw))
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed", f"expected an integer, got {seed!r}")
     mode = doc.get("mode", "serialized")
     if mode not in MODES:
@@ -214,16 +210,17 @@ def _parse_floats(parser: argparse.ArgumentParser, flag: str, text: str) -> List
         parser.error(f"{flag}: expected a comma-separated list of numbers, got {text!r}")
 
 
-def _workload(parser: argparse.ArgumentParser, args: argparse.Namespace, trace: bool = False):
-    """The ``--workload`` generator at ``--shape``: its WorkloadSpec, or with
-    ``trace`` its trace records.  Any bad shape is a ``--shape`` usage error."""
-    name = args.workload
+def _workload(parser: argparse.ArgumentParser, name: str, shape_text: Optional[str],
+              trace: bool = False):
+    """Generator ``name`` at ``--shape`` ``shape_text``: its WorkloadSpec, or
+    with ``trace`` its trace records.  Any bad shape is a ``--shape`` usage
+    error."""
     shape = default = _WORKLOAD_DEFAULT_SHAPE[name]
-    if args.shape is not None:
+    if shape_text is not None:
         try:
-            shape = tuple(int(tok) for tok in args.shape.split(","))
+            shape = tuple(int(tok) for tok in shape_text.split(","))
         except ValueError:
-            parser.error(f"--shape: expected integers, got {args.shape!r}")
+            parser.error(f"--shape: expected integers, got {shape_text!r}")
         if len(shape) != len(default):
             parser.error(
                 f"--shape: workload {name!r} takes {len(default)} integers, got {len(shape)}"
@@ -286,10 +283,13 @@ def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.trace is not None:
-        _, workload = load_trace(args.trace)
+    if args.trace is None:
+        workload = _workload(parser, args.workload or "bnn", args.shape)
     else:
-        workload = _workload(parser, args)
+        for flag, value in (("--workload", args.workload), ("--shape", args.shape)):
+            if value is not None:
+                parser.error(f"{flag}: cannot be combined with --trace")
+        _, workload = load_trace(args.trace)
 
     backend = config.backend
     if args.backend is not None:
@@ -297,9 +297,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     mode = args.mode if args.mode is not None else config.mode
     seed = _resolve_seed(args.seed, config.seed)
 
-    sim_config = SimConfig(arch=config.arch, backend=backend, mode=mode,
-                           shaping=config.shaping, seed=seed)
-    result = run_sim(workload, sim_config)
+    result = run_sim(workload, SimConfig(arch=config.arch, backend=backend, mode=mode))
     payload = {
         "workload": workload.name,
         "backend": backend.kind,
@@ -333,7 +331,7 @@ def cmd_fidelity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_gen_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    records = _workload(parser, args, trace=True)
+    records = _workload(parser, args.workload, args.shape, trace=True)
     save_trace(records, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
@@ -351,14 +349,11 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             raise ConfigError("<grid>", f"invalid JSON: {exc}") from exc
     if not isinstance(grid, dict):
         raise ConfigError("<grid>", "grid document must be a JSON object")
-    workload = None if args.workload is None else _workload(parser, args)
-    seed = _resolve_seed(args.seed, config.seed)
-    sim_config = SimConfig(
-        arch=config.arch, backend=config.backend, mode=config.mode,
-        shaping=config.shaping, seed=seed,
-    )
+    workload = None if args.workload is None else _workload(parser, args.workload, args.shape)
+    _resolve_seed(args.seed, config.seed)  # validated as on every command; a sweep draws nothing
+    sim_config = SimConfig(arch=config.arch, backend=config.backend, mode=config.mode)
     try:
-        rows = run_sweep(sim_config, grid, workload=workload, jobs=args.jobs)
+        rows = run_sweep(sim_config, grid, workload=workload)
     except DomainError as exc:
         raise ConfigError("<grid>", str(exc)) from exc
 
@@ -406,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one workload, emit a SimResult JSON")
     p.add_argument("--config", default=None)
-    p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), default="bnn")
+    p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), default=None,
+                   help="workload generator (default bnn)")
     p.add_argument("--shape", default=None, help="comma-separated workload shape")
     p.add_argument("--trace", default=None, help="trace CSV instead of a generator")
     p.add_argument("--backend", choices=BACKEND_KINDS, default=None)

@@ -23,6 +23,7 @@ unit; ``bytes_per_element`` converts byte-rate specs).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -63,12 +64,12 @@ class ArchParams:
     def __post_init__(self) -> None:
         for name in ("pi", "beta_data", "beta_rand"):
             value = getattr(self, name)
-            if not (value > 0.0) or math.isinf(value):
+            if value.__class__ is bool or not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if self.bytes_per_element < 1:
-            raise DomainError(
-                f"bytes_per_element must be >= 1, got {self.bytes_per_element!r}"
-            )
+        bpe = self.bytes_per_element
+        if not (bpe.__class__ is int or isinstance(bpe, numbers.Integral)
+                and bpe.__class__ is not bool) or bpe < 1:
+            raise DomainError(f"bytes_per_element must be an integer >= 1, got {bpe!r}")
 
     @classmethod
     def from_byte_bandwidth(

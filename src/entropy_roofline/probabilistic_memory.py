@@ -20,6 +20,13 @@ cell and the entropy stream:
 * decoupled_in_memory    — as above but entropy generation sits in the
   access path with ``parallelism`` lanes and no writeback.
 
+What a draw costs on each kind is defined once, by ``BackendConfig``'s
+per-draw answers (shaping ops, side bytes, parameter read, wear, lanes, raw
+entropy rate); ``PMemArray`` and the simulator read them and never branch on
+the kind.  At the array's default 32 bits per raw draw, the one charge they
+price differently is a decoupled draw's parameter read, which the simulator
+does not charge.
+
 Per-operation charges land in a CostReport; per-cell write counts model
 endurance.  Arrays are single-writer: mutation requires exclusive access.
 
@@ -198,7 +205,8 @@ class CostReport:
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Backend kind plus its cost/constraint parameters (see module docstring)."""
+    """Backend kind, its cost/constraint parameters and what a draw costs
+    on it (see module docstring)."""
 
     kind: str
     # shared cost knobs
@@ -224,26 +232,28 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise DomainError(f"unknown backend kind {self.kind!r}")
-        for name in ("rng_rate", "read_energy_pj", "write_energy_pj", "sample_energy_pj"):
-            if not (getattr(self, name) > 0.0):
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.latency_cycles < 1:
-            raise DomainError(f"latency_cycles must be >= 1, got {self.latency_cycles!r}")
-        if self.transport_bytes_per_sample < 0.0:
-            raise DomainError("transport_bytes_per_sample must be >= 0")
-        if self.writeback_bytes_per_sample < 0.0:
-            raise DomainError("writeback_bytes_per_sample must be >= 0")
-        if not (self.sigma0 > 0.0):
-            raise DomainError(f"sigma0 must be positive, got {self.sigma0!r}")
-        if self.gamma < 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
+        # A bool is no number here, though True would pass as 1.  The checks
+        # are plain comparisons (NaN fails them) because sweeps build a config
+        # per point; the Integral ABC is only asked about a non-int.
+        for name in ("rng_rate", "read_energy_pj", "write_energy_pj", "sample_energy_pj", "sigma0"):
+            value = getattr(self, name)
+            if value.__class__ is bool or not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+        for name in ("transport_bytes_per_sample", "writeback_bytes_per_sample", "gamma",
+                     "sigma_min_frac", "sigma_max_frac"):
+            value = getattr(self, name)
+            if value.__class__ is bool or not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+        for name in ("latency_cycles", "parallelism"):
+            value = getattr(self, name)
+            if not (value.__class__ is int or isinstance(value, numbers.Integral)
+                    and value.__class__ is not bool) or value < 1:
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         if not (0.0 < self.sigma_min_frac <= 1.0 <= self.sigma_max_frac):
             raise DomainError(
                 "need 0 < sigma_min_frac <= 1 <= sigma_max_frac, got "
                 f"[{self.sigma_min_frac!r}, {self.sigma_max_frac!r}]"
             )
-        if self.parallelism < 1:
-            raise DomainError(f"parallelism must be >= 1, got {self.parallelism!r}")
 
     # -- constructors per kind ---------------------------------------------
 
@@ -279,8 +289,9 @@ class BackendConfig:
     def for_kind(cls, kind: str, base: "BackendConfig") -> "BackendConfig":
         """``base`` switched to backend ``kind``: ``base`` itself when the kind
         matches, else the kind's defaults with ``base.rng_rate`` carried over
-        (coupled_pcim samples at the data rate, so it takes none) and, for
-        decoupled_in_memory, ``base.parallelism``."""
+        (coupled_pcim samples at the data rate, so it takes none), for
+        decoupled_in_memory ``base.parallelism`` and for von_neumann
+        ``base.shaping`` (its default pipeline when that is None)."""
         if kind == base.kind:
             return base
         if kind == KIND_COUPLED_PCIM:
@@ -288,7 +299,7 @@ class BackendConfig:
         if kind == KIND_DECOUPLED_IN_MEMORY:
             return cls.decoupled_in_memory(rng_rate=base.rng_rate, parallelism=base.parallelism)
         if kind == KIND_VON_NEUMANN:
-            return cls.von_neumann(rng_rate=base.rng_rate)
+            return cls.von_neumann(rng_rate=base.rng_rate, shaping=base.shaping)
         return cls(kind=kind, rng_rate=base.rng_rate)
 
     # -- coupled device model ------------------------------------------------
@@ -302,11 +313,49 @@ class BackendConfig:
         dev = self.sigma_dev(mu)
         return (self.sigma_min_frac * dev, self.sigma_max_frac * dev)
 
+    # -- what one stochastic draw costs ----------------------------------------
+
     @property
     def shaping_ops_per_sample(self) -> int:
+        """Shaping arithmetic per draw; only the von Neumann RNG pipeline has one."""
         if self.kind == KIND_VON_NEUMANN and self.shaping is not None:
             return self.shaping.ops_per_sample
         return 0
+
+    @property
+    def side_bytes_per_sample(self) -> float:
+        """Bytes a draw moves besides a parameter read: transport or write-back."""
+        if self.kind == KIND_VON_NEUMANN:
+            return self.transport_bytes_per_sample
+        if self.kind == KIND_DECOUPLED_NEAR_MEMORY:
+            return self.writeback_bytes_per_sample
+        return 0.0
+
+    @property
+    def reads_parameters_per_draw(self) -> bool:
+        """Whether a draw reads the cell's stored parameters (the decoupled kinds)."""
+        return self.kind in (KIND_DECOUPLED_NEAR_MEMORY, KIND_DECOUPLED_IN_MEMORY)
+
+    @property
+    def wears_cell_per_draw(self) -> bool:
+        """Whether a draw counts one write on its cell (write-based coupled sampling)."""
+        return self.kind == KIND_COUPLED_PCIM and self.write_based_sampling
+
+    def sampling_lanes(self, row_width: int) -> int:
+        """Draws served at once: a row on coupled arrays, ``parallelism`` in-memory, else 1."""
+        if self.kind == KIND_COUPLED_PCIM:
+            return row_width
+        if self.kind == KIND_DECOUPLED_IN_MEMORY:
+            return self.parallelism
+        return 1
+
+    def raw_entropy_rate(self, beta_data: float) -> float:
+        """Draws/second of the entropy path before side traffic is folded in."""
+        if self.kind == KIND_COUPLED_PCIM:
+            return beta_data
+        if self.kind == KIND_DECOUPLED_IN_MEMORY:
+            return self.parallelism * self.rng_rate
+        return self.rng_rate
 
 
 Address = Tuple[int, int]
@@ -387,17 +436,12 @@ class PMemArray:
         cost = self._cost
         cost.entropy_bits_consumed += self.bits_per_raw_sample
         cost.energy_pj += backend.sample_energy_pj
-        if backend.kind == KIND_VON_NEUMANN:
-            cost.bytes_moved += backend.transport_bytes_per_sample
-            cost.shaping_ops += backend.shaping_ops_per_sample
-        elif backend.kind == KIND_COUPLED_PCIM:
-            if backend.write_based_sampling:
-                self._write_counts[r, c] += 1
-        else:
-            # decoupled kinds read the stored parameters per draw
+        if backend.reads_parameters_per_draw:
             cost.bytes_moved += spec.parameter_elements * self.bytes_per_element
-            if backend.kind == KIND_DECOUPLED_NEAR_MEMORY:
-                cost.bytes_moved += backend.writeback_bytes_per_sample
+        cost.bytes_moved += backend.side_bytes_per_sample  # x + 0.0 == x for x >= +0.0
+        cost.shaping_ops += backend.shaping_ops_per_sample
+        if backend.wears_cell_per_draw:
+            self._write_counts[r, c] += 1
 
     # -- primitives ------------------------------------------------------------
 
@@ -487,13 +531,7 @@ class PMemArray:
         flat = self._flat_index(addrs)
         n = flat.size
         backend = self.backend
-        if backend.kind == KIND_COUPLED_PCIM:
-            lanes = self.cols
-        elif backend.kind == KIND_DECOUPLED_IN_MEMORY:
-            lanes = backend.parallelism
-        else:
-            lanes = 1
-        cycles = math.ceil(n / lanes) * backend.latency_cycles if n else 0
+        cycles = math.ceil(n / backend.sampling_lanes(self.cols)) * backend.latency_cycles if n else 0
         if not n:
             return [], cycles
 
@@ -507,25 +545,22 @@ class PMemArray:
         sigma = self._sigma.take(flat[draws])
         values[draws] = np.where(normal, values[draws] + sigma * drawn, drawn)
 
-        # Charges in the order sample() makes them, one address after another;
-        # a 0.0 stands for no addition (x + 0.0 == x for every total x >= +0.0).
+        # Charges in the order sample() makes them, one address after another:
+        # a draw's parameter bytes, then its side bytes; a cell that draws
+        # nothing moves one element.  A 0.0 stands for no addition
+        # (x + 0.0 == x for every total x >= +0.0).
         bpe = self.bytes_per_element
-        if backend.kind == KIND_VON_NEUMANN:
-            byte_charges = [np.where(draws, backend.transport_bytes_per_sample, bpe)]
-        elif backend.kind == KIND_COUPLED_PCIM:
-            byte_charges = [np.where(draws, 0.0, bpe)]
-        else:
-            byte_charges = [np.where(draws, np.where(gaussian, 2 * bpe, bpe), bpe)]
-            if backend.kind == KIND_DECOUPLED_NEAR_MEMORY:
-                byte_charges.append(np.where(draws, backend.writeback_bytes_per_sample, 0.0))
+        parameter_bytes = np.where(gaussian, 2 * bpe, bpe) if backend.reads_parameters_per_draw else 0.0
+        byte_charges = np.column_stack((np.where(draws, parameter_bytes, bpe),
+                                        np.where(draws, backend.side_bytes_per_sample, 0.0)))
         n_draws = int(np.count_nonzero(draws))
         cost = self._cost
         cost.total_samples += n
-        cost.bytes_moved = _fold(cost.bytes_moved, np.column_stack(byte_charges))
+        cost.bytes_moved = _fold(cost.bytes_moved, byte_charges)
         cost.energy_pj = _fold(cost.energy_pj, np.where(draws, backend.sample_energy_pj, backend.read_energy_pj))
         cost.entropy_bits_consumed += n_draws * self.bits_per_raw_sample
-        cost.shaping_ops += n_draws * backend.shaping_ops_per_sample  # 0 off von Neumann
-        if backend.kind == KIND_COUPLED_PCIM and backend.write_based_sampling:
+        cost.shaping_ops += n_draws * backend.shaping_ops_per_sample
+        if backend.wears_cell_per_draw:
             np.add.at(self._write_counts.reshape(-1), flat[draws], 1)
         return values.tolist(), cycles
 

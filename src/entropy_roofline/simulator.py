@@ -10,19 +10,16 @@ Two composition modes:
   generation proceed concurrently.  A labeled extension, never conflated
   with the serialized model.
 
-Backend cost translation (``backend_effective_rates``) folds per-sample
-side traffic into a single effective entropy rate so the analytic model and
-the simulator agree exactly:
-
-* von_neumann           — per sample: 1 raw draw at rng_rate plus transport
-  bytes across the data bus; folded rate = 1/(1/rng + transport/beta_data).
-  Shaping arithmetic is additionally charged against compute.
-* coupled_pcim          — sampling rides the array access path:
-  beta_rand_eff = beta_data.
-* decoupled_near_memory — entropy written back through the data path:
-  folded rate = 1/(1/rng + writeback/beta_data).
-* decoupled_in_memory   — lanes scale the entropy path:
-  beta_rand_eff = parallelism * rng_rate.
+Backend cost translation: what one stochastic sample costs on each kind is
+defined once, by ``BackendConfig`` in ``probabilistic_memory``, which
+``PMemArray`` reads too.  Per sample the simulator charges
+``raw_entropy_rate(beta_data)`` for the draw, ``side_bytes_per_sample`` of
+data-path traffic and ``shaping_ops_per_sample`` of compute.
+``backend_effective_rates`` folds the side traffic serially into one
+effective entropy rate, 1/(1/raw + side_elements/beta_data), so the analytic
+model and the serialized simulator agree exactly.  Unlike ``PMemArray``, the
+simulator does not charge a decoupled draw's parameter read
+(``reads_parameters_per_draw``).
 
 Simulation is counts divided by capacities -- no queueing, caching or DRAM
 timing.
@@ -34,18 +31,9 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .distribution_shaping import ShapingPipelineSpec
 from .errors import DegenerateWorkloadError, DomainError
 from .perf_model import ArchParams, RegimeLabel
-from .probabilistic_memory import (
-    BACKEND_KINDS,
-    KIND_COUPLED_PCIM,
-    KIND_DECOUPLED_IN_MEMORY,
-    KIND_DECOUPLED_NEAR_MEMORY,
-    KIND_VON_NEUMANN,
-    BackendConfig,
-    CostReport,
-)
+from .probabilistic_memory import BACKEND_KINDS, BackendConfig, CostReport
 from .workload import WorkloadSpec
 
 MODE_SERIALIZED = "serialized"
@@ -60,22 +48,10 @@ class SimConfig:
     arch: ArchParams
     backend: BackendConfig
     mode: str = MODE_SERIALIZED
-    shaping: Optional[ShapingPipelineSpec] = None  # overrides the backend pipeline
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
-
-    @property
-    def shaping_ops_per_sample(self) -> int:
-        """Digital shaping arithmetic per sample; only the von Neumann RNG
-        pipeline pays it, in-memory backends sample without one."""
-        if self.backend.kind != KIND_VON_NEUMANN:
-            return 0
-        if self.shaping is not None:
-            return self.shaping.ops_per_sample
-        return self.backend.shaping_ops_per_sample
 
     @classmethod
     def default(cls) -> "SimConfig":
@@ -104,27 +80,6 @@ class SimResult:
         }
 
 
-def _extra_data_elements_per_sample(config: SimConfig) -> float:
-    """Data-path elements each stochastic sample drags across the bus."""
-    backend = config.backend
-    bpe = config.arch.bytes_per_element
-    if backend.kind == KIND_VON_NEUMANN:
-        return backend.transport_bytes_per_sample / bpe
-    if backend.kind == KIND_DECOUPLED_NEAR_MEMORY:
-        return backend.writeback_bytes_per_sample / bpe
-    return 0.0
-
-
-def _raw_entropy_rate(config: SimConfig) -> float:
-    """Entropy path rate before folding in side traffic, samples/second."""
-    backend = config.backend
-    if backend.kind == KIND_COUPLED_PCIM:
-        return config.arch.beta_data
-    if backend.kind == KIND_DECOUPLED_IN_MEMORY:
-        return backend.parallelism * backend.rng_rate
-    return backend.rng_rate
-
-
 def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
     """(beta_data_eff, beta_rand_eff) for the analytic model.
 
@@ -133,8 +88,8 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
     reproduces the serialized simulator exactly.
     """
     beta_data = config.arch.beta_data
-    raw = _raw_entropy_rate(config)
-    extra = _extra_data_elements_per_sample(config)
+    raw = config.backend.raw_entropy_rate(beta_data)
+    extra = config.backend.side_bytes_per_sample / config.arch.bytes_per_element
     if extra == 0.0:
         return beta_data, raw
     return beta_data, 1.0 / (1.0 / raw + extra / beta_data)
@@ -150,10 +105,10 @@ def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
     backend = config.backend
     det = workload.det_accesses
     stoch = workload.stoch_accesses
-    shaping = config.shaping_ops_per_sample  # nonzero only on von_neumann
+    shaping = backend.shaping_ops_per_sample
     ops_demand = workload.n_ops + shaping * stoch
-    extra = _extra_data_elements_per_sample(config)
-    raw_rate = _raw_entropy_rate(config)
+    extra = backend.side_bytes_per_sample / arch.bytes_per_element  # data-path elements
+    raw_rate = backend.raw_entropy_rate(arch.beta_data)
 
     t_compute = ops_demand / arch.pi
     t_data = det / arch.beta_data
@@ -256,8 +211,7 @@ def _evaluate_point(
     mode = point.get("mode", config.mode)
     if mode not in MODES:
         raise DomainError(f"invalid mode grid value {mode!r}")
-    cfg = SimConfig(arch=arch, backend=backend, mode=mode,
-                    shaping=config.shaping, seed=config.seed)
+    cfg = SimConfig(arch=arch, backend=backend, mode=mode)
     bd_eff, br_eff = backend_effective_rates(cfg)
     result = run(wl, cfg)
     params = {
@@ -277,7 +231,6 @@ def sweep(
     grid: Dict[str, Sequence],
     workload: Optional[WorkloadSpec] = None,
     base_accesses: int = 1_000_000,
-    jobs: int = 1,
 ) -> List[SweepRow]:
     """Cartesian sweep over grid dimensions, deterministic row order.
 
@@ -286,8 +239,7 @@ def sweep(
     ``backend`` (kind names or configs), ``mode``.  Dimensions absent from
     the grid stay at the base config / workload values.  Rows are ordered
     by grid position (row-major over the canonical dimension order).  Points
-    are evaluated one after another; ``jobs`` must be >= 1 and selects
-    nothing.
+    are evaluated one after another.
     """
     if not grid:
         raise DomainError("empty parameter grid")
@@ -298,8 +250,6 @@ def sweep(
             )
         if len(values) == 0:
             raise DomainError(f"sweep dimension {dim!r} has no values")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs!r}")
 
     if workload is None:
         workload = _synthetic_workload(0.5, 2.0, base_accesses)

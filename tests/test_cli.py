@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and config ingestion."""
 
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,13 @@ class TestConfigDocument:
         ("backend", {"rng_rate": [1e9]}),
         ("nonideality", {"rho": "0.1"}),
         ("nonideality", {"bias": "0.1"}),
+        ("backend", {"kind": "decoupled_in_memory", "parallelism": 2.5}),
+        ("backend", {"latency_cycles": 1.5}),
+        ("arch", {"bytes_per_element": 2.5}),
+        ("backend", {"read_energy_pj": True}),
+        ("arch", {"pi": True}),
+        ("backend", {"rng_rate": 1e999}),  # json writes Infinity, which json reads as inf
+        ("seed", True),
     ])
     def test_wrong_typed_value_names_its_section(self, section, payload, tmp_path):
         with pytest.raises(ConfigError) as info:
@@ -147,6 +155,25 @@ class TestSimulate:
         assert run_cli("simulate", "--trace", str(trace), "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["result"]["cost"]["total_samples"] == 16 * 8 * 2
+
+    @pytest.mark.parametrize("flag, value", [("--shape", "1,2"), ("--workload", "bnn")])
+    def test_generator_flag_with_trace_exits_2(self, flag, value, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        assert run_cli("gen-trace", "--workload", "mc", "--shape", "20,3", "--out", str(trace)) == 0
+        with pytest.raises(SystemExit) as info:
+            run_cli("simulate", "--trace", str(trace), flag, value)
+        assert info.value.code == 2
+        assert f"{flag}:" in capsys.readouterr().err
+
+    def test_trace_with_seed_and_backend_bytes_pinned(self, tmp_path, monkeypatch):
+        # the trace-mc benchmark workload runs this command; the workload name
+        # is the trace path, so it runs from the trace's directory
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen-trace", "--workload", "mc", "--shape", "20,3", "--out", "t.csv") == 0
+        assert run_cli("simulate", "--trace", "t.csv", "--seed", "5",
+                       "--backend", "decoupled_near_memory", "--out", "res.json") == 0
+        digest = hashlib.sha256((tmp_path / "res.json").read_bytes()).hexdigest()
+        assert digest == "7825e9c16861830e18b3f2b21181e8c428c5430f1e3e7e0bb2651b50cac733c4"
 
     def test_missing_config_exits_4(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == 4

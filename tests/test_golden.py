@@ -33,18 +33,21 @@ CONFIG = {
 }
 # lanes set on another kind carry over to decoupled_in_memory
 LANES_CONFIG = {"backend": {"kind": "von_neumann", "rng_rate": 4e9, "parallelism": 8}}
+# a shaping section priced away from the default pipeline's 8 ops per draw
+SHAPING_CONFIG = {"backend": {"kind": "von_neumann"}, "shaping": {"method": "box_muller", "cost": 100}}
 
 CASES = {
     "roofline": ["roofline", "--alpha", "0,0.01,0.5,1", "--points", "32"],
     "roofline-overrides": ["roofline", "--alpha", "0.25", "--pi", "1e9", "--beta-data", "1e8",
                            "--beta-rand", "1e6", "--ai-min", "0.5", "--ai-max", "500"],
-    "sweep-backends-lanes": "f62268a36fca99635f1ebc01bbd507e6bd8e1f53fd7d38e490efcec9f8b41870",
     "sweep-criterion-11": ["sweep", "--grid", "{criterion_11_grid}"],
     "sweep-backends": ["sweep", "--grid", "{backend_grid}", "--config", "{config}",
                        "--workload", "mc", "--shape", "5000,3"],
     "sweep-backends-lanes": ["sweep", "--grid", "{backend_grid}", "--config", "{lanes_config}"],
     "simulate-lanes-decoupled_in_memory": ["simulate", "--workload", "mc", "--config",
                                            "{lanes_config}", "--backend", "decoupled_in_memory"],
+    "simulate-shaping-mc": ["simulate", "--workload", "mc", "--config", "{shaping_config}"],
+    "sweep-shaping-backends": ["sweep", "--grid", "{backend_grid}", "--config", "{shaping_config}"],
 }
 for _workload in ("bnn", "mc"):
     for _backend in BACKENDS:
@@ -78,9 +81,11 @@ EXPECTED = {
     "simulate-mc-decoupled_in_memory": "6a2a5c86a5ad49016e5ef46eaa5560d9555ac2f6c5c0530e831281d241b2ffc1",
     "simulate-mc-decoupled_near_memory": "aea6caa3740342a239838dc762330ea9f365db7c51613c6047d4b1179db1be64",
     "simulate-mc-von_neumann": "89e23fcb92f8150853a94e2f8c1a324f49731fed781d258b9228319264b6552a",
+    "simulate-shaping-mc": "ac9d721ea213818f727543936609204b6ecd5816c988b43891cdc1a7ea8a6307",
     "sweep-backends": "7bb76204491b4e1e32f0a07f41cb207d907deefc2a5117ef4227856ddffdb925",
     "sweep-backends-lanes": "f62268a36fca99635f1ebc01bbd507e6bd8e1f53fd7d38e490efcec9f8b41870",
     "sweep-criterion-11": "04c851c3f4e9dc0c14c6ae2f01d308f0efb544d5a399e59c64c33b19590a1bf5",
+    "sweep-shaping-backends": "e62a57c282dde7a421a3d0903ef63ff979cc5cf6aa24ec00341ad1c8b9665808",
 }
 
 
@@ -91,6 +96,7 @@ def case_digest(name, tmp_path):
         "backend_grid": BACKEND_GRID,
         "config": CONFIG,
         "lanes_config": LANES_CONFIG,
+        "shaping_config": SHAPING_CONFIG,
     }
     paths = {}
     for key, payload in files.items():
@@ -101,6 +107,10 @@ def case_digest(name, tmp_path):
     argv = [arg.format(**paths) for arg in CASES[name]] + ["--out", str(out)]
     assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_every_case_has_one_digest():
+    assert set(CASES) == set(EXPECTED)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

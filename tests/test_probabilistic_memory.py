@@ -564,6 +564,82 @@ class TestBatchEqualsSequential:
         assert np.array_equal(arrays[0].endurance_map, arrays[1].endurance_map)
         assert batch_stream.position == seq_stream.position
 
+    # Every CostReport field (float.hex, in field order), the endurance map and
+    # the batch's cycles after one fixed mixed batch, then after the same
+    # addresses through scalar sample(); recorded before the per-draw charges
+    # moved into BackendConfig.  A drift written the same way into both paths
+    # passes the batch == loop test above but not this one.
+    PINNED = {
+        "von_neumann": (66, (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+5", "0x1.f200000000000p+6",
+             "0x1.5000000000000p+9", "0x1.6b33333333332p+4", "0x1.a400000000000p+6"),
+            [[1, 1], [1, 1]],
+        ), (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+6", "0x1.d400000000000p+7",
+             "0x1.5000000000000p+10", "0x1.4800000000001p+5", "0x1.a400000000000p+7"),
+            [[1, 1], [1, 1]],
+        )),
+        "coupled_pcim": (34, (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+5", "0x1.9800000000000p+5",
+             "0x1.5000000000000p+9", "0x1.6b33333333332p+4", "0x0.0p+0"),
+            [[13, 10], [1, 1]],
+        ), (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+6", "0x1.5c00000000000p+6",
+             "0x1.5000000000000p+10", "0x1.4800000000001p+5", "0x0.0p+0"),
+            [[25, 19], [1, 1]],
+        )),
+        "decoupled_near_memory": (66, (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+5", "0x1.1940000000000p+8",
+             "0x1.5000000000000p+9", "0x1.6b33333333332p+4", "0x0.0p+0"),
+            [[1, 1], [1, 1]],
+        ), (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+6", "0x1.11c0000000000p+9",
+             "0x1.5000000000000p+10", "0x1.4800000000001p+5", "0x0.0p+0"),
+            [[1, 1], [1, 1]],
+        )),
+        "decoupled_in_memory": (22, (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+5", "0x1.2c00000000000p+7",
+             "0x1.5000000000000p+9", "0x1.6b33333333332p+4", "0x0.0p+0"),
+            [[1, 1], [1, 1]],
+        ), (
+            ("0x0.0p+0", "0x1.0000000000000p+2", "0x1.0800000000000p+6", "0x1.1d00000000000p+8",
+             "0x1.5000000000000p+10", "0x1.4800000000001p+5", "0x0.0p+0"),
+            [[1, 1], [1, 1]],
+        )),
+    }
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_pinned_charges(self, kind):
+        kw = dict(read_energy_pj=0.3, write_energy_pj=1.1, sample_energy_pj=0.7, latency_cycles=2)
+        backend = {
+            "von_neumann": BackendConfig.von_neumann(
+                transport_bytes_per_sample=3.5,
+                shaping=ShapingPipelineSpec(method="clt_accumulate", k=5), **kw),
+            "coupled_pcim": BackendConfig.coupled_pcim(write_based_sampling=True, **kw),
+            "decoupled_near_memory": BackendConfig.decoupled_near_memory(
+                writeback_bytes_per_sample=6.25, **kw),
+            "decoupled_in_memory": BackendConfig.decoupled_in_memory(parallelism=3, **kw),
+        }[kind]
+        arr = PMemArray(2, 2, backend, bytes_per_element=3)
+        cells = [DistributionSpec.gaussian(0.5, 0.1), DistributionSpec.bernoulli(0.3),
+                 DistributionSpec.bernoulli(1.0), DistributionSpec.point_mass(2.5)]
+        for k, state in enumerate(cells):
+            arr.write(divmod(k, 2), state)
+        addrs = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (0, 1), (0, 0), (1, 1), (1, 0), (0, 0), (0, 1)] * 3
+
+        def charges():
+            cost = arr.cost_report()
+            hexes = tuple(float.hex(float(getattr(cost, f.name))) for f in fields(CostReport))
+            return hexes, arr.endurance_map.tolist()
+
+        cycles, after_batch, after_scalar = self.PINNED[kind]
+        stream = EntropyStream(5)
+        assert arr.batch_sample(addrs, stream)[1] == cycles
+        assert charges() == after_batch
+        for addr in addrs:
+            arr.sample(addr, stream)
+        assert charges() == after_scalar
+
     @given(
         spec=st.one_of(
             st.builds(DistributionSpec, family=st.sampled_from(["gaussian", "bernoulli", "point_mass"]),
