@@ -12,14 +12,13 @@ cost accounting; the defaults are documented knobs, not measurements.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 METHOD_BOX_MULLER = "box_muller"
 METHOD_INVERSE_CDF = "inverse_cdf_table"
@@ -66,12 +65,11 @@ class ShapingPipelineSpec:
             raise DomainError(f"unknown shaping method {self.method!r}")
         if self.n_entries < 2:
             raise DomainError(f"n_entries must be >= 2, got {self.n_entries!r}")
-        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
-            raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
+        require_int("k", self.k, 1)
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
-        if self.cost is not None and not (isinstance(self.cost, numbers.Integral) and self.cost >= 0):
-            raise DomainError(f"cost must be an integer >= 0, got {self.cost!r}")
+        if self.cost is not None:
+            require_int("cost", self.cost, 0)
 
     @property
     def ops_per_sample(self) -> int:

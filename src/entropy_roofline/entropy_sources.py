@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .distribution_shaping import box_muller
 from .errors import DomainError
@@ -292,6 +291,10 @@ def _apply_nonidealities_block(
     n = x.shape[0]
     t0 = state.t
     if spec.rho != 0.0:
+        # deferred: scipy.signal is the slowest import in the package and
+        # only this branch uses it
+        from scipy.signal import lfilter
+
         c = math.sqrt(1.0 - spec.rho * spec.rho)
         y, zf = lfilter([c], [1.0, -spec.rho], x, zi=[spec.rho * state.prev])
         state.prev = float(y[-1])

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all entropy-roofline modules."""
 
+import numbers
+
 
 class EntropyRooflineError(Exception):
     """Base class for all errors raised by this package."""
@@ -7,6 +9,17 @@ class EntropyRooflineError(Exception):
 
 class DomainError(EntropyRooflineError, ValueError):
     """A parameter or argument lies outside its admissible domain."""
+
+
+def require_int(name: str, value, lo: int) -> None:
+    """Raise DomainError unless ``value`` is a non-bool integer >= ``lo``.
+
+    A bool is no count, though True would pass as 1.  Sweeps build configs
+    per point, so the Integral ABC is only asked about a non-int.
+    """
+    if not (value.__class__ is int or isinstance(value, numbers.Integral)
+            and value.__class__ is not bool) or value < lo:
+        raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 class AddressError(EntropyRooflineError, IndexError):

@@ -23,12 +23,11 @@ unit; ``bytes_per_element`` converts byte-rate specs).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 class RegimeLabel(str, Enum):
@@ -66,10 +65,7 @@ class ArchParams:
             value = getattr(self, name)
             if value.__class__ is bool or not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        bpe = self.bytes_per_element
-        if not (bpe.__class__ is int or isinstance(bpe, numbers.Integral)
-                and bpe.__class__ is not bool) or bpe < 1:
-            raise DomainError(f"bytes_per_element must be an integer >= 1, got {bpe!r}")
+        require_int("bytes_per_element", self.bytes_per_element, 1)
 
     @classmethod
     def from_byte_bandwidth(

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import operator
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -55,7 +54,7 @@ import numpy as np
 
 from .distribution_shaping import ShapingPipelineSpec
 from .entropy_sources import EntropyStream
-from .errors import AddressError, CellTypeError, DomainError, VarianceRangeError
+from .errors import AddressError, CellTypeError, DomainError, VarianceRangeError, require_int
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_BERNOULLI = "bernoulli"
@@ -234,7 +233,7 @@ class BackendConfig:
             raise DomainError(f"unknown backend kind {self.kind!r}")
         # A bool is no number here, though True would pass as 1.  The checks
         # are plain comparisons (NaN fails them) because sweeps build a config
-        # per point; the Integral ABC is only asked about a non-int.
+        # per point.
         for name in ("rng_rate", "read_energy_pj", "write_energy_pj", "sample_energy_pj", "sigma0"):
             value = getattr(self, name)
             if value.__class__ is bool or not 0.0 < value < math.inf:
@@ -244,11 +243,8 @@ class BackendConfig:
             value = getattr(self, name)
             if value.__class__ is bool or not 0.0 <= value < math.inf:
                 raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
-        for name in ("latency_cycles", "parallelism"):
-            value = getattr(self, name)
-            if not (value.__class__ is int or isinstance(value, numbers.Integral)
-                    and value.__class__ is not bool) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        require_int("latency_cycles", self.latency_cycles, 1)
+        require_int("parallelism", self.parallelism, 1)
         if not (0.0 < self.sigma_min_frac <= 1.0 <= self.sigma_max_frac):
             raise DomainError(
                 "need 0 < sigma_min_frac <= 1 <= sigma_max_frac, got "
@@ -371,12 +367,10 @@ class PMemArray:
 
     def __init__(self, rows: int, cols: int, backend: BackendConfig,
                  bytes_per_element: int = 4, bits_per_raw_sample: int = 32):
-        if rows < 1 or cols < 1:
-            raise DomainError(f"array shape must be >= 1x1, got {rows!r}x{cols!r}")
-        if bytes_per_element < 1:
-            raise DomainError("bytes_per_element must be >= 1")
-        if not (isinstance(bits_per_raw_sample, numbers.Integral) and bits_per_raw_sample >= 1):
-            raise DomainError(f"bits_per_raw_sample must be an integer >= 1, got {bits_per_raw_sample!r}")
+        require_int("rows", rows, 1)
+        require_int("cols", cols, 1)
+        require_int("bytes_per_element", bytes_per_element, 1)
+        require_int("bits_per_raw_sample", bits_per_raw_sample, 1)
         self.rows = rows
         self.cols = cols
         self.backend = backend

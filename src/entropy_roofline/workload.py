@@ -9,10 +9,11 @@ with header ``op,row,col,count`` (compute rows leave row/col empty).
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from typing import List, Optional, TextIO, Tuple, Union
 
-from .errors import DegenerateWorkloadError, DomainError, TraceParseError
+from .errors import DegenerateWorkloadError, DomainError, TraceParseError, require_int
 
 TRACE_OPS = ("compute", "read", "write", "sample")
 TRACE_CSV_HEADER = ("op", "row", "col", "count")
@@ -28,9 +29,9 @@ class WorkloadSpec:
     stoch_accesses: int
 
     def __post_init__(self) -> None:
-        for f in ("n_ops", "det_accesses", "stoch_accesses"):
-            if getattr(self, f) < 0:
-                raise DomainError(f"{f} must be >= 0, got {getattr(self, f)!r}")
+        require_int("n_ops", self.n_ops, 0)
+        require_int("det_accesses", self.det_accesses, 0)
+        require_int("stoch_accesses", self.stoch_accesses, 0)
 
     @property
     def total_accesses(self) -> int:
@@ -213,7 +214,11 @@ def save_trace(records: List[TraceRecord], dest: Union[str, TextIO]) -> None:
 
 
 def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
-    """Parse a trace CSV; malformed lines report their 1-based line number."""
+    """Parse a trace CSV; malformed lines report their 1-based line number.
+
+    The workload is named by the file's base name, so one trace gives one
+    workload however its path is spelled.
+    """
     records: List[TraceRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -233,4 +238,4 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
                 records.append(TraceRecord(op, addr_row, addr_col, count))
             except (ValueError, DomainError) as exc:
                 raise TraceParseError(line_no, str(exc)) from exc
-    return records, aggregate(records, name=path)
+    return records, aggregate(records, name=os.path.basename(path))

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import entropy_roofline
 from entropy_roofline import cli
 from entropy_roofline.cli import SEED_ENV_VAR, main, parse_config
 from entropy_roofline.errors import ConfigError
@@ -167,13 +171,23 @@ class TestSimulate:
 
     def test_trace_with_seed_and_backend_bytes_pinned(self, tmp_path, monkeypatch):
         # the trace-mc benchmark workload runs this command; the workload name
-        # is the trace path, so it runs from the trace's directory
+        # is the trace file's base name, "t.csv"
         monkeypatch.chdir(tmp_path)
         assert run_cli("gen-trace", "--workload", "mc", "--shape", "20,3", "--out", "t.csv") == 0
         assert run_cli("simulate", "--trace", "t.csv", "--seed", "5",
                        "--backend", "decoupled_near_memory", "--out", "res.json") == 0
         digest = hashlib.sha256((tmp_path / "res.json").read_bytes()).hexdigest()
         assert digest == "7825e9c16861830e18b3f2b21181e8c428c5430f1e3e7e0bb2651b50cac733c4"
+
+    def test_trace_path_spelling_does_not_change_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen-trace", "--workload", "mc", "--shape", "20,3", "--out", "t.csv") == 0
+        outputs = []
+        for i, spelling in enumerate(["t.csv", os.path.join(".", "t.csv"), str(tmp_path / "t.csv")]):
+            assert run_cli("simulate", "--trace", spelling, "--out", f"res{i}.json") == 0
+            outputs.append((tmp_path / f"res{i}.json").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["workload"] == "t.csv"
 
     def test_missing_config_exits_4(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == 4
@@ -371,3 +385,12 @@ class TestPatchableNames:
         argv = [arg.format(trace=trace, grid=grid) for arg in command]
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
         assert calls == [name]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """scipy.signal is loaded only when an AR(1) non-ideality runs."""
+    src = os.path.dirname(os.path.dirname(entropy_roofline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, entropy_roofline.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

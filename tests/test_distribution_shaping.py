@@ -221,6 +221,11 @@ class TestPipelines:
             ShapingPipelineSpec(method="box_muller", cost=2.5)
         with pytest.raises(DomainError):
             ShapingPipelineSpec(method="clt_accumulate", k=2.5)
+        # a bool is no count, though True would pass as 1
+        with pytest.raises(DomainError, match="k must be an integer"):
+            ShapingPipelineSpec(method="clt_accumulate", k=True)
+        with pytest.raises(DomainError, match="cost must be an integer"):
+            ShapingPipelineSpec(method="box_muller", cost=True)
 
     def test_default_costs(self):
         assert ShapingPipelineSpec(method="box_muller").ops_per_sample == 8

@@ -1,15 +1,17 @@
 """Tests for the statistical fidelity battery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from entropy_roofline.distribution_shaping import ShapingPipelineSpec
-from entropy_roofline.entropy_sources import NonidealitySpec, SourceSpec, create_source
+from entropy_roofline.distribution_shaping import SHAPING_METHODS, ShapingPipelineSpec
+from entropy_roofline.entropy_sources import NonidealitySpec, SourceHandle, SourceSpec, create_source
 from entropy_roofline.errors import DomainError
 from entropy_roofline.fidelity import (
     FidelityConfig,
+    _pipeline_samples,
     autocorrelation,
     fidelity_report,
     ks_critical_value,
@@ -26,6 +28,16 @@ from entropy_roofline.probabilistic_memory import DistributionSpec
 
 def normals(n, seed=0):
     return create_source(SourceSpec.thermal_gaussian(sigma=1.0, seed=seed)).draw(n)
+
+
+class _FixedSamples(SourceHandle):
+    """A source handle that draws a given sample."""
+
+    def __init__(self, x):
+        self._x = x
+
+    def draw(self, n):
+        return self._x[:n]
 
 
 class TestMoments:
@@ -54,6 +66,23 @@ class TestMoments:
     def test_kurtosis_needs_four(self):
         mean, var, skew, kurt = moments(np.array([0.0, 1.0, 2.0]))
         assert kurt is None and skew is not None
+
+    @pytest.mark.parametrize("shape", ["normal", "squared", "exponential"])
+    def test_higher_moments_match_exact_sums(self, shape):
+        x = normals(100_000, seed=3)
+        if shape == "squared":
+            x = x * x  # chi-square(1): skewness ~2.8, excess kurtosis ~12
+        elif shape == "exponential":
+            x = np.exp(0.5 * x)  # lognormal, heavier right tail
+        _, _, skew, kurt = moments(x)
+        n = x.shape[0]
+        mean = math.fsum(x) / n
+        d = [v - mean for v in x.tolist()]
+        m2 = math.fsum(v * v for v in d) / n
+        m3 = math.fsum(v * v * v for v in d) / n
+        m4 = math.fsum((v * v) * (v * v) for v in d) / n
+        assert skew == pytest.approx(m3 / m2**1.5, abs=1e-12)
+        assert kurt == pytest.approx(m4 / m2**2 - 3.0, abs=1e-12)
 
 
 class TestKsTest:
@@ -88,6 +117,24 @@ class TestKsTest:
             ks_test(x, normal_cdf, 0.0)
         with pytest.raises(DomainError):
             ks_test(x, normal_cdf, 1.0)
+
+    def test_decreasing_cdf_rejected(self):
+        x = normals(1_000, seed=4)
+        with pytest.raises(DomainError, match="not monotone"):
+            ks_test(x, lambda v: 1.0 - normal_cdf(v), 0.01)
+
+    def test_rounding_step_down_accepted(self):
+        # ndtr is not monotone in the last ulps: find two adjacent doubles
+        # where it steps down, and hold both in an otherwise normal sample
+        grid = np.linspace(-1.5, -1.3, 100_000)
+        up = np.nextafter(grid, np.inf)
+        i = np.flatnonzero(normal_cdf(up) < normal_cdf(grid))[0]
+        x = np.concatenate([normals(1_000, seed=4), [grid[i], up[i]]])
+        assert np.any(np.diff(normal_cdf(np.sort(x))) < 0.0)
+
+        ks_d, ks_ok = ks_test(x, normal_cdf, 0.01)
+        report = fidelity_report(_FixedSamples(x), x.shape[0], DistributionSpec.gaussian(0.0, 1.0))
+        assert (report.ks_statistic, report.ks_pass) == (ks_d, ks_ok)
 
     def test_needs_ten_samples(self):
         with pytest.raises(DomainError):
@@ -255,3 +302,52 @@ class TestFidelityReport:
         report = fidelity_report(spec, 100_000, DistributionSpec.bernoulli(0.5))
         assert report.ks_statistic is None  # discrete target: KS flagged off
         assert report.min_entropy_per_sample == pytest.approx(1.0, abs=0.02)
+
+
+NONIDEAL = NonidealitySpec(rho=0.3, bias=0.1)
+CONTINUOUS_METHODS = [m for m in SHAPING_METHODS if m != "bernoulli_threshold"]
+
+
+class TestReportEqualsEstimators:
+    """A report is the public estimators composed, to the last bit."""
+
+    @pytest.mark.parametrize("target", [DistributionSpec.gaussian(0.0, 1.0), "uniform"],
+                             ids=["gaussian", "uniform"])
+    @pytest.mark.parametrize("nonideality", [NonidealitySpec(), NONIDEAL], ids=["ideal", "nonideal"])
+    @pytest.mark.parametrize("subject", CONTINUOUS_METHODS + ["source"])
+    def test_fields_equal_composition(self, subject, nonideality, target):
+        n = 20_000
+        config = FidelityConfig(seed=21, nonideality=nonideality)
+        if subject == "source":
+            spec = SourceSpec.thermal_gaussian(sigma=1.0, seed=21)
+            x = create_source(spec).draw(n)
+        else:
+            spec = ShapingPipelineSpec(method=subject)
+            x = _pipeline_samples(spec, n, config)
+        report = fidelity_report(spec, n, target, config)
+
+        mean, variance, skew, kurt = moments(x)
+        ks_d, ks_ok = ks_test(x, target_cdf(target), config.significance)
+        rho = autocorrelation(x, config.max_lag)
+        h_min = min_entropy(symbolize(x, target, config.symbol_bits))
+        assert (report.mean, report.variance, report.skewness, report.excess_kurtosis) == (
+            mean, variance, skew, kurt)
+        assert (report.ks_statistic, report.ks_pass) == (ks_d, ks_ok)
+        assert report.ks_critical == ks_critical_value(n, config.significance)
+        assert report.autocorr == rho.tolist()
+        assert report.min_entropy_per_sample == h_min
+
+
+def test_report_memory_budget():
+    """The battery keeps a few arrays per sample alive, at most 40 B/sample."""
+    spec = ShapingPipelineSpec("box_muller")
+    target = DistributionSpec.gaussian(0.0, 1.0)
+    n = 1_000_000
+    fidelity_report(spec, 1_000, target)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        fidelity_report(spec, n, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 40.0

@@ -670,6 +670,19 @@ class TestCostReport:
             PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=32.5)
         assert PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=np.int64(16)).bits_per_raw_sample == 16
 
+    @pytest.mark.parametrize("field", ["rows", "cols", "bytes_per_element"])
+    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "3"])
+    def test_shape_and_element_size_must_be_integers(self, field, value):
+        args = {"rows": 2, "cols": 2, "bytes_per_element": 4, field: value}
+        with pytest.raises(DomainError, match=field):
+            PMemArray(args["rows"], args["cols"], ALL_BACKENDS["von_neumann"],
+                      bytes_per_element=args["bytes_per_element"])
+
+    def test_integral_shape_accepted(self):
+        arr = PMemArray(np.int64(2), 3, ALL_BACKENDS["von_neumann"], bytes_per_element=np.int32(2))
+        arr.read((1, 2))
+        assert arr.cost_report().bytes_moved == 2.0
+
     def test_reads_counted(self):
         arr = fresh()
         for _ in range(7):

@@ -1,5 +1,8 @@
 """Tests for workload generators and the trace format."""
 
+import math
+
+import numpy as np
 import pytest
 
 from entropy_roofline.errors import (
@@ -104,6 +107,17 @@ class TestWorkloadSpec:
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
             WorkloadSpec(name="x", n_ops=-1, det_accesses=0, stoch_accesses=0)
+
+    @pytest.mark.parametrize("field", ["n_ops", "det_accesses", "stoch_accesses"])
+    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        counts = {"n_ops": 1, "det_accesses": 1, "stoch_accesses": 1, field: value}
+        with pytest.raises(DomainError, match=field):
+            WorkloadSpec(name="x", **counts)
+
+    def test_integral_counts_accepted(self):
+        wl = WorkloadSpec(name="x", n_ops=np.int64(6), det_accesses=2, stoch_accesses=np.int32(1))
+        assert wl.ai() == 2.0
 
 
 class TestTraceRecords:
