@@ -94,8 +94,10 @@ def moments(samples: np.ndarray):
 
     Mean and variance are the standard unbiased estimators; skewness and
     kurtosis are standardized central moments, taken from one array of
-    squared deviations (no per-element pow).  Zero-variance input flags
-    skew/kurtosis as None; kurtosis also needs n >= 4.
+    squared deviations (no per-element pow).  Every sum is a numpy pairwise
+    reduction, not a BLAS dot, so the result does not depend on the BLAS
+    thread count.  Zero-variance input flags skew/kurtosis as None; kurtosis
+    also needs n >= 4.
     """
     x = np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
@@ -103,12 +105,12 @@ def moments(samples: np.ndarray):
         raise DomainError(f"moments need n >= 2, got {n}")
     mean = float(x.mean())
     d = x - mean
-    ss = np.dot(d, d)
+    d2 = d * d
+    ss = np.add.reduce(d2)
     variance = float(ss / (n - 1))
     if variance == 0.0:
         return mean, 0.0, None, None
     m2 = ss / n
-    d2 = d * d
     d *= d2
     skew = float(d.mean() / m2**1.5)
     d2 *= d2
@@ -171,7 +173,8 @@ def _ks_sorted_cdf(f: np.ndarray, significance: float):
 def autocorrelation(samples: np.ndarray, max_lag: int) -> Optional[np.ndarray]:
     """rho(1..max_lag); None (flagged undefined) on a zero-variance stream.
 
-    rho(l) = sum (x_t - m)(x_{t+l} - m) / sum (x_t - m)^2.
+    rho(l) = sum (x_t - m)(x_{t+l} - m) / sum (x_t - m)^2, each sum a numpy
+    pairwise reduction over one product buffer reused across the lags.
     """
     x = np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
@@ -180,10 +183,15 @@ def autocorrelation(samples: np.ndarray, max_lag: int) -> Optional[np.ndarray]:
     if n <= 4 * max_lag:
         raise DomainError(f"need n > 4*max_lag, got n={n} max_lag={max_lag}")
     d = x - x.mean()
-    denom = float(np.dot(d, d))
+    buf = d * d
+    denom = float(np.add.reduce(buf))
     if denom == 0.0:
         return None
-    return np.array([float(np.dot(d[:-l], d[l:]) / denom) for l in range(1, max_lag + 1)])
+    rho = np.empty(max_lag)
+    for l in range(1, max_lag + 1):
+        m = n - l
+        rho[l - 1] = float(np.add.reduce(np.multiply(d[:m], d[l:], out=buf[:m])) / denom)
+    return rho
 
 
 def min_entropy(symbols: np.ndarray) -> float:

@@ -4,6 +4,11 @@ A workload is three counts: operations, deterministic element accesses and
 stochastic samples; the probabilistic data ratio and arithmetic intensity
 fall out as ratios.  Generators are pure; traces round-trip through CSV
 with header ``op,row,col,count`` (compute rows leave row/col empty).
+
+A trace repeats one access many times (a Monte Carlo trace is one
+``sample,0,0,1`` line per draw), so each stage pays once per distinct line:
+repeated lines share one validated ``TraceRecord`` (records are frozen), are
+formatted once by ``save_trace`` and parsed once by ``load_trace``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import List, Optional, TextIO, Tuple, Union
+from typing import Iterable, List, Optional, TextIO, Tuple, Union
 
 from .errors import DegenerateWorkloadError, DomainError, TraceParseError, require_int
 
@@ -60,8 +65,11 @@ class TraceRecord:
     def __post_init__(self) -> None:
         if self.op not in TRACE_OPS:
             raise DomainError(f"unknown trace op {self.op!r}")
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count!r}")
+        require_int("count", self.count, 1)
+        if self.row is not None:
+            require_int("row", self.row, 0)
+        if self.col is not None:
+            require_int("col", self.col, 0)
         if self.op != "compute" and (self.row is None or self.col is None):
             raise DomainError(f"{self.op!r} records need an address")
 
@@ -78,7 +86,8 @@ def bnn_layer(n_in: int, n_out: int, batch: int = 1) -> WorkloadSpec:
     stochastic accesses are n_in*n_out*batch while the deterministic side is
     just the activations in and out; alpha approaches 1 as the layer grows.
     """
-    _check_positive(n_in=n_in, n_out=n_out, batch=batch)
+    for name, value in (("n_in", n_in), ("n_out", n_out), ("batch", batch)):
+        require_int(name, value, 1)
     return WorkloadSpec(
         name=f"bnn_{n_in}x{n_out}_b{batch}",
         n_ops=2 * n_in * n_out * batch,
@@ -103,7 +112,9 @@ def conv_layer(
     batch element, adding c_in*c_out*k^2*batch stochastic accesses on top of
     the unchanged deterministic traffic.
     """
-    _check_positive(c_in=c_in, c_out=c_out, k=k, h=h, w=w, batch=batch)
+    for name, value in (("c_in", c_in), ("c_out", c_out), ("k", k), ("h", h), ("w", w),
+                        ("batch", batch)):
+        require_int(name, value, 1)
     weights = c_in * c_out * k * k
     det = weights + c_in * h * w * batch + c_out * h * w * batch
     stoch = weights * batch if stochastic_weights else 0
@@ -119,19 +130,14 @@ def conv_layer(
 def mc_estimator(n_samples: int, ops_per_sample: int) -> WorkloadSpec:
     """Monte Carlo estimator: n draws, register-resident accumulation,
     a single result writeback."""
-    _check_positive(n_samples=n_samples, ops_per_sample=ops_per_sample)
+    require_int("n_samples", n_samples, 1)
+    require_int("ops_per_sample", ops_per_sample, 1)
     return WorkloadSpec(
         name=f"mc_{n_samples}x{ops_per_sample}",
         n_ops=n_samples * ops_per_sample,
         det_accesses=1,
         stoch_accesses=n_samples,
     )
-
-
-def _check_positive(**kw: int) -> None:
-    for name, value in kw.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value!r}")
 
 
 # ------------------------------------------------------------------------
@@ -166,10 +172,11 @@ def conv_trace(c_in: int, c_out: int, k: int, h: int, w: int, batch: int = 1,
 
 
 def mc_trace(n_samples: int, ops_per_sample: int) -> List[TraceRecord]:
+    """One compute record, ``n_samples`` draws sharing one record, one write."""
     spec = mc_estimator(n_samples, ops_per_sample)
-    records = [TraceRecord("compute", None, None, spec.n_ops)]
-    records.extend(TraceRecord("sample", 0, 0, 1) for _ in range(n_samples))
-    records.append(TraceRecord("write", 0, 1, 1))
+    records = [TraceRecord("sample", 0, 0, 1)] * (n_samples + 2)
+    records[0] = TraceRecord("compute", None, None, spec.n_ops)
+    records[-1] = TraceRecord("write", 0, 1, 1)
     return records
 
 
@@ -191,33 +198,48 @@ def aggregate(records: List[TraceRecord], name: str = "trace") -> WorkloadSpec:
 # ------------------------------------------------------------------------
 
 
-def save_trace(records: List[TraceRecord], dest: Union[str, TextIO]) -> None:
+class _Echo:
+    """A file whose ``write`` returns its argument, so a csv writer on it
+    returns each formatted line."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def save_trace(records: Iterable[TraceRecord], dest: Union[str, TextIO]) -> None:
     """Write ``records`` as trace CSV to the path or open text file ``dest``.
 
     Lines end in CRLF, the csv module's dialect.  A file object writes the
     same bytes as a path when it does not translate line ends, as with
-    ``open(..., newline="")`` or ``sys.stdout`` on POSIX.
+    ``open(..., newline="")`` or ``sys.stdout`` on POSIX.  A record that is
+    the very object written just before reuses that line unformatted, so a
+    trace whose repeats share one record formats each distinct line once.
     """
     if isinstance(dest, str):
         with open(dest, "w", newline="") as fh:
             save_trace(records, fh)
         return
-    writer = csv.writer(dest)
-    writer.writerow(TRACE_CSV_HEADER)
+    fmt = csv.writer(_Echo())
+    dest.write(fmt.writerow(TRACE_CSV_HEADER))
+    last = line = None
     for rec in records:
-        writer.writerow([
-            rec.op,
-            "" if rec.row is None else rec.row,
-            "" if rec.col is None else rec.col,
-            rec.count,
-        ])
+        if rec is not last:
+            line = fmt.writerow([
+                rec.op,
+                "" if rec.row is None else rec.row,
+                "" if rec.col is None else rec.col,
+                rec.count,
+            ])
+            last = rec
+        dest.write(line)
 
 
 def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     """Parse a trace CSV; malformed lines report their 1-based line number.
 
-    The workload is named by the file's base name, so one trace gives one
-    workload however its path is spelled.
+    A line equal to the line before it is not parsed again: it shares the
+    record validated for that line.  The workload is named by the file's
+    base name, so one trace gives one workload however its path is spelled.
     """
     records: List[TraceRecord] = []
     with open(path, newline="") as fh:
@@ -225,7 +247,11 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
             raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
+        last_row = last = None
         for line_no, row in enumerate(reader, start=2):
+            if row == last_row:
+                records.append(last)
+                continue
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if len(row) != 4:
@@ -235,7 +261,9 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
                 count = int(count_s)
                 addr_row = int(row_s) if row_s else None
                 addr_col = int(col_s) if col_s else None
-                records.append(TraceRecord(op, addr_row, addr_col, count))
+                last = TraceRecord(op, addr_row, addr_col, count)
             except (ValueError, DomainError) as exc:
                 raise TraceParseError(line_no, str(exc)) from exc
+            records.append(last)
+            last_row = row
     return records, aggregate(records, name=os.path.basename(path))

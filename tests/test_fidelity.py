@@ -1,11 +1,15 @@
 """Tests for the statistical fidelity battery."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import entropy_roofline
 from entropy_roofline.distribution_shaping import SHAPING_METHODS, ShapingPipelineSpec
 from entropy_roofline.entropy_sources import NonidealitySpec, SourceHandle, SourceSpec, create_source
 from entropy_roofline.errors import DomainError
@@ -351,3 +355,19 @@ def test_report_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak / n <= 40.0
+
+
+@pytest.mark.parametrize("target", ["normal", "uniform"])
+def test_report_bytes_do_not_depend_on_blas_threads(target, tmp_path):
+    """Every sum is a numpy reduction: one and two BLAS threads write the
+    same bytes (a BLAS dot orders its partial sums by thread count)."""
+    src = os.path.dirname(os.path.dirname(entropy_roofline.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"report-{threads}.json"
+        subprocess.run([sys.executable, "-m", "entropy_roofline.cli", "fidelity", "--samples", "1000000",
+                        "--seed", "3", "--target", target, "--out", str(out)], env=env, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -2,8 +2,7 @@
 
 Each case runs one command into ``--out`` and compares the file's sha256 with
 the value recorded for this release, so a refactor that moves any output byte
-fails here.  ``fidelity`` is left out: its numpy reductions are not pinned
-across platforms.
+fails here.
 """
 
 import hashlib
@@ -60,11 +59,19 @@ for _backend in BACKENDS:
 for _workload, _shape in (("bnn", "6,5,2"), ("conv", "2,3,3,4,4,1"),
                           ("conv-stoch", "2,3,3,4,4,2"), ("mc", "20,3")):
     CASES[f"gen-trace-{_workload}"] = ["gen-trace", "--workload", _workload, "--shape", _shape]
+for _target in ("normal", "uniform"):
+    CASES[f"fidelity-{_target}"] = ["fidelity", "--samples", "100000", "--seed", "3", "--target", _target]
+# the default mc trace (1,000,002 records) and its replay: perfbench's trace-mc
+CASES["gen-trace-mc-default"] = ["gen-trace", "--workload", "mc"]
+CASES["simulate-trace-mc-default"] = ["simulate", "--trace", "{mc_trace}"]
 
 EXPECTED = {
+    "fidelity-normal": "e49d62ef5e6c0a3a2fdd7159db24bf5cfe569778e6ab1b140803ac09457287ce",
+    "fidelity-uniform": "7e336bd84a64871618b3f3a7fa194ff19f4ee92cf3f7299e7105c3a64d71ac01",
     "gen-trace-bnn": "bb0b792b46f2a9d93f2db784a73f1fe8805e9d451c4f4da6055fce567fe7371c",
     "gen-trace-conv": "96d68df7c16ff7b4a79722a839820c54febe39a1842229fba444a09c9c8b3572",
     "gen-trace-conv-stoch": "d52b122229772a6dff9974bce486f6164f23677996722cfeeae70f8449736476",
+    "gen-trace-mc-default": "b08e0f333d7ad297bc534a1e493b06e00b3d10ba63919036daa402dbf2c33547",
     "gen-trace-mc": "13c9581b2a7e9669ad5dc6291a737b503ac0d2b595ed24df417330f471829780",
     "roofline": "46437d6370d7478b74416ea5d58b3a6677e56eb442bba96e605d3b8c2f68aba9",
     "roofline-overrides": "2776b294aa9a86d24677b7863bc04abfb24703c6f06a1d264348760f907e23d0",
@@ -85,6 +92,7 @@ EXPECTED = {
     "sweep-backends": "7bb76204491b4e1e32f0a07f41cb207d907deefc2a5117ef4227856ddffdb925",
     "sweep-backends-lanes": "f62268a36fca99635f1ebc01bbd507e6bd8e1f53fd7d38e490efcec9f8b41870",
     "sweep-criterion-11": "04c851c3f4e9dc0c14c6ae2f01d308f0efb544d5a399e59c64c33b19590a1bf5",
+    "simulate-trace-mc-default": "3eb8f1c67138c601ce05f7befbd8255cbdeb0bcf8f056873f6fdc5a807409684",
     "sweep-shaping-backends": "e62a57c282dde7a421a3d0903ef63ff979cc5cf6aa24ec00341ad1c8b9665808",
 }
 
@@ -103,6 +111,9 @@ def case_digest(name, tmp_path):
         paths[key] = str(tmp_path / f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(payload, fh)
+    if any("{mc_trace}" in arg for arg in CASES[name]):
+        paths["mc_trace"] = str(tmp_path / "mc.csv")  # named by its base name
+        assert main(["gen-trace", "--workload", "mc", "--out", paths["mc_trace"]]) == 0
     out = tmp_path / "out"
     argv = [arg.format(**paths) for arg in CASES[name]] + ["--out", str(out)]
     assert main(argv) == 0

@@ -1,6 +1,8 @@
 """Tests for workload generators and the trace format."""
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +138,29 @@ class TestTraceRecords:
         with pytest.raises(DomainError):
             TraceRecord("refresh", 0, 0, 1)
 
+    @pytest.mark.parametrize("field", ["row", "col", "count"])
+    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, -1, "3"])
+    def test_fields_must_be_integers(self, field, value):
+        fields = {"op": "read", "row": 0, "col": 0, "count": 1, field: value}
+        with pytest.raises(DomainError, match=field):
+            TraceRecord(**fields)
+
+    def test_integral_fields_accepted(self):
+        rec = TraceRecord("sample", np.int64(3), np.int32(0), np.int64(2))
+        assert aggregate([rec]).stoch_accesses == 2
+
+
+class TestGeneratorValidation:
+    @pytest.mark.parametrize("make", [
+        lambda v: bnn_layer(v, 1, 1), lambda v: bnn_layer(1, 1, v),
+        lambda v: conv_layer(1, 1, v, 1, 1), lambda v: conv_layer(1, 1, 1, 1, 1, batch=v),
+        lambda v: mc_estimator(v, 1), lambda v: mc_estimator(1, v),
+    ])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True, "3"])
+    def test_shape_must_be_positive_integer(self, make, value):
+        with pytest.raises(DomainError):
+            make(value)
+
 
 class TestTraceIO:
     def test_round_trip_bnn(self, tmp_path):
@@ -195,6 +220,13 @@ class TestTraceIO:
             load_trace(str(path))
         assert info.value.line_no == 3
 
+    def test_malformed_line_after_repeats_reports_its_own_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("op,row,col,count\n" + "sample,0,0,1\n" * 3 + "sample,0,0,0\n")
+        with pytest.raises(TraceParseError) as info:
+            load_trace(str(path))
+        assert info.value.line_no == 5
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("operation,r,c,n\n")
@@ -208,3 +240,50 @@ class TestTraceIO:
         with pytest.raises(TraceParseError) as info:
             load_trace(str(path))
         assert info.value.line_no == 2
+
+
+class TestSharedRecords:
+    """Repeated trace lines share one validated record in every stage."""
+
+    def test_mc_trace_repeats_one_record(self):
+        samples = mc_trace(1000, 4)[1:-1]
+        assert all(rec is samples[0] for rec in samples)
+
+    def test_load_shares_repeated_lines(self, tmp_path):
+        path = tmp_path / "mc.csv"
+        save_trace(mc_trace(100, 4), str(path))
+        records, _ = load_trace(str(path))
+        assert records == mc_trace(100, 4)
+        assert all(rec is records[1] for rec in records[1:-1])
+        assert records[0] is not records[1] and records[-1] is not records[-2]
+
+    def test_save_from_iterator_writes_same_bytes(self):
+        for records in (mc_trace(50, 3), bnn_trace(6, 5, 2), conv_trace(2, 3, 3, 4, 4, 2, True)):
+            listed, streamed = io.StringIO(newline=""), io.StringIO(newline="")
+            save_trace(records, listed)
+            save_trace(iter(records), streamed)
+            assert streamed.getvalue() == listed.getvalue()
+
+    def test_save_generator_of_fresh_records(self):
+        """A generator's records are freed as they are written, so a new one
+        may reuse a freed one's id: each still gets its own line."""
+        streamed, listed = io.StringIO(newline=""), io.StringIO(newline="")
+        save_trace((TraceRecord("sample", i, 0, 1) for i in range(1000)), streamed)
+        save_trace([TraceRecord("sample", i, 0, 1) for i in range(1000)], listed)
+        assert streamed.getvalue() == listed.getvalue()
+
+    def test_memory_budget(self, tmp_path):
+        """A repeated record costs one list slot: at most 16 B per record to
+        build the mc trace and to load it back."""
+        n = 100_000
+        path = tmp_path / "mc.csv"
+        save_trace(mc_trace(n, 4), str(path))
+        load_trace(str(path))  # first-call imports and caches
+        for stage in (lambda: mc_trace(n, 4), lambda: load_trace(str(path))):
+            tracemalloc.start()
+            try:
+                stage()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / n <= 16.0
