@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     EntropyRooflineError,
     TraceParseError,
+    require_int,
 )
 from .fidelity import FidelityConfig, fidelity_report
 from .perf_model import ArchParams, roofline_curve
@@ -69,19 +70,16 @@ class ConfigDocument:
     """Validated experiment configuration (JSON on disk)."""
 
     arch: ArchParams
-    backend: BackendConfig
-    shaping: ShapingPipelineSpec
+    backend: BackendConfig  # its shaping is the config's, whatever the kind
     nonideality: NonidealitySpec
     seed: int = 0
     mode: str = "serialized"
 
     @classmethod
     def default(cls) -> "ConfigDocument":
-        shaping = ShapingPipelineSpec(method="box_muller")
         return cls(
             arch=ArchParams.default(),
-            backend=BackendConfig.von_neumann(shaping=shaping),
-            shaping=shaping,
+            backend=BackendConfig.von_neumann(),
             nonideality=NonidealitySpec(),
         )
 
@@ -126,7 +124,7 @@ def parse_config(doc: Dict) -> ConfigDocument:
     defaults = ConfigDocument.default()
     arch = _load_section(doc, "arch", _ARCH_KEYS, lambda kw: replace(defaults.arch, **kw))
     shaping = _load_section(doc, "shaping", _SHAPING_KEYS, lambda kw: ShapingPipelineSpec(
-        **{"method": defaults.shaping.method, **kw}))
+        **{"method": defaults.backend.shaping.method, **kw}))
 
     # the shaping section rides on every kind, so a switch to von_neumann keeps it
     backend = _load_section(doc, "backend", _BACKEND_KEYS, lambda kw: BackendConfig(
@@ -135,15 +133,16 @@ def parse_config(doc: Dict) -> ConfigDocument:
                                 lambda kw: NonidealitySpec(**kw))
 
     seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed", f"expected an integer, got {seed!r}")
+    try:
+        require_int("seed", seed)
+    except DomainError as exc:
+        raise ConfigError("seed", str(exc)) from exc
     mode = doc.get("mode", "serialized")
     if mode not in MODES:
         raise ConfigError("mode", f"expected one of {MODES}, got {mode!r}")
 
     return ConfigDocument(
-        arch=arch, backend=backend, shaping=shaping,
-        nonideality=nonideality, seed=seed, mode=mode,
+        arch=arch, backend=backend, nonideality=nonideality, seed=seed, mode=mode,
     )
 
 
@@ -242,41 +241,34 @@ def _workload(parser: argparse.ArgumentParser, name: str, shape_text: Optional[s
 # Subcommands
 # ------------------------------------------------------------------------
 
+# roofline's flag for each parameter that ArchParams or roofline_curve checks
+_ROOFLINE_FLAGS = {
+    "pi": "--pi", "beta_data": "--beta-data", "beta_rand": "--beta-rand",
+    "alpha": "--alpha", "ai_min": "--ai-min", "ai_max": "--ai-max", "n_points": "--points",
+}
+
 
 def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     alphas = _parse_floats(parser, "--alpha", args.alpha)
     if not alphas:
         parser.error("--alpha: needs at least one value")
-    for a in alphas:
-        if not (0.0 <= a <= 1.0):
-            parser.error(f"--alpha: values must lie in [0, 1], got {a!r}")
-    if not (0.0 < args.ai_min < args.ai_max):
-        parser.error(
-            f"--ai-min/--ai-max: need 0 < ai-min < ai-max, got {args.ai_min!r}, {args.ai_max!r}"
-        )
-    if args.points < 2:
-        parser.error(f"--points: must be >= 2, got {args.points!r}")
-
     config = load_config(args.config)
-    arch = config.arch
-    if args.pi is not None or args.beta_data is not None or args.beta_rand is not None:
-        arch = ArchParams(
-            pi=args.pi if args.pi is not None else arch.pi,
-            beta_data=args.beta_data if args.beta_data is not None else arch.beta_data,
-            beta_rand=args.beta_rand if args.beta_rand is not None else arch.beta_rand,
-            bytes_per_element=arch.bytes_per_element,
-        )
-
+    overrides = {name: getattr(args, name) for name in ("pi", "beta_data", "beta_rand")
+                 if getattr(args, name) is not None}
     rows = []
-    for alpha in alphas:
-        for point in roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points):
-            rows.append({
-                "alpha": point.alpha,
-                "ai": point.ai,
-                "beta_eff": point.beta_eff,
-                "phi": point.phi,
-                "regime": str(point.regime),
-            })
+    try:  # the library checks every flag value; a rejected one names its flag
+        arch = replace(config.arch, **overrides)
+        for alpha in alphas:
+            for point in roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points):
+                rows.append({
+                    "alpha": point.alpha,
+                    "ai": point.ai,
+                    "beta_eff": point.beta_eff,
+                    "phi": point.phi,
+                    "regime": str(point.regime),
+                })
+    except DomainError as exc:
+        parser.error(f"{_ROOFLINE_FLAGS[exc.name]}: {exc}")
     _emit(_csv_text("roofline", ("alpha", "ai", "beta_eff", "phi", "regime"), rows), args.out)
     return EXIT_OK
 
@@ -319,9 +311,9 @@ def cmd_fidelity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         target = DistributionSpec.gaussian(0.0, 1.0)
     else:
         target = "uniform"
-    report = fidelity_report(config.shaping, args.samples, target, fid_config)
+    report = fidelity_report(config.backend.shaping, args.samples, target, fid_config)
     payload = {
-        "pipeline": config.shaping.method,
+        "pipeline": config.backend.shaping.method,
         "target": args.target,
         "seed": seed,
         "report": report.to_dict(),

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_finite, require_int
 
 METHOD_BOX_MULLER = "box_muller"
 METHOD_INVERSE_CDF = "inverse_cdf_table"
@@ -63,11 +63,9 @@ class ShapingPipelineSpec:
     def __post_init__(self) -> None:
         if self.method not in SHAPING_METHODS:
             raise DomainError(f"unknown shaping method {self.method!r}")
-        if self.n_entries < 2:
-            raise DomainError(f"n_entries must be >= 2, got {self.n_entries!r}")
+        require_int("n_entries", self.n_entries, 2)
         require_int("k", self.k, 1)
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
+        require_finite("p", self.p, 0.0, 1.0)
         if self.cost is not None:
             require_int("cost", self.cost, 0)
 
@@ -112,8 +110,7 @@ def box_muller(u1: ArrayLike, u2: ArrayLike):
 
 def bernoulli_from_uniform(u: ArrayLike, p: float):
     """Threshold a uniform into a bit: 1 if u < p else 0."""
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p!r}")
+    require_finite("p", p, 0.0, 1.0)
     ua = np.asarray(u, dtype=np.float64)
     bits = (ua < p).astype(np.int64)
     if np.isscalar(u):
@@ -127,8 +124,7 @@ def clt_accumulate(uniforms: np.ndarray, k: int) -> np.ndarray:
     Consumes the input in groups of k: output_j = (sum of group j - k/2) /
     sqrt(k/12).  Exactly unit variance and zero mean for ideal uniforms.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k!r}")
+    require_int("k", k, 1)
     u = np.asarray(uniforms, dtype=np.float64)
     if u.ndim != 1 or u.shape[0] % k != 0:
         raise DomainError(
@@ -164,8 +160,7 @@ class InverseCdfTable:
     """
 
     def __init__(self, quantile: Callable[[float], float], n_entries: int):
-        if n_entries < 2:
-            raise DomainError(f"n_entries must be >= 2, got {n_entries!r}")
+        require_int("n_entries", n_entries, 2)
         half = 0.5 / (n_entries - 1)
         probs = np.arange(n_entries, dtype=np.float64) / (n_entries - 1)
         probs[0] = half
@@ -215,8 +210,7 @@ def inverse_cdf_sample(u: ArrayLike, table: InverseCdfTable):
 
 def uniforms_needed(spec: ShapingPipelineSpec, n_out: int) -> int:
     """Raw uniforms required to produce at least ``n_out`` samples."""
-    if n_out < 0:
-        raise DomainError(f"n_out must be >= 0, got {n_out!r}")
+    require_int("n_out", n_out, 0)
     if spec.method == METHOD_BOX_MULLER:
         return 2 * ((n_out + 1) // 2)
     if spec.method == METHOD_CLT:

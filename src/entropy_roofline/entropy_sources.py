@@ -26,14 +26,13 @@ correlation filter, an additive bias, and a linear drift of the mean
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .distribution_shaping import box_muller
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_int
 
 # Boltzmann constant, J/K (2019 SI exact value).
 BOLTZMANN_K = 1.380649e-23
@@ -140,12 +139,9 @@ class NonidealitySpec:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("bias", "drift"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
-        if not (abs(self.rho) < 1.0):
-            raise DomainError(f"|rho| must be < 1, got {self.rho!r}")
+        require_finite("bias", self.bias)
+        require_finite("rho", self.rho, -1.0, 1.0, "()")
+        require_finite("drift", self.drift)
 
     @property
     def is_identity(self) -> bool:
@@ -173,22 +169,19 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.kind not in SOURCE_KINDS:
             raise DomainError(f"unknown source kind {self.kind!r}")
-        if self.kind == KIND_THERMAL_GAUSSIAN:
-            if self.sigma is None and (
-                self.temperature is None or self.capacitance is None
-            ):
-                raise DomainError(
-                    "thermal_gaussian needs sigma, or temperature and capacitance"
-                )
-            if self.sigma is not None and self.sigma < 0.0:
-                raise DomainError(f"sigma must be >= 0, got {self.sigma!r}")
-        if self.kind == KIND_MISMATCH_STATIC:
-            if self.sigma0 < 0.0:
-                raise DomainError(f"sigma0 must be >= 0, got {self.sigma0!r}")
-            if not (self.area_wl > 0.0):
-                raise DomainError(f"area_wl must be > 0, got {self.area_wl!r}")
-        if self.kind == KIND_STOCHASTIC_SWITCH and not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
+        require_int("seed", self.seed)
+        require_int("stream_id", self.stream_id)
+        if self.sigma is not None:
+            require_finite("sigma", self.sigma, 0.0)
+        for name in ("temperature", "capacitance"):
+            if getattr(self, name) is not None:
+                require_finite(name, getattr(self, name), 0.0, math.inf, "()")
+        require_finite("sigma0", self.sigma0, 0.0)
+        require_finite("area_wl", self.area_wl, 0.0, math.inf, "()")
+        require_finite("p", self.p, 0.0, 1.0)
+        if self.kind == KIND_THERMAL_GAUSSIAN and self.sigma is None and (
+                self.temperature is None or self.capacitance is None):
+            raise DomainError("thermal_gaussian needs sigma, or temperature and capacitance")
 
     def ideal_sigma(self) -> float:
         """Standard deviation of the ideal (pre-non-ideality) distribution."""
@@ -255,19 +248,15 @@ class SourceSpec:
 
 def pelgrom_sigma(sigma0: float, area_wl: float) -> float:
     """Mismatch sigma at device area ``area_wl``: sigma0 / sqrt(area)."""
-    if sigma0 < 0.0:
-        raise DomainError(f"sigma0 must be >= 0, got {sigma0!r}")
-    if not (area_wl > 0.0):
-        raise DomainError(f"area_wl must be > 0, got {area_wl!r}")
+    require_finite("sigma0", sigma0, 0.0)
+    require_finite("area_wl", area_wl, 0.0, math.inf, "()")
     return sigma0 / math.sqrt(area_wl)
 
 
 def thermal_sigma(temperature: float, capacitance: float) -> float:
     """kT/C noise voltage sigma: sqrt(k_B * T / C), volts."""
-    if not (temperature > 0.0):
-        raise DomainError(f"temperature must be > 0, got {temperature!r}")
-    if not (capacitance > 0.0):
-        raise DomainError(f"capacitance must be > 0, got {capacitance!r}")
+    require_finite("temperature", temperature, 0.0, math.inf, "()")
+    require_finite("capacitance", capacitance, 0.0, math.inf, "()")
     return math.sqrt(BOLTZMANN_K * temperature / capacitance)
 
 
@@ -348,8 +337,7 @@ class SourceHandle:
 
     def draw(self, n: int) -> np.ndarray:
         """Next ``n`` samples; draw(a) then draw(b) equals draw(a + b)."""
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n!r}")
+        require_int("n", n, 0)
         x = self._ideal_block(self._index, n)
         self._index += n
         if self.spec.nonideality.is_identity:
@@ -382,6 +370,8 @@ class EntropyStream:
     """
 
     def __init__(self, seed: int = 0, stream_id: int = 0):
+        require_int("seed", seed)
+        require_int("stream_id", stream_id)
         self.seed = seed
         self.stream_id = stream_id
         self._key = derive_stream_key(seed, stream_id)
@@ -393,8 +383,7 @@ class EntropyStream:
 
     @position.setter
     def position(self, value: int) -> None:
-        if value < 0:
-            raise DomainError(f"position must be >= 0, got {value!r}")
+        require_int("position", value, 0)
         self._pos = value
 
     def next_uniform(self) -> float:
@@ -471,8 +460,8 @@ def mismatch_array(spec: SourceSpec, rows: int, cols: int) -> MismatchArray:
     """
     if spec.kind != KIND_MISMATCH_STATIC:
         raise DomainError(f"mismatch_array needs a mismatch_static spec, got {spec.kind!r}")
-    if rows < 1 or cols < 1:
-        raise DomainError(f"rows and cols must be >= 1, got {rows!r} x {cols!r}")
+    require_int("rows", rows, 1)
+    require_int("cols", cols, 1)
     key = derive_stream_key(spec.seed, spec.stream_id)
     sigma = pelgrom_sigma(spec.sigma0, spec.area_wl)
     flat = sigma * _normal_block(key, 0, rows * cols)

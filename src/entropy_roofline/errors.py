@@ -1,6 +1,11 @@
 """Exception hierarchy shared by all entropy-roofline modules."""
 
+import math
 import numbers
+import sys
+from typing import Optional
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class EntropyRooflineError(Exception):
@@ -8,18 +13,59 @@ class EntropyRooflineError(Exception):
 
 
 class DomainError(EntropyRooflineError, ValueError):
-    """A parameter or argument lies outside its admissible domain."""
+    """A parameter or argument lies outside its admissible domain; ``name``
+    is the parameter when ``require_int`` or ``require_finite`` rejected it."""
+
+    def __init__(self, message: str, name: Optional[str] = None):
+        self.name = name
+        super().__init__(message)
 
 
-def require_int(name: str, value, lo: int) -> None:
+def require_int(name: str, value, lo=-math.inf) -> None:
     """Raise DomainError unless ``value`` is a non-bool integer >= ``lo``.
 
-    A bool is no count, though True would pass as 1.  Sweeps build configs
-    per point, so the Integral ABC is only asked about a non-int.
+    A bool is no count, though True would pass as 1.  Traces build a record
+    per distinct line, so the Integral ABC is only asked about a non-int.
     """
     if not (value.__class__ is int or isinstance(value, numbers.Integral)
             and value.__class__ is not bool) or value < lo:
-        raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+        bound = "" if lo == -math.inf else f" >= {lo}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}", name)
+
+
+def _real(value) -> float:
+    """``value`` as a float; NaN for a bool, a non-real or a too large real."""
+    if value.__class__ is bool or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def require_finite(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+                   ends: str = "[]") -> None:
+    """Raise DomainError unless ``value`` is a finite non-bool real number in
+    the interval from ``lo`` to ``hi``.
+
+    ``ends`` writes the interval as in mathematics: ``"[]"`` closed, ``"()"``
+    open, ``"[)"`` or ``"(]"`` half-open; an infinite end is open whatever it
+    says, since NaN and +-inf never pass.  A bool is no number, though True
+    would pass as 1.  A ``DistributionSpec`` is built on every cell read and
+    write, so the Real ABC is only asked about a value that is neither float
+    nor int.
+    """
+    cls = value.__class__
+    x = value if cls is float or cls is int else _real(value)
+    if -_FLOAT_MAX <= x <= _FLOAT_MAX and (
+            lo <= x <= hi if ends == "[]" else
+            (lo < x if ends[0] == "(" else lo <= x) and (x < hi if ends[1] == ")" else x <= hi)):
+        return
+    left = "(" if lo == -math.inf else ends[0]
+    right = ")" if hi == math.inf else ends[1]
+    raise DomainError(
+        f"{name} must be a finite number in {left}{lo!r}, {hi!r}{right}, got {value!r}", name
+    )
 
 
 class AddressError(EntropyRooflineError, IndexError):

@@ -36,7 +36,7 @@ from .entropy_sources import (
     _apply_nonidealities_block,
     create_source,
 )
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_int
 from .probabilistic_memory import (
     FAMILY_BERNOULLI,
     FAMILY_GAUSSIAN,
@@ -60,8 +60,7 @@ def normal_cdf(x, mu: float = 0.0, sigma: float = 1.0):
     """Gaussian CDF, ``scipy.special.ndtr`` of the standardized value
     (independent of every sampler in the package).  Array input gets one
     new array, which is also the result."""
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be > 0, got {sigma!r}")
+    require_finite("sigma", sigma, 0.0, math.inf, "()")
     z = np.array(x, dtype=np.float64)
     z -= mu
     z /= sigma
@@ -120,10 +119,8 @@ def moments(samples: np.ndarray):
 
 def ks_critical_value(n: int, significance: float) -> float:
     """Asymptotic one-sample KS critical D: sqrt(-ln(a/2) / (2n))."""
-    if not (0.0 < significance < 1.0):
-        raise DomainError(f"significance must lie in (0, 1), got {significance!r}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    require_finite("significance", significance, 0.0, 1.0, "()")
+    require_int("n", n, 1)
     return math.sqrt(-math.log(significance / 2.0) / (2.0 * n))
 
 
@@ -178,8 +175,7 @@ def autocorrelation(samples: np.ndarray, max_lag: int) -> Optional[np.ndarray]:
     """
     x = np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag!r}")
+    require_int("max_lag", max_lag, 1)
     if n <= 4 * max_lag:
         raise DomainError(f"need n > 4*max_lag, got n={n} max_lag={max_lag}")
     d = x - x.mean()
@@ -249,6 +245,15 @@ class FidelityConfig:
     seed: int = 0
     stream_id: int = 0
     nonideality: NonidealitySpec = field(default_factory=NonidealitySpec)
+
+    def __post_init__(self) -> None:
+        require_finite("significance", self.significance, 0.0, 1.0, "()")
+        require_int("max_lag", self.max_lag, 1)
+        require_int("symbol_bits", self.symbol_bits, 1)
+        require_int("n_min", self.n_min, 1)
+        require_int("n_max", self.n_max, self.n_min)
+        require_int("seed", self.seed)
+        require_int("stream_id", self.stream_id)
 
 
 @dataclass(frozen=True)

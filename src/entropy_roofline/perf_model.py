@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 
-from .errors import DomainError, require_int
+from .errors import require_finite, require_int
 
 
 class RegimeLabel(str, Enum):
@@ -61,10 +61,9 @@ class ArchParams:
     bytes_per_element: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("pi", "beta_data", "beta_rand"):
-            value = getattr(self, name)
-            if value.__class__ is bool or not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        require_finite("pi", self.pi, 0.0, math.inf, "()")
+        require_finite("beta_data", self.beta_data, 0.0, math.inf, "()")
+        require_finite("beta_rand", self.beta_rand, 0.0, math.inf, "()")
         require_int("bytes_per_element", self.bytes_per_element, 1)
 
     @classmethod
@@ -103,13 +102,11 @@ class RooflinePoint:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
+    require_finite("alpha", alpha, 0.0, 1.0)
 
 
 def _check_ai(ai: float) -> None:
-    if not (ai > 0.0):
-        raise DomainError(f"ai must be positive, got {ai!r}")
+    require_finite("ai", ai, 0.0, math.inf, "()")
 
 
 def effective_beta(alpha: float, arch: ArchParams) -> float:
@@ -140,8 +137,12 @@ def classify_regime(ai: float, alpha: float, arch: ArchParams) -> RegimeLabel:
     conservative toward the entropy-limited reading of an operating point.
     """
     _check_ai(ai)
-    _check_alpha(alpha)
-    if arch.pi <= ai * effective_beta(alpha, arch):
+    return _regime(ai, alpha, effective_beta(alpha, arch), arch)
+
+
+def _regime(ai: float, alpha: float, beta_eff: float, arch: ArchParams) -> RegimeLabel:
+    """``classify_regime`` for checked arguments, given beta_eff at alpha."""
+    if arch.pi <= ai * beta_eff:
         return RegimeLabel.COMPUTE_BOUND
     if alpha / arch.beta_rand >= (1.0 - alpha) / arch.beta_data:
         return RegimeLabel.ENTROPY_BOUND
@@ -182,14 +183,11 @@ def roofline_curve(
     ai_max: float,
     n_points: int,
 ) -> List[RooflinePoint]:
-    """Sample the throughput roofline on a log-spaced AI grid."""
-    if not (0.0 < ai_min < ai_max):
-        raise DomainError(
-            f"need 0 < ai_min < ai_max, got ai_min={ai_min!r} ai_max={ai_max!r}"
-        )
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points!r}")
-    _check_alpha(alpha)
+    """Sample the throughput roofline on a log-spaced AI grid; the arguments
+    are checked once per curve, not once per point."""
+    require_finite("ai_min", ai_min, 0.0, math.inf, "()")
+    require_finite("ai_max", ai_max, ai_min, math.inf, "()")
+    require_int("n_points", n_points, 2)
     beta_eff = effective_beta(alpha, arch)
     ratio = ai_max / ai_min
     points = []
@@ -202,7 +200,7 @@ def roofline_curve(
                 alpha=alpha,
                 beta_eff=beta_eff,
                 phi=phi,
-                regime=classify_regime(ai, alpha, arch),
+                regime=_regime(ai, alpha, beta_eff, arch),
             )
         )
     return points

@@ -54,7 +54,8 @@ import numpy as np
 
 from .distribution_shaping import ShapingPipelineSpec
 from .entropy_sources import EntropyStream
-from .errors import AddressError, CellTypeError, DomainError, VarianceRangeError, require_int
+from .errors import (AddressError, CellTypeError, DomainError, VarianceRangeError, require_finite,
+                     require_int)
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_BERNOULLI = "bernoulli"
@@ -76,13 +77,6 @@ BACKEND_KINDS = (
 _FAMILIES = (FAMILY_GAUSSIAN, FAMILY_BERNOULLI, FAMILY_POINT_MASS)
 _GAUSSIAN = _FAMILIES.index(FAMILY_GAUSSIAN)
 _BERNOULLI = _FAMILIES.index(FAMILY_BERNOULLI)
-
-
-def _is_finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
 
 
 def _fold(total: float, charges: np.ndarray) -> float:
@@ -112,17 +106,13 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown distribution family {self.family!r}")
-        for name in ("mu", "sigma", "p"):
-            if not _is_finite(getattr(self, name)):
-                raise DomainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.family == FAMILY_GAUSSIAN:
-            if self.sigma < 0.0:
-                raise DomainError(f"sigma must be >= 0, got {self.sigma!r}")
-            if self.sigma == 0.0:
-                object.__setattr__(self, "family", FAMILY_POINT_MASS)
-        if self.family == FAMILY_BERNOULLI:
-            if not (0.0 <= self.p <= 1.0):
-                raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
+        gaussian, bernoulli = self.family == FAMILY_GAUSSIAN, self.family == FAMILY_BERNOULLI
+        require_finite("mu", self.mu)
+        require_finite("sigma", self.sigma, 0.0 if gaussian else -math.inf)
+        require_finite("p", self.p, 0.0 if bernoulli else -math.inf, 1.0 if bernoulli else math.inf)
+        if gaussian and self.sigma == 0.0:
+            object.__setattr__(self, "family", FAMILY_POINT_MASS)
+        if bernoulli:
             object.__setattr__(self, "mu", self.p)
         if self.family == FAMILY_POINT_MASS:
             object.__setattr__(self, "sigma", 0.0)
@@ -231,25 +221,14 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise DomainError(f"unknown backend kind {self.kind!r}")
-        # A bool is no number here, though True would pass as 1.  The checks
-        # are plain comparisons (NaN fails them) because sweeps build a config
-        # per point.
         for name in ("rng_rate", "read_energy_pj", "write_energy_pj", "sample_energy_pj", "sigma0"):
-            value = getattr(self, name)
-            if value.__class__ is bool or not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-        for name in ("transport_bytes_per_sample", "writeback_bytes_per_sample", "gamma",
-                     "sigma_min_frac", "sigma_max_frac"):
-            value = getattr(self, name)
-            if value.__class__ is bool or not 0.0 <= value < math.inf:
-                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+            require_finite(name, getattr(self, name), 0.0, math.inf, "()")
+        for name in ("transport_bytes_per_sample", "writeback_bytes_per_sample", "gamma"):
+            require_finite(name, getattr(self, name), 0.0)
+        require_finite("sigma_min_frac", self.sigma_min_frac, 0.0, 1.0, "(]")
+        require_finite("sigma_max_frac", self.sigma_max_frac, 1.0)
         require_int("latency_cycles", self.latency_cycles, 1)
         require_int("parallelism", self.parallelism, 1)
-        if not (0.0 < self.sigma_min_frac <= 1.0 <= self.sigma_max_frac):
-            raise DomainError(
-                "need 0 < sigma_min_frac <= 1 <= sigma_max_frac, got "
-                f"[{self.sigma_min_frac!r}, {self.sigma_max_frac!r}]"
-            )
 
     # -- constructors per kind ---------------------------------------------
 

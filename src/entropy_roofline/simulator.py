@@ -27,12 +27,12 @@ timing.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateWorkloadError, DomainError
-from .perf_model import ArchParams, RegimeLabel
+from .errors import DegenerateWorkloadError, DomainError, require_finite
+from .perf_model import ArchParams, RegimeLabel, _check_ai, _check_alpha
 from .probabilistic_memory import BACKEND_KINDS, BackendConfig, CostReport
 from .workload import WorkloadSpec
 
@@ -164,10 +164,9 @@ class SweepRow:
 
 
 def _synthetic_workload(alpha: float, ai: float, base_accesses: int) -> WorkloadSpec:
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if not (ai > 0.0):
-        raise DomainError(f"ai must be positive, got {ai!r}")
+    _check_alpha(alpha)
+    _check_ai(ai)
+    alpha, ai = float(alpha), float(ai)
     stoch = round(alpha * base_accesses)
     det = base_accesses - stoch
     n_ops = max(1, round(ai * base_accesses))
@@ -177,53 +176,33 @@ def _synthetic_workload(alpha: float, ai: float, base_accesses: int) -> Workload
     )
 
 
-def _evaluate_point(
-    point: Dict[str, object],
-    config: SimConfig,
-    workload: WorkloadSpec,
-    base_accesses: int,
-) -> SweepRow:
-    wl = workload
-    if "alpha" in point or "ai" in point:
-        alpha = point.get("alpha", workload.alpha())
-        ai = point.get("ai", workload.ai())
-        if not isinstance(alpha, (int, float)):
-            raise DomainError(f"invalid alpha grid value {alpha!r}")
-        if not isinstance(ai, (int, float)):
-            raise DomainError(f"invalid ai grid value {ai!r}")
-        wl = _synthetic_workload(float(alpha), float(ai), base_accesses)
-    arch = config.arch
-    backend = config.backend
-    if "beta_rand" in point:
-        beta_rand = point["beta_rand"]
-        if not (isinstance(beta_rand, (int, float)) and beta_rand > 0):
-            raise DomainError(f"invalid beta_rand grid value {beta_rand!r}")
-        arch = replace(arch, beta_rand=float(beta_rand))
-        backend = replace(backend, rng_rate=float(beta_rand))
-    if "backend" in point:
-        value = point["backend"]
-        if isinstance(value, BackendConfig):
-            backend = value
-        elif value in BACKEND_KINDS:
-            backend = BackendConfig.for_kind(value, backend)
-        else:
-            raise DomainError(f"invalid backend grid value {value!r}")
-    mode = point.get("mode", config.mode)
-    if mode not in MODES:
-        raise DomainError(f"invalid mode grid value {mode!r}")
-    cfg = SimConfig(arch=arch, backend=backend, mode=mode)
-    bd_eff, br_eff = backend_effective_rates(cfg)
-    result = run(wl, cfg)
-    params = {
-        "alpha": wl.alpha(),
-        "ai": wl.ai(),
-        "beta_rand": arch.beta_rand,
-        "backend": backend.kind,
-        "mode": mode,
-        "beta_data_eff": bd_eff,
-        "beta_rand_eff": br_eff,
-    }
-    return SweepRow(params=params, result=result)
+def _grid_configs(config: SimConfig, grid: Dict[str, Sequence]) -> List[Tuple[SimConfig, Dict]]:
+    """Every (beta_rand, backend, mode) of the grid in row order: its config
+    and the parameters its rows report.  Each arch is built once per
+    beta_rand, each backend and its effective rates once per pair."""
+    modes = grid.get("mode", [config.mode])
+    configs = []
+    for beta_rand in grid.get("beta_rand", [None]):
+        arch, base = config.arch, config.backend
+        if beta_rand is not None:
+            require_finite("beta_rand", beta_rand, 0.0, math.inf, "()")  # float() takes True and "1e9"
+            arch = replace(arch, beta_rand=float(beta_rand))
+            base = replace(base, rng_rate=float(beta_rand))
+        for value in grid.get("backend", [base]):
+            if isinstance(value, BackendConfig):
+                backend = value
+            elif value in BACKEND_KINDS:
+                backend = BackendConfig.for_kind(value, base)
+            else:
+                raise DomainError(f"invalid backend grid value {value!r}")
+            mode_configs = [SimConfig(arch=arch, backend=backend, mode=mode) for mode in modes]
+            bd_eff, br_eff = backend_effective_rates(mode_configs[0])
+            for cfg in mode_configs:
+                configs.append((cfg, {
+                    "beta_rand": arch.beta_rand, "backend": backend.kind, "mode": cfg.mode,
+                    "beta_data_eff": bd_eff, "beta_rand_eff": br_eff,
+                }))
+    return configs
 
 
 def sweep(
@@ -238,8 +217,10 @@ def sweep(
     ``beta_rand`` (retimes both the analytic rate and the backend RNG),
     ``backend`` (kind names or configs), ``mode``.  Dimensions absent from
     the grid stay at the base config / workload values.  Rows are ordered
-    by grid position (row-major over the canonical dimension order).  Points
-    are evaluated one after another.
+    by grid position (row-major over the canonical dimension order).  Every
+    grid value is checked before the first point runs, and each workload
+    and config is built once, not once per point; points are then
+    evaluated one after another.
     """
     if not grid:
         raise DomainError("empty parameter grid")
@@ -253,9 +234,15 @@ def sweep(
 
     if workload is None:
         workload = _synthetic_workload(0.5, 2.0, base_accesses)
-
-    dims = [d for d in SWEEP_DIMENSIONS if d in grid]
-    return [
-        _evaluate_point(dict(zip(dims, combo)), config, workload, base_accesses)
-        for combo in itertools.product(*(grid[d] for d in dims))
-    ]
+    workloads = [workload]
+    if "alpha" in grid or "ai" in grid:
+        alphas = grid["alpha"] if "alpha" in grid else [workload.alpha()]
+        ais = grid["ai"] if "ai" in grid else [workload.ai()]
+        workloads = [_synthetic_workload(alpha, ai, base_accesses) for alpha in alphas for ai in ais]
+    configs = _grid_configs(config, grid)
+    rows = []
+    for wl in workloads:
+        shape = {"alpha": wl.alpha(), "ai": wl.ai()}
+        for cfg, params in configs:
+            rows.append(SweepRow(params={**shape, **params}, result=run(wl, cfg)))
+    return rows

@@ -234,6 +234,16 @@ def save_trace(records: Iterable[TraceRecord], dest: Union[str, TextIO]) -> None
         dest.write(line)
 
 
+def _field(text: str) -> Optional[int]:
+    """A trace field as ``save_trace`` writes it: None when empty, else ASCII
+    digits (no sign, underscore or other script's digits)."""
+    if not text:
+        return None
+    if not (text.isascii() and text.isdigit()):
+        raise DomainError(f"expected an unsigned decimal integer, got {text!r}")
+    return int(text)
+
+
 def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     """Parse a trace CSV; malformed lines report their 1-based line number.
 
@@ -258,11 +268,8 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
                 raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
             op, row_s, col_s, count_s = (f.strip() for f in row)
             try:
-                count = int(count_s)
-                addr_row = int(row_s) if row_s else None
-                addr_col = int(col_s) if col_s else None
-                last = TraceRecord(op, addr_row, addr_col, count)
-            except (ValueError, DomainError) as exc:
+                last = TraceRecord(op, _field(row_s), _field(col_s), _field(count_s))
+            except DomainError as exc:
                 raise TraceParseError(line_no, str(exc)) from exc
             records.append(last)
             last_row = row

@@ -55,6 +55,13 @@ class TestConfigDocument:
         doc = parse_config({"shaping": {"method": "inverse_cdf_table", "cost": 3}})
         assert doc.backend.shaping_ops_per_sample == 3
 
+    def test_fidelity_reads_the_shaping_section_on_any_backend(self, tmp_path):
+        cfg, out = tmp_path / "c.json", tmp_path / "f.json"
+        cfg.write_text(json.dumps({"backend": {"kind": "coupled_pcim"},
+                                   "shaping": {"method": "clt_accumulate", "k": 4}}))
+        assert run_cli("fidelity", "--config", str(cfg), "--samples", "1000", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["pipeline"] == "clt_accumulate"
+
     @pytest.mark.parametrize("section, payload", [
         ("arch", {"pi": "fast"}),
         ("arch", {"bytes_per_element": None}),
@@ -70,14 +77,25 @@ class TestConfigDocument:
         ("arch", {"pi": True}),
         ("backend", {"rng_rate": 1e999}),  # json writes Infinity, which json reads as inf
         ("seed", True),
+        ("shaping", {"method": "inverse_cdf_table", "n_entries": 2.5}),
+        ("shaping", {"p": True}),
+        ("nonideality", {"rho": 1e999}),
+        ("nonideality", {"drift": float("nan")}),  # json writes NaN, which json reads as nan
+        ("arch", {"beta_rand": -1}),
+        ("backend", {"sigma_min_frac": 1.5}),
+        ("backend", {"gamma": True}),
+        ("seed", 1.5),
     ])
-    def test_wrong_typed_value_names_its_section(self, section, payload, tmp_path):
+    def test_wrong_typed_value_names_its_section(self, section, payload, tmp_path, capsys):
         with pytest.raises(ConfigError) as info:
             parse_config({section: payload})
         assert info.value.path == section
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({section: payload}))
-        assert run_cli("simulate", "--config", str(cfg)) == 3
+        for command in ("simulate", "fidelity"):
+            assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+            assert f"config error: {section}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_full_document(self):
         doc = parse_config({
@@ -123,6 +141,19 @@ class TestRoofline:
         with pytest.raises(SystemExit) as info:
             run_cli("roofline", "--ai-min", "10", "--ai-max", "1")
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pi", "nan"), ("--pi", "inf"), ("--beta-data", "-1"), ("--beta-rand", "0"),
+        ("--ai-min", "nan"), ("--ai-min", "0"), ("--ai-max", "inf"), ("--ai-max", "0.001"),
+        ("--alpha", "0.5,nan"), ("--alpha", "-0.1"), ("--points", "1"),
+    ])
+    def test_rejected_flag_value_names_its_flag(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as info:
+            run_cli("roofline", flag, value, "--out", str(out))
+        assert info.value.code == 2
+        assert f"error: {flag}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -304,11 +335,18 @@ class TestSweep:
         coupled = next(r for r in rows if "coupled_pcim" in r).split(",")
         assert float(coupled[cols.index("beta_rand_eff")]) == 2.5e10
 
-    def test_grid_validation_exits_3(self, tmp_path):
+    def test_grid_validation_exits_3(self, tmp_path, capsys):
         grid = self.grid(tmp_path, {"alpha": []})
         assert run_cli("sweep", "--grid", grid) == 3
         grid = self.grid(tmp_path, {"voltage": [1]})
         assert run_cli("sweep", "--grid", grid) == 3
+        out = tmp_path / "s.csv"
+        for payload in ({"alpha": [True, False]}, {"ai": [float("inf")]}, {"beta_rand": [True]},
+                        {"alpha": ["0.5"]}, {"mode": ["warp"]}):
+            grid = self.grid(tmp_path, payload)
+            assert run_cli("sweep", "--grid", grid, "--out", str(out)) == 3
+            assert "config error: <grid>:" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_grid_exits_4(self, tmp_path):
         assert run_cli("sweep", "--grid", str(tmp_path / "nope.json")) == 4

@@ -199,7 +199,7 @@ class TestNonidealities:
             NonidealitySpec(rho=-1.0)
 
     @pytest.mark.parametrize("field", ["bias", "drift"])
-    @pytest.mark.parametrize("value", ["0.1", None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", ["0.1", None, float("nan"), float("inf"), True])
     def test_bias_and_drift_must_be_finite_numbers(self, field, value):
         with pytest.raises(DomainError, match=field):
             NonidealitySpec(**{field: value})

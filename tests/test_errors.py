@@ -1,0 +1,126 @@
+"""Tests for the shared numeric checks and for their use at every spec boundary."""
+
+import math
+import pathlib
+import re
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from entropy_roofline import errors
+from entropy_roofline.distribution_shaping import ShapingPipelineSpec
+from entropy_roofline.entropy_sources import EntropyStream, NonidealitySpec, SourceSpec
+from entropy_roofline.errors import DomainError, require_finite, require_int
+from entropy_roofline.fidelity import FidelityConfig
+from entropy_roofline.perf_model import ArchParams
+from entropy_roofline.probabilistic_memory import BackendConfig
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("ends, accepted", [
+        ("[]", [0.0, 0.5, 1.0]), ("()", [0.5]), ("[)", [0.0, 0.5]), ("(]", [0.5, 1.0]),
+    ])
+    def test_ends_open_or_close_the_interval(self, ends, accepted):
+        for value in (-0.5, 0.0, 0.5, 1.0, 1.5):
+            if value in accepted:
+                require_finite("x", value, 0.0, 1.0, ends)
+            else:
+                with pytest.raises(DomainError):
+                    require_finite("x", value, 0.0, 1.0, ends)
+
+    @pytest.mark.parametrize("value", [
+        True, False, "3", None, [1.0], math.nan, math.inf, -math.inf, 10**400,
+        np.float32("inf"), np.float64("nan"), Fraction(10**400),
+    ])
+    def test_rejects_bools_non_numbers_and_non_finite_values(self, value):
+        with pytest.raises(DomainError):
+            require_finite("x", value)
+        with pytest.raises(DomainError):
+            require_finite("x", value, 0.0, math.inf, "[]")  # an infinite end is open
+
+    @pytest.mark.parametrize("value", [np.float32(2.5), np.float64(2.5), np.int64(3), Fraction(5, 2)])
+    def test_accepts_other_real_types(self, value):
+        require_finite("x", value, 0.0, math.inf, "()")
+
+    def test_error_names_parameter_and_interval(self):
+        with pytest.raises(DomainError) as info:
+            require_finite("rate", -1.0, 0.0, math.inf, "()")
+        assert info.value.name == "rate"
+        assert str(info.value) == "rate must be a finite number in (0.0, inf), got -1.0"
+
+    def test_require_int_without_lower_bound(self):
+        require_int("seed", -5)
+        with pytest.raises(DomainError) as info:
+            require_int("seed", 1.5)
+        assert info.value.name == "seed"
+        assert str(info.value) == "seed must be an integer, got 1.5"
+        assert DomainError("other").name is None
+
+
+# Every numeric field of every spec gets each of VALUES.  A field kind lists
+# the values its domain holds; every other value must raise DomainError.
+VALUES = (1.5, True, math.nan, math.inf, -1, "3")
+ACCEPTS = {
+    "integer": [-1],      # seeds and stream ids: any integer
+    "count": [],          # integers >= 0, 1 or 2
+    "real": [1.5, -1],    # any finite number
+    "nonnegative": [1.5],
+    "positive": [1.5],
+    "unit": [],           # [0, 1], (0, 1), (0, 1] and (-1, 1)
+    "at_least_one": [1.5],
+}
+SPECS = [
+    ("ArchParams", lambda **kw: replace(ArchParams.default(), **kw), {
+        "pi": "positive", "beta_data": "positive", "beta_rand": "positive",
+        "bytes_per_element": "count",
+    }),
+    ("BackendConfig", lambda **kw: replace(BackendConfig.von_neumann(), **kw), {
+        "rng_rate": "positive", "read_energy_pj": "positive", "write_energy_pj": "positive",
+        "sample_energy_pj": "positive", "latency_cycles": "count",
+        "transport_bytes_per_sample": "nonnegative", "sigma0": "positive", "gamma": "nonnegative",
+        "sigma_min_frac": "unit", "sigma_max_frac": "at_least_one",
+        "writeback_bytes_per_sample": "nonnegative", "parallelism": "count",
+    }),
+    ("NonidealitySpec", NonidealitySpec, {"bias": "real", "rho": "unit", "drift": "real"}),
+    ("SourceSpec", lambda **kw: SourceSpec(kind="pseudo_uniform", **kw), {
+        "seed": "integer", "stream_id": "integer", "sigma": "nonnegative",
+        "temperature": "positive", "capacitance": "positive", "sigma0": "nonnegative",
+        "area_wl": "positive", "p": "unit",
+    }),
+    ("ShapingPipelineSpec", lambda **kw: ShapingPipelineSpec(method="inverse_cdf_table", **kw), {
+        "n_entries": "count", "k": "count", "p": "unit", "cost": "count",
+    }),
+    ("FidelityConfig", FidelityConfig, {
+        "significance": "unit", "max_lag": "count", "symbol_bits": "count", "n_min": "count",
+        "n_max": "count", "seed": "integer", "stream_id": "integer",
+    }),
+    ("EntropyStream", EntropyStream, {"seed": "integer", "stream_id": "integer"}),
+]
+CASES = [
+    pytest.param(make, field, value, value not in ACCEPTS[kind], id=f"{label}.{field}={value!r}")
+    for label, make, fields in SPECS for field, kind in fields.items() for value in VALUES
+]
+
+
+@pytest.mark.parametrize("make, field, value, rejected", CASES)
+def test_every_numeric_field_checks_its_domain(make, field, value, rejected):
+    if rejected:
+        with pytest.raises(DomainError, match=field):
+            make(**{field: value})
+    else:
+        make(**{field: value})
+
+
+def test_numeric_checks_live_only_in_errors():
+    """Numbers are checked by ``require_int`` and ``require_finite`` alone;
+    a hand-written finiteness, ABC or bool test elsewhere is a copy."""
+    copy = re.compile(r"math\.isfinite|numbers\.Real|numbers\.Integral|__class__ is bool")
+    package = pathlib.Path(errors.__file__).parent
+    found = [
+        f"{path.name}:{no}: {line.strip()}"
+        for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+        for no, line in enumerate(path.read_text().splitlines(), start=1) if copy.search(line)
+    ]
+    assert found == []

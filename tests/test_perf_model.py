@@ -1,5 +1,7 @@
 """Tests for the closed-form throughput model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,10 @@ class TestRooflineCurve:
             roofline_curve(a, 0.0, -1.0, 1.0, 10)
         with pytest.raises(DomainError):
             roofline_curve(a, 0.0, 0.1, 1.0, 1)
+        for ai_min, ai_max, n_points in ((0.1, math.inf, 10), (math.nan, 1.0, 10),
+                                         (0.1, 1.0, 2.5), (0.1, 1.0, True)):
+            with pytest.raises(DomainError):
+                roofline_curve(a, 0.0, ai_min, ai_max, n_points)
 
 
 class TestBandwidthCompression:

@@ -58,7 +58,7 @@ class TestDistributionSpec:
         with pytest.raises(DomainError):
             DistributionSpec(family="beta")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "3"])
     @pytest.mark.parametrize("field", ["mu", "sigma", "p"])
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "point_mass"])
     def test_non_finite_field_rejected(self, family, field, value):
@@ -671,7 +671,7 @@ class TestCostReport:
         assert PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=np.int64(16)).bits_per_raw_sample == 16
 
     @pytest.mark.parametrize("field", ["rows", "cols", "bytes_per_element"])
-    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "3", -1])
     def test_shape_and_element_size_must_be_integers(self, field, value):
         args = {"rows": 2, "cols": 2, "bytes_per_element": 4, field: value}
         with pytest.raises(DomainError, match=field):

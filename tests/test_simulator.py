@@ -1,5 +1,6 @@
 """Tests for the rate-based simulator and its agreement with the model."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -234,6 +235,28 @@ class TestSweep:
             sweep(cfg, {"alpha": [1.5]})
         with pytest.raises(DomainError, match="warp"):
             sweep(cfg, {"backend": ["warp"]})
+        with pytest.raises(DomainError, match="True"):
+            sweep(cfg, {"alpha": [True]})
+        with pytest.raises(DomainError, match="inf"):
+            sweep(cfg, {"ai": [math.inf]})
+        with pytest.raises(DomainError, match="'1e9'"):
+            sweep(cfg, {"beta_rand": ["1e9"]})
+
+    def test_configs_built_once_per_grid_value(self, monkeypatch):
+        built = {}
+        for cls in (ArchParams, BackendConfig):
+            def counting(self, check=cls.__post_init__, name=cls.__name__):
+                built[name] = built.get(name, 0) + 1
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
+        beta_rands, kinds = [1e8, 1e9, 1e10], list(BACKEND_KINDS)
+        built.clear()
+        rows = sweep(cfg, {"alpha": [0.1, 0.5, 0.9], "ai": [0.5, 4.0], "beta_rand": beta_rands,
+                           "backend": kinds, "mode": [MODE_SERIALIZED, MODE_OVERLAPPED]})
+        assert len(rows) == 3 * 2 * 3 * 4 * 2
+        assert built["ArchParams"] == len(beta_rands)
+        assert built["BackendConfig"] <= len(beta_rands) * (1 + len(kinds))
 
     def test_beta_rand_dimension_applies_to_both_sides(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann(

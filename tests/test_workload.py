@@ -111,7 +111,7 @@ class TestWorkloadSpec:
             WorkloadSpec(name="x", n_ops=-1, det_accesses=0, stoch_accesses=0)
 
     @pytest.mark.parametrize("field", ["n_ops", "det_accesses", "stoch_accesses"])
-    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "3", -1])
     def test_counts_must_be_integers(self, field, value):
         counts = {"n_ops": 1, "det_accesses": 1, "stoch_accesses": 1, field: value}
         with pytest.raises(DomainError, match=field):
@@ -226,6 +226,15 @@ class TestTraceIO:
         with pytest.raises(TraceParseError) as info:
             load_trace(str(path))
         assert info.value.line_no == 5
+
+    @pytest.mark.parametrize("line", ["sample,0,0,1_000", "read,\u0663,0,1", "read,+2,0,1"])
+    def test_integers_are_ascii_digits_only(self, line, tmp_path):
+        # int() reads each of these (as 1000, 3 and 2); save_trace writes none of them
+        path = tmp_path / "bad.csv"
+        path.write_text("op,row,col,count\nread,0,0,1\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(TraceParseError) as info:
+            load_trace(str(path))
+        assert info.value.line_no == 3
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
