@@ -16,7 +16,7 @@ from .errors import (  # noqa: F401
 from .perf_model import (  # noqa: F401
     ArchParams,
     RegimeLabel,
-    RooflinePoint,
+    RooflineCurve,
     bandwidth_compression,
     classify_regime,
     crossover_alpha,
@@ -67,7 +67,7 @@ from .workload import (  # noqa: F401
 from .simulator import (  # noqa: F401
     SimConfig,
     SimResult,
-    SweepRow,
+    SweepTable,
     backend_effective_rates,
     run,
     sweep,

@@ -13,12 +13,13 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .distribution_shaping import ShapingPipelineSpec
@@ -162,12 +163,6 @@ def load_config(path: Optional[str]) -> ConfigDocument:
 # ------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -176,14 +171,22 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _csv_text(schema: str, fieldnames: Sequence[str], rows: List[Dict]) -> str:
+def _csv_text(schema: str, columns: Dict[str, List[str]]) -> str:
+    """CSV of columns of formatted cells, one column per field."""
     major_minor = ".".join(__version__.split(".")[:2])
-    buf = io.StringIO()
-    buf.write(f"# entropy-roofline v{major_minor} schema={schema}\n")
-    buf.write(",".join(fieldnames) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(row[f]) for f in fieldnames) + "\n")
-    return buf.getvalue()
+    lines = [f"# entropy-roofline v{major_minor} schema={schema}", ",".join(columns)]
+    lines += map(",".join, zip(*columns.values()))
+    return "\n".join(lines) + "\n"
+
+
+def _cells(values: np.ndarray, shape: Sequence[int]) -> List[str]:
+    """``values`` broadcast to ``shape`` as CSV cells, each stored value
+    formatted once: a number by its repr, a kind, mode or label as it is."""
+    if values.dtype.kind == "f":
+        text = list(map(repr, values.ravel().tolist()))
+    else:
+        text = [v if isinstance(v, str) else repr(v) for v in values.ravel().tolist()]
+    return np.broadcast_to(np.array(text, dtype=object).reshape(values.shape), shape).ravel().tolist()
 
 
 def _json_text(payload: Dict) -> str:
@@ -255,21 +258,16 @@ def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     config = load_config(args.config)
     overrides = {name: getattr(args, name) for name in ("pi", "beta_data", "beta_rand")
                  if getattr(args, name) is not None}
-    rows = []
+    columns = {name: [] for name in ("alpha", "ai", "beta_eff", "phi", "regime")}
     try:  # the library checks every flag value; a rejected one names its flag
         arch = replace(config.arch, **overrides)
         for alpha in alphas:
-            for point in roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points):
-                rows.append({
-                    "alpha": point.alpha,
-                    "ai": point.ai,
-                    "beta_eff": point.beta_eff,
-                    "phi": point.phi,
-                    "regime": str(point.regime),
-                })
+            curve = roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points)
+            for name, cells in columns.items():
+                cells += _cells(np.asarray(getattr(curve, name)), (len(curve),))
     except DomainError as exc:
         parser.error(f"{_ROOFLINE_FLAGS[exc.name]}: {exc}")
-    _emit(_csv_text("roofline", ("alpha", "ai", "beta_eff", "phi", "regime"), rows), args.out)
+    _emit(_csv_text("roofline", columns), args.out)
     return EXIT_OK
 
 
@@ -345,24 +343,11 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _resolve_seed(args.seed, config.seed)  # validated as on every command; a sweep draws nothing
     sim_config = SimConfig(arch=config.arch, backend=config.backend, mode=config.mode)
     try:
-        rows = run_sweep(sim_config, grid, workload=workload)
+        table = run_sweep(sim_config, grid, workload=workload)
     except DomainError as exc:
         raise ConfigError("<grid>", str(exc)) from exc
-
-    fieldnames = (
-        "alpha", "ai", "beta_rand", "backend", "mode",
-        "beta_data_eff", "beta_rand_eff",
-        "elapsed_time", "achieved_phi", "achieved_beta", "regime",
-    )
-    csv_rows = []
-    for row in rows:
-        record = dict(row.params)
-        record["elapsed_time"] = row.result.elapsed_time
-        record["achieved_phi"] = row.result.achieved_phi
-        record["achieved_beta"] = row.result.achieved_beta
-        record["regime"] = str(row.result.regime_observed)
-        csv_rows.append(record)
-    _emit(_csv_text("sweep", fieldnames, csv_rows), args.out)
+    columns = {name: _cells(values, table.shape) for name, values in table.columns.items()}
+    _emit(_csv_text("sweep", columns), args.out)
     return EXIT_OK
 
 
@@ -421,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--grid", required=True, help="JSON grid document")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; points run serially")
+                   help="accepted for compatibility; the grid is evaluated in one process")
     p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), default=None)
     p.add_argument("--shape", default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -25,9 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Optional
 
-from .errors import require_finite, require_int
+import numpy as np
+
+from .errors import DomainError, require_finite, require_int
 
 
 class RegimeLabel(str, Enum):
@@ -90,15 +92,19 @@ class ArchParams:
         )
 
 
-@dataclass(frozen=True)
-class RooflinePoint:
-    """One sampled point of a roofline curve."""
+@dataclass(frozen=True, eq=False)
+class RooflineCurve:
+    """A roofline sampled at one ``alpha``: one ``ai``, ``phi`` and ``regime``
+    (RegimeLabel) per point; ``phi`` is float64, or objects for an int ``pi``."""
 
-    ai: float
     alpha: float
     beta_eff: float
-    phi: float
-    regime: RegimeLabel
+    ai: np.ndarray
+    phi: np.ndarray
+    regime: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ai)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -137,13 +143,13 @@ def classify_regime(ai: float, alpha: float, arch: ArchParams) -> RegimeLabel:
     conservative toward the entropy-limited reading of an operating point.
     """
     _check_ai(ai)
-    return _regime(ai, alpha, effective_beta(alpha, arch), arch)
-
-
-def _regime(ai: float, alpha: float, beta_eff: float, arch: ArchParams) -> RegimeLabel:
-    """``classify_regime`` for checked arguments, given beta_eff at alpha."""
-    if arch.pi <= ai * beta_eff:
+    if arch.pi <= ai * effective_beta(alpha, arch):
         return RegimeLabel.COMPUTE_BOUND
+    return _access_regime(alpha, arch)
+
+
+def _access_regime(alpha: float, arch: ArchParams) -> RegimeLabel:
+    """The access stream that binds at a checked ``alpha`` below the compute roof."""
     if alpha / arch.beta_rand >= (1.0 - alpha) / arch.beta_data:
         return RegimeLabel.ENTROPY_BOUND
     return RegimeLabel.DATA_BOUND
@@ -182,25 +188,23 @@ def roofline_curve(
     ai_min: float,
     ai_max: float,
     n_points: int,
-) -> List[RooflinePoint]:
-    """Sample the throughput roofline on a log-spaced AI grid; the arguments
-    are checked once per curve, not once per point."""
+) -> RooflineCurve:
+    """Sample the throughput roofline on a log-spaced AI grid as columns; the
+    arguments are checked once per curve.  Each ``ai`` is a Python ``**``,
+    whose last ulp ``np.power`` does not always match."""
     require_finite("ai_min", ai_min, 0.0, math.inf, "()")
     require_finite("ai_max", ai_max, ai_min, math.inf, "()")
     require_int("n_points", n_points, 2)
     beta_eff = effective_beta(alpha, arch)
     ratio = ai_max / ai_min
-    points = []
-    for i in range(n_points):
-        ai = ai_min * ratio ** (i / (n_points - 1))
-        phi = min(arch.pi, ai * beta_eff)
-        points.append(
-            RooflinePoint(
-                ai=ai,
-                alpha=alpha,
-                beta_eff=beta_eff,
-                phi=phi,
-                regime=_regime(ai, alpha, beta_eff, arch),
-            )
-        )
-    return points
+    if ratio == math.inf:
+        raise DomainError(f"ai_max / ai_min overflows: {ai_max!r} / {ai_min!r}", "ai_max")
+    ai = np.array([ai_min * ratio ** (i / (n_points - 1)) for i in range(n_points)])
+    with np.errstate(over="ignore"):  # past the float range is inf, as for Python floats
+        roof = ai * beta_eff
+    bound = arch.pi <= roof
+    # phi is pi itself where compute binds, so a pi given as an int stays one
+    pi = arch.pi if isinstance(arch.pi, float) else np.array(arch.pi, dtype=object)
+    labels = np.array([_access_regime(alpha, arch), RegimeLabel.COMPUTE_BOUND], dtype=object)
+    return RooflineCurve(alpha=alpha, beta_eff=beta_eff, ai=ai, phi=np.where(bound, pi, roof),
+                         regime=labels[bound.astype(np.intp)])

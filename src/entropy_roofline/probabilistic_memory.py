@@ -54,8 +54,8 @@ import numpy as np
 
 from .distribution_shaping import ShapingPipelineSpec
 from .entropy_sources import EntropyStream
-from .errors import (AddressError, CellTypeError, DomainError, VarianceRangeError, require_finite,
-                     require_int)
+from .errors import (AddressError, CellTypeError, DomainError, VarianceRangeError, parse_number,
+                     require_finite, require_int)
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_BERNOULLI = "bernoulli"
@@ -160,9 +160,8 @@ CellState = Union[float, int, DistributionSpec]
 def _canonical(state: CellState) -> DistributionSpec:
     if isinstance(state, DistributionSpec):
         return state
-    if isinstance(state, (int, float)):
-        return DistributionSpec.point_mass(float(state))
-    raise CellTypeError(f"cell state must be a number or DistributionSpec, got {type(state).__name__}")
+    require_finite("value", state)  # a bool is no cell value
+    return DistributionSpec.point_mass(float(state))
 
 
 @dataclass
@@ -584,11 +583,10 @@ def load_array_csv(path: str, backend: BackendConfig,
         if reader.fieldnames is None or tuple(reader.fieldnames) != CELLS_CSV_FIELDS:
             raise DomainError(f"bad cells CSV header in {path!r}: {reader.fieldnames!r}")
         for row in reader:
-            r = int(row["addr_row"])
-            c = int(row["addr_col"])
+            r, c = (-parse_number(t[1:]) if t[:1] == "-" else parse_number(t)  # bounds reject < 0
+                    for t in (row["addr_row"], row["addr_col"]))
             family = row["family"]
-            mu = float(row["mu"])
-            sp = float(row["sigma_or_p"])
+            mu, sp = parse_number(row["mu"], float), parse_number(row["sigma_or_p"], float)
             if family == FAMILY_GAUSSIAN:
                 spec = DistributionSpec.gaussian(mu, sp)
             elif family == FAMILY_BERNOULLI:

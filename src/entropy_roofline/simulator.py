@@ -14,24 +14,35 @@ Backend cost translation: what one stochastic sample costs on each kind is
 defined once, by ``BackendConfig`` in ``probabilistic_memory``, which
 ``PMemArray`` reads too.  Per sample the simulator charges
 ``raw_entropy_rate(beta_data)`` for the draw, ``side_bytes_per_sample`` of
-data-path traffic and ``shaping_ops_per_sample`` of compute.
-``backend_effective_rates`` folds the side traffic serially into one
-effective entropy rate, 1/(1/raw + side_elements/beta_data), so the analytic
-model and the serialized simulator agree exactly.  Unlike ``PMemArray``, the
-simulator does not charge a decoupled draw's parameter read
-(``reads_parameters_per_draw``).
+data-path traffic and ``shaping_ops_per_sample`` of compute, which
+``backend_effective_rates`` folds into the analytic model's rates.  Unlike
+``PMemArray``, the simulator does not charge a decoupled draw's parameter
+read (``reads_parameters_per_draw``).
+
+One function, ``_evaluate``, defines the time terms over float64 columns:
+t_compute = (n_ops + shaping * draws) / pi, t_data = det / beta_data,
+t_transport = draws * side_elements / beta_data, t_entropy = draws / raw;
+the mode's elapsed time; and the regime rule, which in both modes compares
+n_ops / pi (shaping left out) with the serial access time, so a label can
+name a term that does not set elapsed.  ``sweep`` evaluates it once over the
+whole alpha x ai x config grid, ``run`` over a one-point column.  Counts are
+float64 (an ai near the float maximum gives counts far past int64), each
+rounded once from its Python integer, the operation demand after the exact
+integer sum, so a column equals Python's scalar arithmetic bit for bit
+(except that Python divides a count past 2**53 by an int rate exactly).
 
 Simulation is counts divided by capacities -- no queueing, caching or DRAM
-timing.
-"""
+timing."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateWorkloadError, DomainError, require_finite
+import numpy as np
+
+from .errors import DegenerateWorkloadError, DomainError, require_finite, require_int
 from .perf_model import ArchParams, RegimeLabel, _check_ai, _check_alpha
 from .probabilistic_memory import BACKEND_KINDS, BackendConfig, CostReport
 from .workload import WorkloadSpec
@@ -69,15 +80,7 @@ class SimResult:
     ai: float
 
     def to_dict(self) -> Dict:
-        return {
-            "elapsed_time": self.elapsed_time,
-            "achieved_phi": self.achieved_phi,
-            "achieved_beta": self.achieved_beta,
-            "cost": self.cost.to_dict(),
-            "regime_observed": str(self.regime_observed),
-            "alpha": self.alpha,
-            "ai": self.ai,
-        }
+        return {**asdict(self), "regime_observed": str(self.regime_observed)}
 
 
 def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
@@ -95,41 +98,48 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
     return beta_data, 1.0 / (1.0 / raw + extra / beta_data)
 
 
+_REGIMES = np.array(list(RegimeLabel), dtype=object)  # by code: 0 compute, 1 data, 2 entropy
+_RESULT_FIELDS = ("elapsed_time", "achieved_phi", "achieved_beta", "regime")
+
+
+def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
+              configs: Sequence[SimConfig]) -> Tuple[np.ndarray, ...]:
+    """The ``_RESULT_FIELDS`` at every point of stochs x ops x configs, each of
+    that shape: workload (a, i) makes ``stochs[a]`` of its ``total`` accesses
+    as draws and ``ops[i]`` operations."""
+    costs = [cfg.backend.shaping_ops_per_sample for cfg in configs]
+    demand = {k: np.array([float(n + k * s) for s in stochs for n in ops]) for k in set(costs)}
+    ops_demand = np.stack([demand[k] for k in costs], axis=-1).reshape(len(stochs), len(ops), -1)
+    n_ops = np.array([float(n) for n in ops])[None, :, None]
+    stoch = np.array([float(s) for s in stochs])[:, None, None]
+    det = np.array([float(total - s) for s in stochs])[:, None, None]
+    pi, beta_data, extra, raw_rate, serialized = np.array([(
+        cfg.arch.pi, cfg.arch.beta_data, cfg.backend.side_bytes_per_sample / cfg.arch.bytes_per_element,
+        cfg.backend.raw_entropy_rate(cfg.arch.beta_data), cfg.mode == MODE_SERIALIZED,
+    ) for cfg in configs], dtype=np.float64).T[:, None, None, :]
+
+    with np.errstate(over="ignore"):  # past the float range is inf, as for Python floats
+        t_compute = ops_demand / pi
+        t_data = det / beta_data
+        t_transport = stoch * extra / beta_data
+        t_entropy = stoch / raw_rate
+        t_access_serial = t_data + t_transport + t_entropy
+        elapsed = np.maximum(t_compute, np.where(
+            serialized, t_access_serial, np.maximum(t_data + t_transport, t_entropy)))
+        regime = np.where(n_ops / pi >= t_access_serial, 0,
+                          np.where(t_entropy + t_transport >= t_data, 2, 1))
+        return elapsed, n_ops / elapsed, float(total) / elapsed, _REGIMES[regime]
+
+
 def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
     """Execute one workload; pure function of (workload, config)."""
     if workload.total_accesses < 1:
-        raise DegenerateWorkloadError(
-            f"workload {workload.name!r} has no accesses to simulate"
-        )
-    arch = config.arch
-    backend = config.backend
-    det = workload.det_accesses
-    stoch = workload.stoch_accesses
-    shaping = backend.shaping_ops_per_sample
-    ops_demand = workload.n_ops + shaping * stoch
-    extra = backend.side_bytes_per_sample / arch.bytes_per_element  # data-path elements
-    raw_rate = backend.raw_entropy_rate(arch.beta_data)
-
-    t_compute = ops_demand / arch.pi
-    t_data = det / arch.beta_data
-    t_transport = stoch * extra / arch.beta_data
-    t_entropy = stoch / raw_rate
-
-    if config.mode == MODE_SERIALIZED:
-        elapsed = max(t_compute, t_data + t_transport + t_entropy)
-    else:
-        elapsed = max(t_compute, t_data + t_transport, t_entropy)
-
-    # Regime from the simulator's own serial time decomposition; provably
-    # agrees with the analytic classifier under the folded rates.
-    t_access_serial = t_data + t_transport + t_entropy
-    if workload.n_ops / arch.pi >= t_access_serial:
-        regime = RegimeLabel.COMPUTE_BOUND
-    elif t_entropy + t_transport >= t_data:
-        regime = RegimeLabel.ENTROPY_BOUND
-    else:
-        regime = RegimeLabel.DATA_BOUND
-
+        raise DegenerateWorkloadError(f"workload {workload.name!r} has no accesses to simulate")
+    arch, backend = config.arch, config.backend
+    det, stoch = workload.det_accesses, workload.stoch_accesses
+    extra = backend.side_bytes_per_sample / arch.bytes_per_element
+    elapsed, phi, beta, regime = (column.item() for column in _evaluate(
+        workload.total_accesses, [stoch], [workload.n_ops], [config]))
     cost = CostReport(
         total_reads=det,
         total_writes=0,
@@ -137,12 +147,12 @@ def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
         bytes_moved=(det + stoch * extra) * arch.bytes_per_element,
         entropy_bits_consumed=stoch * 32,
         energy_pj=det * backend.read_energy_pj + stoch * backend.sample_energy_pj,
-        shaping_ops=stoch * shaping,
+        shaping_ops=stoch * backend.shaping_ops_per_sample,
     )
     return SimResult(
         elapsed_time=elapsed,
-        achieved_phi=workload.n_ops / elapsed,
-        achieved_beta=workload.total_accesses / elapsed,
+        achieved_phi=phi,
+        achieved_beta=beta,
         cost=cost,
         regime_observed=regime,
         alpha=workload.alpha(),
@@ -155,32 +165,25 @@ def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
 # ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: the parameters applied and the result."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep's rows as columns named and ordered like the ``sweep`` CSV's
+    fields, each stored at the shape it varies over (alpha, ai, config or all
+    three): ``table[name]`` broadcasts it to ``shape``, in row order."""
 
-    params: Dict[str, object]
-    result: SimResult
+    columns: Dict[str, np.ndarray]
+    shape: Tuple[int, int, int]
 
+    def __len__(self) -> int:
+        return math.prod(self.shape)
 
-def _synthetic_workload(alpha: float, ai: float, base_accesses: int) -> WorkloadSpec:
-    _check_alpha(alpha)
-    _check_ai(ai)
-    alpha, ai = float(alpha), float(ai)
-    stoch = round(alpha * base_accesses)
-    det = base_accesses - stoch
-    n_ops = max(1, round(ai * base_accesses))
-    return WorkloadSpec(
-        name=f"synthetic_a{alpha}_ai{ai}", n_ops=n_ops,
-        det_accesses=det, stoch_accesses=stoch,
-    )
+    def __getitem__(self, name: str) -> np.ndarray:
+        return np.broadcast_to(self.columns[name], self.shape).ravel()
 
 
-def _grid_configs(config: SimConfig, grid: Dict[str, Sequence]) -> List[Tuple[SimConfig, Dict]]:
-    """Every (beta_rand, backend, mode) of the grid in row order: its config
-    and the parameters its rows report.  Each arch is built once per
-    beta_rand, each backend and its effective rates once per pair."""
-    modes = grid.get("mode", [config.mode])
+def _grid_configs(config: SimConfig, grid: Dict[str, Sequence]) -> List[SimConfig]:
+    """Every (beta_rand, backend, mode) config of the grid, in row order.
+    Each arch is built once per beta_rand, each backend once per pair."""
     configs = []
     for beta_rand in grid.get("beta_rand", [None]):
         arch, base = config.arch, config.backend
@@ -195,13 +198,8 @@ def _grid_configs(config: SimConfig, grid: Dict[str, Sequence]) -> List[Tuple[Si
                 backend = BackendConfig.for_kind(value, base)
             else:
                 raise DomainError(f"invalid backend grid value {value!r}")
-            mode_configs = [SimConfig(arch=arch, backend=backend, mode=mode) for mode in modes]
-            bd_eff, br_eff = backend_effective_rates(mode_configs[0])
-            for cfg in mode_configs:
-                configs.append((cfg, {
-                    "beta_rand": arch.beta_rand, "backend": backend.kind, "mode": cfg.mode,
-                    "beta_data_eff": bd_eff, "beta_rand_eff": br_eff,
-                }))
+            configs += [SimConfig(arch=arch, backend=backend, mode=mode)
+                        for mode in grid.get("mode", [config.mode])]
     return configs
 
 
@@ -210,7 +208,7 @@ def sweep(
     grid: Dict[str, Sequence],
     workload: Optional[WorkloadSpec] = None,
     base_accesses: int = 1_000_000,
-) -> List[SweepRow]:
+) -> SweepTable:
     """Cartesian sweep over grid dimensions, deterministic row order.
 
     Grid keys: ``alpha``, ``ai`` (synthesize/override the workload),
@@ -218,31 +216,44 @@ def sweep(
     ``backend`` (kind names or configs), ``mode``.  Dimensions absent from
     the grid stay at the base config / workload values.  Rows are ordered
     by grid position (row-major over the canonical dimension order).  Every
-    grid value is checked before the first point runs, and each workload
-    and config is built once, not once per point; points are then
-    evaluated one after another.
+    grid value is checked and each config built once, before the whole grid
+    is evaluated as columns.
     """
     if not grid:
         raise DomainError("empty parameter grid")
     for dim, values in grid.items():
         if dim not in SWEEP_DIMENSIONS:
-            raise DomainError(
-                f"unknown sweep dimension {dim!r}; valid: {', '.join(SWEEP_DIMENSIONS)}"
-            )
+            raise DomainError(f"unknown sweep dimension {dim!r}; valid: {', '.join(SWEEP_DIMENSIONS)}")
         if len(values) == 0:
             raise DomainError(f"sweep dimension {dim!r} has no values")
+    require_int("base_accesses", base_accesses, 0)
 
-    if workload is None:
-        workload = _synthetic_workload(0.5, 2.0, base_accesses)
-    workloads = [workload]
-    if "alpha" in grid or "ai" in grid:
-        alphas = grid["alpha"] if "alpha" in grid else [workload.alpha()]
-        ais = grid["ai"] if "ai" in grid else [workload.ai()]
-        workloads = [_synthetic_workload(alpha, ai, base_accesses) for alpha in alphas for ai in ais]
+    if workload is None or "alpha" in grid or "ai" in grid:
+        # synthetic workloads of base_accesses accesses, the default at alpha 0.5, ai 2
+        alpha, ai = (0.5, 2.0) if workload is None else (workload.alpha(), workload.ai())
+        alphas, ais = grid.get("alpha", [alpha]), grid.get("ai", [ai])
+        for value in alphas:
+            _check_alpha(value)
+        for value in ais:
+            _check_ai(value)
+            if float(value) * base_accesses == math.inf:
+                raise DomainError(f"ai * base_accesses overflows: {value!r} * {base_accesses!r}", "ai")
+        total = base_accesses
+        stochs = [round(float(value) * base_accesses) for value in alphas]
+        ops = [max(1, round(float(value) * base_accesses)) for value in ais]
+    else:
+        total, stochs, ops = workload.total_accesses, [workload.stoch_accesses], [workload.n_ops]
+    if total < 1:
+        raise DegenerateWorkloadError("a sweep needs workloads with accesses to simulate")
     configs = _grid_configs(config, grid)
-    rows = []
-    for wl in workloads:
-        shape = {"alpha": wl.alpha(), "ai": wl.ai()}
-        for cfg, params in configs:
-            rows.append(SweepRow(params={**shape, **params}, result=run(wl, cfg)))
-    return rows
+
+    columns = {
+        "alpha": np.array([s / total for s in stochs])[:, None, None],
+        "ai": np.array([n / total for n in ops])[None, :, None],
+    }
+    per_config = [(cfg.arch.beta_rand, cfg.backend.kind, cfg.mode, *backend_effective_rates(cfg))
+                  for cfg in configs]  # the configs' own values, ints included
+    columns.update(zip(("beta_rand", "backend", "mode", "beta_data_eff", "beta_rand_eff"),
+                       np.array(per_config, dtype=object).T[:, None, None, :]))
+    columns.update(zip(_RESULT_FIELDS, _evaluate(total, stochs, ops, configs)))
+    return SweepTable(columns=columns, shape=(len(stochs), len(ops), len(configs)))

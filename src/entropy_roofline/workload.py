@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, TextIO, Tuple, Union
 
-from .errors import DegenerateWorkloadError, DomainError, TraceParseError, require_int
+from .errors import DegenerateWorkloadError, DomainError, TraceParseError, parse_number, require_int
 
 TRACE_OPS = ("compute", "read", "write", "sample")
 TRACE_CSV_HEADER = ("op", "row", "col", "count")
@@ -234,16 +234,6 @@ def save_trace(records: Iterable[TraceRecord], dest: Union[str, TextIO]) -> None
         dest.write(line)
 
 
-def _field(text: str) -> Optional[int]:
-    """A trace field as ``save_trace`` writes it: None when empty, else ASCII
-    digits (no sign, underscore or other script's digits)."""
-    if not text:
-        return None
-    if not (text.isascii() and text.isdigit()):
-        raise DomainError(f"expected an unsigned decimal integer, got {text!r}")
-    return int(text)
-
-
 def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     """Parse a trace CSV; malformed lines report their 1-based line number.
 
@@ -267,8 +257,9 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
             if len(row) != 4:
                 raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
             op, row_s, col_s, count_s = (f.strip() for f in row)
-            try:
-                last = TraceRecord(op, _field(row_s), _field(col_s), _field(count_s))
+            try:  # as save_trace writes them: digits, or a compute row's empty address
+                last = TraceRecord(op, parse_number(row_s) if row_s else None,
+                                   parse_number(col_s) if col_s else None, parse_number(count_s))
             except DomainError as exc:
                 raise TraceParseError(line_no, str(exc)) from exc
             records.append(last)

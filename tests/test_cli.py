@@ -131,6 +131,16 @@ class TestRoofline:
         assert beta_eff == pytest.approx(99.01970492127933, rel=1e-12)
         assert 10_000.0 / beta_eff == pytest.approx(100.99, rel=1e-9)
 
+    def test_integer_rates_print_as_given(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"arch": {"pi": 10**13, "beta_data": 25 * 10**9}}))
+        out = tmp_path / "r.csv"
+        assert run_cli("roofline", "--alpha", "0", "--ai-min", "1", "--ai-max", "1000",
+                       "--points", "2", "--config", str(config), "--out", str(out)) == 0
+        _, rows = data_rows(out.read_text())
+        assert rows == ["0.0,1.0,25000000000,25000000000.0,DataBound",
+                        "0.0,1000.0,25000000000,10000000000000,ComputeBound"]
+
     def test_alpha_out_of_bounds_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli("roofline", "--alpha", "1.5")
@@ -146,6 +156,7 @@ class TestRoofline:
         ("--pi", "nan"), ("--pi", "inf"), ("--beta-data", "-1"), ("--beta-rand", "0"),
         ("--ai-min", "nan"), ("--ai-min", "0"), ("--ai-max", "inf"), ("--ai-max", "0.001"),
         ("--alpha", "0.5,nan"), ("--alpha", "-0.1"), ("--points", "1"),
+        ("--ai-max", "1e307"),  # over the default --ai-min 0.01, the ratio overflows
     ])
     def test_rejected_flag_value_names_its_flag(self, flag, value, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -335,6 +346,17 @@ class TestSweep:
         coupled = next(r for r in rows if "coupled_pcim" in r).split(",")
         assert float(coupled[cols.index("beta_rand_eff")]) == 2.5e10
 
+    def test_integer_rates_print_as_given(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"arch": {"beta_data": 25 * 10**9, "beta_rand": 10**9}}))
+        out = tmp_path / "s.csv"
+        grid = self.grid(tmp_path, {"alpha": [0.5], "backend": ["coupled_pcim"]})
+        assert run_cli("sweep", "--grid", grid, "--config", str(config), "--out", str(out)) == 0
+        header, (row,) = data_rows(out.read_text())
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["beta_rand"], cells["beta_data_eff"], cells["beta_rand_eff"]) == (
+            "1000000000", "25000000000", "25000000000")
+
     def test_grid_validation_exits_3(self, tmp_path, capsys):
         grid = self.grid(tmp_path, {"alpha": []})
         assert run_cli("sweep", "--grid", grid) == 3
@@ -342,7 +364,7 @@ class TestSweep:
         assert run_cli("sweep", "--grid", grid) == 3
         out = tmp_path / "s.csv"
         for payload in ({"alpha": [True, False]}, {"ai": [float("inf")]}, {"beta_rand": [True]},
-                        {"alpha": ["0.5"]}, {"mode": ["warp"]}):
+                        {"alpha": ["0.5"]}, {"mode": ["warp"]}, {"alpha": [0.5], "ai": [1e303]}):
             grid = self.grid(tmp_path, payload)
             assert run_cli("sweep", "--grid", grid, "--out", str(out)) == 3
             assert "config error: <grid>:" in capsys.readouterr().err

@@ -34,6 +34,19 @@ CONFIG = {
 LANES_CONFIG = {"backend": {"kind": "von_neumann", "rng_rate": 4e9, "parallelism": 8}}
 # a shaping section priced away from the default pipeline's 8 ops per draw
 SHAPING_CONFIG = {"backend": {"kind": "von_neumann"}, "shaping": {"method": "box_muller", "cost": 100}}
+# model-grid's shape: 41 alpha x 41 log-spaced ai (decimal literals, up to
+# n_ops = 2.5e16 > 2**53) x 3 beta_rand x 4 backends x 2 modes
+MODEL_GRID = {
+    "alpha": [i / 40 for i in range(41)],
+    "ai": [float(f"{m}e{e}") for e in range(-3, 11) for m in ("1", "2.5", "5")][:41],
+    "beta_rand": [1e8, 1e9, 1e10],
+    "backend": list(BACKENDS),
+    "mode": ["serialized", "overlapped"],
+}
+# one shaping op per draw, so n_ops + shaping * stoch = 2**53 + 2 is exact as
+# a float, while float(2**53 + 1) + 1.0 rounds (twice) to 2**53
+ODD_SHAPING_CONFIG = {"backend": {"kind": "von_neumann"}, "shaping": {"method": "box_muller", "cost": 1}}
+HUGE_COMPUTE_TRACE = f"op,row,col,count\r\ncompute,,,{2**53 + 1}\r\nread,0,0,3\r\nsample,0,0,1\r\n"
 
 CASES = {
     "roofline": ["roofline", "--alpha", "0,0.01,0.5,1", "--points", "32"],
@@ -47,6 +60,12 @@ CASES = {
                                            "{lanes_config}", "--backend", "decoupled_in_memory"],
     "simulate-shaping-mc": ["simulate", "--workload", "mc", "--config", "{shaping_config}"],
     "sweep-shaping-backends": ["sweep", "--grid", "{backend_grid}", "--config", "{shaping_config}"],
+    # a Python `**` per ai; numpy's power differs in the last ulp on some points
+    "roofline-10k": ["roofline", "--alpha", "0,0.3,0.9", "--points", "10000",
+                     "--ai-min", "0.001", "--ai-max", "1e7"],
+    "sweep-model-grid": ["sweep", "--grid", "{model_grid}"],
+    "simulate-trace-huge-compute": ["simulate", "--trace", "{huge_compute_trace}",
+                                    "--config", "{odd_shaping_config}"],
 }
 for _workload in ("bnn", "mc"):
     for _backend in BACKENDS:
@@ -94,6 +113,9 @@ EXPECTED = {
     "sweep-criterion-11": "04c851c3f4e9dc0c14c6ae2f01d308f0efb544d5a399e59c64c33b19590a1bf5",
     "simulate-trace-mc-default": "3eb8f1c67138c601ce05f7befbd8255cbdeb0bcf8f056873f6fdc5a807409684",
     "sweep-shaping-backends": "e62a57c282dde7a421a3d0903ef63ff979cc5cf6aa24ec00341ad1c8b9665808",
+    "roofline-10k": "b7712c81243f8fa021282d89722ecc51201467329ceec006661c5b751259be73",
+    "sweep-model-grid": "158965918026b801b3cf7d3c64a7b1d9e6c0b222519b905f7beff14660cba4a0",
+    "simulate-trace-huge-compute": "2720f0ad3a36b66361f06824ad788c9260a3c2cb34cfdc29998bfef909e32be2",
 }
 
 
@@ -105,12 +127,17 @@ def case_digest(name, tmp_path):
         "config": CONFIG,
         "lanes_config": LANES_CONFIG,
         "shaping_config": SHAPING_CONFIG,
+        "model_grid": MODEL_GRID,
+        "odd_shaping_config": ODD_SHAPING_CONFIG,
     }
     paths = {}
     for key, payload in files.items():
         paths[key] = str(tmp_path / f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(payload, fh)
+    paths["huge_compute_trace"] = str(tmp_path / "huge.csv")
+    with open(paths["huge_compute_trace"], "w", newline="") as fh:
+        fh.write(HUGE_COMPUTE_TRACE)
     if any("{mc_trace}" in arg for arg in CASES[name]):
         paths["mc_trace"] = str(tmp_path / "mc.csv")  # named by its base name
         assert main(["gen-trace", "--workload", "mc", "--out", paths["mc_trace"]]) == 0

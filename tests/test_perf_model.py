@@ -225,15 +225,15 @@ class TestRooflineCurve:
         a = arch(pi=1e4, beta_data=100.0, beta_rand=1.0)
         curve = roofline_curve(a, 0.0, 0.01, 100.0, 32)
         assert len(curve) == 32
-        for p in curve:
-            assert p.beta_eff == a.beta_data
-            assert p.phi == min(a.pi, p.ai * a.beta_data)
+        assert curve.beta_eff == a.beta_data
+        for ai, phi in zip(curve.ai.tolist(), curve.phi.tolist()):
+            assert phi == min(a.pi, ai * a.beta_data)
 
     def test_alpha_one_slope_is_beta_rand(self):
         a = arch(pi=1e4, beta_data=100.0, beta_rand=1.0)
         curve = roofline_curve(a, 1.0, 0.01, 10.0, 16)
-        for p in curve:
-            assert p.phi == min(a.pi, p.ai * 1.0)
+        for ai, phi in zip(curve.ai.tolist(), curve.phi.tolist()):
+            assert phi == min(a.pi, ai * 1.0)
 
     def test_plateau_position(self):
         # beta(0.5) = 1/0.505; compute roof reached at ai = pi / beta = 5050
@@ -241,16 +241,16 @@ class TestRooflineCurve:
         beta = effective_beta(0.5, a)
         assert a.pi / beta == pytest.approx(5050.0, rel=1e-12)
         curve = roofline_curve(a, 0.5, 5050.0, 50_500.0, 8)
-        assert all(p.phi == pytest.approx(1e4, rel=1e-12) for p in curve)
-        assert curve[0].regime is RegimeLabel.COMPUTE_BOUND
+        assert all(phi == pytest.approx(1e4, rel=1e-12) for phi in curve.phi.tolist())
+        assert curve.regime[0] is RegimeLabel.COMPUTE_BOUND
 
     def test_phi_non_decreasing_and_consistent(self):
         a = arch(pi=1e6, beta_data=2500.0, beta_rand=10.0)
         curve = roofline_curve(a, 0.3, 0.01, 1e5, 200)
-        phis = [p.phi for p in curve]
+        phis = curve.phi.tolist()
         assert all(b >= a_ for a_, b in zip(phis, phis[1:]))
-        for p in curve:
-            assert p.phi == min(a.pi, p.ai * p.beta_eff)
+        for ai, phi in zip(curve.ai.tolist(), phis):
+            assert phi == min(a.pi, ai * curve.beta_eff)
 
     def test_invalid_ranges(self):
         a = arch()
@@ -264,6 +264,10 @@ class TestRooflineCurve:
                                          (0.1, 1.0, 2.5), (0.1, 1.0, True)):
             with pytest.raises(DomainError):
                 roofline_curve(a, 0.0, ai_min, ai_max, n_points)
+        # a finite range whose ratio overflows would make every ai but the first inf
+        with pytest.raises(DomainError) as info:
+            roofline_curve(a, 0.0, 1e-300, 1e300, 3)
+        assert info.value.name == "ai_max"
 
 
 class TestBandwidthCompression:

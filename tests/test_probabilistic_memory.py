@@ -127,6 +127,13 @@ class TestWriteRead:
         arr.write((0, 0), 7.0)
         assert arr.read_distribution((0, 0)) == DistributionSpec.point_mass(7.0)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_value_rejected(self, value):
+        arr = fresh()
+        with pytest.raises(DomainError, match="value"):
+            arr.write((0, 0), value)
+        assert arr.cost_report().total_writes == 0
+
     def test_write_increments_endurance_once(self):
         arr = fresh()
         before = arr.write_count((2, 2))
@@ -731,6 +738,20 @@ class TestCsvRoundTrip:
         path = tmp_path / "cells.csv"
         path.write_text("addr_row,addr_col,family,mu,sigma_or_p\n1,1,point_mass,2.0,0.0\n-1,0,point_mass,1.0,0.0\n")
         with pytest.raises(AddressError):
+            load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
+
+    @pytest.mark.parametrize("line", [
+        "0,1_0,point_mass,1_0.5,0",  # int() and float() take underscores
+        "0,0,point_mass,1_0.5,0",
+        "\u0663,0,point_mass,1.0,0",  # an Arabic-Indic digit three
+        "0,0,point_mass,\u0661.5,0",
+        "0,0,gaussian,1.0, 0.5",
+        "0, 1,point_mass,1.0,0",
+    ])
+    def test_fields_parse_as_save_writes_them(self, tmp_path, line):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"addr_row,addr_col,family,mu,sigma_or_p\n{line}\n", encoding="utf-8")
+        with pytest.raises(DomainError):
             load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
 
     def test_bad_header(self, tmp_path):

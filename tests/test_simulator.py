@@ -5,13 +5,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from entropy_roofline.distribution_shaping import ShapingPipelineSpec
 from entropy_roofline.entropy_sources import EntropyStream
 from entropy_roofline.errors import DegenerateWorkloadError, DomainError
-from entropy_roofline.perf_model import ArchParams, classify_regime, system_throughput
+from entropy_roofline.perf_model import ArchParams, RegimeLabel, classify_regime, system_throughput
 from entropy_roofline.probabilistic_memory import (
     BACKEND_KINDS,
     BackendConfig,
@@ -183,41 +183,114 @@ class TestRun:
         assert coupled.cost.shaping_ops == 0
 
 
+def reference_point(wl, cfg):
+    """One point of the model in Python ints and floats, term by term: what
+    the columns must reproduce bit for bit."""
+    arch, backend = cfg.arch, cfg.backend
+    det, stoch = wl.det_accesses, wl.stoch_accesses
+    extra = backend.side_bytes_per_sample / arch.bytes_per_element
+    t_compute = (wl.n_ops + backend.shaping_ops_per_sample * stoch) / arch.pi
+    t_data = det / arch.beta_data
+    t_transport = stoch * extra / arch.beta_data
+    t_entropy = stoch / backend.raw_entropy_rate(arch.beta_data)
+    t_access = t_data + t_transport + t_entropy
+    if cfg.mode == MODE_SERIALIZED:
+        elapsed = max(t_compute, t_access)
+    else:
+        elapsed = max(t_compute, t_data + t_transport, t_entropy)
+    if wl.n_ops / arch.pi >= t_access:
+        regime = RegimeLabel.COMPUTE_BOUND
+    elif t_entropy + t_transport >= t_data:
+        regime = RegimeLabel.ENTROPY_BOUND
+    else:
+        regime = RegimeLabel.DATA_BOUND
+    return elapsed, wl.n_ops / elapsed, wl.total_accesses / elapsed, regime
+
+
+class TestColumnsMatchReference:
+    """Counts beyond 2**53 and odd shaping costs are where float64 columns
+    could round where Python's integers do not."""
+
+    @given(
+        n_ops=st.integers(0, 2**64), det=st.integers(0, 2**64), stoch=st.integers(0, 2**64),
+        cost=st.integers(0, 9), backend=st.sampled_from(BACKENDS),
+        mode=st.sampled_from([MODE_SERIALIZED, MODE_OVERLAPPED]),
+        rates=st.tuples(*[st.floats(1e-3, 1e15)] * 3),
+    )
+    # float(2**53 + 1) + 1.0 rounds twice, to 2**53; the exact sum is a float
+    @example(n_ops=2**53 + 1, det=0, stoch=1, cost=1, backend=BACKENDS[0], mode=MODE_SERIALIZED,
+             rates=(1e13, 2.5e10, 1e9))
+    def test_run(self, n_ops, det, stoch, cost, backend, mode, rates):
+        assume(det + stoch > 0)
+        wl = WorkloadSpec(name="w", n_ops=n_ops, det_accesses=det, stoch_accesses=stoch)
+        cfg = SimConfig(arch=ArchParams(*rates), mode=mode, backend=replace(
+            backend, shaping=ShapingPipelineSpec(method="box_muller", cost=cost)))
+        res = run(wl, cfg)
+        assert (res.elapsed_time, res.achieved_phi, res.achieved_beta,
+                res.regime_observed) == reference_point(wl, cfg)
+
+    def test_sweep(self):
+        base = 1_000_000
+        shaping = ShapingPipelineSpec(method="box_muller", cost=7)
+        cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann(shaping=shaping))
+        alphas = [0.0, 0.123456789, 0.5, 0.999, 1.0]
+        ais = [1e-3, 0.7, 2.0, 3.3e4, 9.007199254740993e9, 1e12]
+        table = sweep(cfg, {"alpha": alphas, "ai": ais, "backend": list(BACKEND_KINDS),
+                            "mode": [MODE_SERIALIZED, MODE_OVERLAPPED]}, base_accesses=base)
+        assert len(table) == len(alphas) * len(ais) * len(BACKEND_KINDS) * 2
+        row = 0
+        for alpha in alphas:
+            for ai in ais:
+                stoch = round(alpha * base)
+                wl = WorkloadSpec(name="w", n_ops=max(1, round(ai * base)),
+                                  det_accesses=base - stoch, stoch_accesses=stoch)
+                for kind in BACKEND_KINDS:
+                    for mode in (MODE_SERIALIZED, MODE_OVERLAPPED):
+                        point = SimConfig(arch=ARCH, backend=BackendConfig.for_kind(kind, cfg.backend),
+                                          mode=mode)
+                        got = tuple(table[name][row] for name in (
+                            "elapsed_time", "achieved_phi", "achieved_beta", "regime"))
+                        assert got == reference_point(wl, point)
+                        assert (table["alpha"][row], table["ai"][row]) == (wl.alpha(), wl.ai())
+                        row += 1
+
+
 class TestSweep:
     def test_alpha_sweep_beta_strictly_decreasing(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
-        rows = sweep(cfg, {"alpha": [0.0, 0.01, 0.1, 0.5, 1.0], "ai": [2.0]})
-        betas = [r.result.achieved_beta for r in rows]
-        assert len(rows) == 5
+        table = sweep(cfg, {"alpha": [0.0, 0.01, 0.1, 0.5, 1.0], "ai": [2.0]})
+        betas = table["achieved_beta"].tolist()
+        assert len(table) == 5
         assert all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))
 
     def test_backend_sweep_includes_coupled_definition(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
-        rows = sweep(cfg, {"backend": ["von_neumann", "coupled_pcim"]},
-                     workload=mc_estimator(1_000_000, 4))
-        by_kind = {r.params["backend"]: r for r in rows}
-        assert by_kind["coupled_pcim"].params["beta_rand_eff"] == ARCH.beta_data
+        table = sweep(cfg, {"backend": ["von_neumann", "coupled_pcim"]},
+                      workload=mc_estimator(1_000_000, 4))
+        by_kind = dict(zip(table["backend"], table["beta_rand_eff"]))
+        assert by_kind["coupled_pcim"] == ARCH.beta_data
 
     def test_parallel_sampling_speedup_bounded_by_compute_roof(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
-        rows = sweep(
+        table = sweep(
             cfg,
             {"backend": ["von_neumann",
                          BackendConfig.decoupled_in_memory(parallelism=32)]},
             workload=mc_estimator(1_000_000, 4),
         )
-        vn, im = rows[0].result, rows[1].result
-        assert im.achieved_phi >= 32 * vn.achieved_phi
-        assert im.achieved_phi <= ARCH.pi
+        vn, im = table["achieved_phi"]
+        assert im >= 32 * vn
+        assert im <= ARCH.pi
 
     def test_rows_carry_full_parameter_tuples(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
-        rows = sweep(cfg, {"alpha": [0.5], "mode": [MODE_SERIALIZED, MODE_OVERLAPPED]})
-        for row in rows:
-            assert set(row.params) == {
-                "alpha", "ai", "beta_rand", "backend", "mode",
-                "beta_data_eff", "beta_rand_eff",
-            }
+        table = sweep(cfg, {"alpha": [0.5], "mode": [MODE_SERIALIZED, MODE_OVERLAPPED]})
+        assert list(table.columns) == [
+            "alpha", "ai", "beta_rand", "backend", "mode",
+            "beta_data_eff", "beta_rand_eff",
+            "elapsed_time", "achieved_phi", "achieved_beta", "regime",
+        ]
+        assert all(len(table[name]) == len(table) == 2 for name in table.columns)
 
     def test_empty_dimension_named_in_error(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
@@ -241,6 +314,10 @@ class TestSweep:
             sweep(cfg, {"ai": [math.inf]})
         with pytest.raises(DomainError, match="'1e9'"):
             sweep(cfg, {"beta_rand": ["1e9"]})
+        # finite, but ai * base_accesses is not
+        with pytest.raises(DomainError) as info:
+            sweep(cfg, {"alpha": [0.5], "ai": [1e303]})
+        assert info.value.name == "ai"
 
     def test_configs_built_once_per_grid_value(self, monkeypatch):
         built = {}
@@ -252,20 +329,21 @@ class TestSweep:
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
         beta_rands, kinds = [1e8, 1e9, 1e10], list(BACKEND_KINDS)
         built.clear()
-        rows = sweep(cfg, {"alpha": [0.1, 0.5, 0.9], "ai": [0.5, 4.0], "beta_rand": beta_rands,
-                           "backend": kinds, "mode": [MODE_SERIALIZED, MODE_OVERLAPPED]})
-        assert len(rows) == 3 * 2 * 3 * 4 * 2
+        table = sweep(cfg, {"alpha": [0.1, 0.5, 0.9], "ai": [0.5, 4.0], "beta_rand": beta_rands,
+                            "backend": kinds, "mode": [MODE_SERIALIZED, MODE_OVERLAPPED]})
+        assert len(table) == 3 * 2 * 3 * 4 * 2
         assert built["ArchParams"] == len(beta_rands)
         assert built["BackendConfig"] <= len(beta_rands) * (1 + len(kinds))
 
     def test_beta_rand_dimension_applies_to_both_sides(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann(
             transport_bytes_per_sample=0.0))
-        rows = sweep(cfg, {"beta_rand": [1e8, 1e9], "alpha": [1.0]})
-        r0, r1 = rows
-        assert r0.params["beta_rand_eff"] == pytest.approx(1e8)
-        assert r1.params["beta_rand_eff"] == pytest.approx(1e9)
-        assert r1.result.achieved_beta > r0.result.achieved_beta
+        table = sweep(cfg, {"beta_rand": [1e8, 1e9], "alpha": [1.0]})
+        r0, r1 = table["beta_rand_eff"]
+        assert r0 == pytest.approx(1e8)
+        assert r1 == pytest.approx(1e9)
+        b0, b1 = table["achieved_beta"]
+        assert b1 > b0
 
 
 class TestReplayAgreement:
