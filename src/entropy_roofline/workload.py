@@ -6,9 +6,9 @@ fall out as ratios.  Generators are pure; traces round-trip through CSV
 with header ``op,row,col,count`` (compute rows leave row/col empty).
 
 A trace repeats one access many times (a Monte Carlo trace is one
-``sample,0,0,1`` line per draw), so each stage pays once per distinct line:
-repeated lines share one validated ``TraceRecord`` (records are frozen), are
-formatted once by ``save_trace`` and parsed once by ``load_trace``.
+``sample,0,0,1`` line per draw), so every stage works on runs of equal lines,
+grouped and counted in C: a run is formatted, parsed and validated once, its
+count is added once, and its records share one frozen ``TraceRecord``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,19 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, TextIO, Tuple, Union
+from itertools import groupby, repeat
+from operator import countOf
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, TypeVar, Union
 
 from .errors import DegenerateWorkloadError, DomainError, TraceParseError, parse_number, require_int
 
 TRACE_OPS = ("compute", "read", "write", "sample")
 TRACE_CSV_HEADER = ("op", "row", "col", "count")
+_SPEC_FIELD = {"compute": "n_ops", "read": "det_accesses", "write": "det_accesses",
+               "sample": "stoch_accesses"}  # the WorkloadSpec sum each op adds to
+_WRITE_RUN = 1024  # lines per write of a long run: 14 KiB for an mc sample line
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -180,17 +187,20 @@ def mc_trace(n_samples: int, ops_per_sample: int) -> List[TraceRecord]:
     return records
 
 
-def aggregate(records: List[TraceRecord], name: str = "trace") -> WorkloadSpec:
+def _runs(items: Iterable[_T]) -> Iterator[Tuple[_T, int]]:
+    """``(item, k)`` for each run of ``k`` equal consecutive items, grouped
+    and counted in C, where an object equals itself without an ``__eq__``
+    call: a run of one shared record costs a pointer compare per item."""
+    for item, run in groupby(items):
+        yield item, countOf(run, item)
+
+
+def aggregate(records: Iterable[TraceRecord], name: str = "trace") -> WorkloadSpec:
     """Column sums of a record list as a WorkloadSpec."""
-    n_ops = det = stoch = 0
-    for rec in records:
-        if rec.op == "compute":
-            n_ops += rec.count
-        elif rec.op == "sample":
-            stoch += rec.count
-        else:
-            det += rec.count
-    return WorkloadSpec(name=name, n_ops=n_ops, det_accesses=det, stoch_accesses=stoch)
+    totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
+    for rec, k in _runs(records):
+        totals[_SPEC_FIELD[rec.op]] += rec.count * k
+    return WorkloadSpec(name, **totals)
 
 
 # ------------------------------------------------------------------------
@@ -198,70 +208,66 @@ def aggregate(records: List[TraceRecord], name: str = "trace") -> WorkloadSpec:
 # ------------------------------------------------------------------------
 
 
-class _Echo:
-    """A file whose ``write`` returns its argument, so a csv writer on it
-    returns each formatted line."""
-
-    def write(self, line: str) -> str:
-        return line
-
-
 def save_trace(records: Iterable[TraceRecord], dest: Union[str, TextIO]) -> None:
     """Write ``records`` as trace CSV to the path or open text file ``dest``.
 
-    Lines end in CRLF, the csv module's dialect.  A file object writes the
+    Lines end in CRLF, as the csv module writes them; no field needs its
+    quoting (ops are names, the rest digits).  A file object writes the
     same bytes as a path when it does not translate line ends, as with
-    ``open(..., newline="")`` or ``sys.stdout`` on POSIX.  A record that is
-    the very object written just before reuses that line unformatted, so a
-    trace whose repeats share one record formats each distinct line once.
+    ``open(..., newline="")`` or ``sys.stdout`` on POSIX.  A run of equal
+    records is formatted once and written ``_WRITE_RUN`` lines at a time.
     """
     if isinstance(dest, str):
         with open(dest, "w", newline="") as fh:
             save_trace(records, fh)
         return
-    fmt = csv.writer(_Echo())
-    dest.write(fmt.writerow(TRACE_CSV_HEADER))
-    last = line = None
-    for rec in records:
-        if rec is not last:
-            line = fmt.writerow([
-                rec.op,
-                "" if rec.row is None else rec.row,
-                "" if rec.col is None else rec.col,
-                rec.count,
-            ])
-            last = rec
-        dest.write(line)
+    dest.write(",".join(TRACE_CSV_HEADER) + "\r\n")
+    for rec, k in _runs(records):
+        line = "{},{},{},{}\r\n".format(rec.op, "" if rec.row is None else rec.row,
+                                        "" if rec.col is None else rec.col, rec.count)
+        while k > _WRITE_RUN:
+            dest.write(line * _WRITE_RUN)
+            k -= _WRITE_RUN
+        dest.write(line * k)
 
 
 def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     """Parse a trace CSV; malformed lines report their 1-based line number.
 
-    A line equal to the line before it is not parsed again: it shares the
-    record validated for that line.  The workload is named by the file's
-    base name, so one trace gives one workload however its path is spelled.
+    Each line is one row: a quoted field left open at its end is an error.
+    A run of equal lines, and the next lines whose fields equal its, share
+    one record.  The workload is named by the file's base name, so one trace
+    gives one workload however its path is spelled.
     """
     records: List[TraceRecord] = []
+    totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+        header = next(csv.reader([next(fh, "")]), [])  # readline() keeps an 8 KiB tell() snapshot
+        if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
             raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
-        last_row = last = None
-        for line_no, row in enumerate(reader, start=2):
-            if row == last_row:
-                records.append(last)
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            if len(row) != 4:
-                raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
-            op, row_s, col_s, count_s = (f.strip() for f in row)
-            try:  # as save_trace writes them: digits, or a compute row's empty address
-                last = TraceRecord(op, parse_number(row_s) if row_s else None,
-                                   parse_number(col_s) if col_s else None, parse_number(count_s))
-            except DomainError as exc:
-                raise TraceParseError(line_no, str(exc)) from exc
-            records.append(last)
-            last_row = row
-    return records, aggregate(records, name=os.path.basename(path))
+        line_no, last_row, last = 2, None, None
+        pending: List[str] = []  # csv's input, one line per row: a row that runs on finds it empty
+        rows = csv.reader(iter(pending.pop, None))
+        for line, k in _runs(fh):
+            pending.append(line)
+            try:
+                row = next(rows)
+            except IndexError:
+                raise TraceParseError(line_no, "quoted field left open at the end of the line") from None
+            if row != last_row:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    line_no += k
+                    continue  # blank lines
+                if len(row) != 4:
+                    raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
+                op, row_s, col_s, count_s = map(str.strip, row)
+                try:  # as save_trace writes them: digits, or a compute row's empty address
+                    last = TraceRecord(op, parse_number(row_s) if row_s else None,
+                                       parse_number(col_s) if col_s else None, parse_number(count_s))
+                except DomainError as exc:
+                    raise TraceParseError(line_no, str(exc)) from exc
+                last_row = row
+            records.extend(repeat(last, k))
+            totals[_SPEC_FIELD[last.op]] += last.count * k
+            line_no += k
+    return records, WorkloadSpec(os.path.basename(path), **totals)

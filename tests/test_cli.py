@@ -12,7 +12,7 @@ import entropy_roofline
 from entropy_roofline import cli
 from entropy_roofline.cli import SEED_ENV_VAR, main, parse_config
 from entropy_roofline.errors import ConfigError
-from entropy_roofline.workload import load_trace
+from entropy_roofline.workload import _WRITE_RUN, load_trace
 
 
 def run_cli(*argv):
@@ -303,6 +303,7 @@ class TestGenTrace:
 
     @pytest.mark.parametrize("workload, shape", [
         ("bnn", "4,3,2"), ("conv", "2,2,3,4,4,1"), ("conv-stoch", "2,2,3,4,4,2"), ("mc", "7,3"),
+        ("mc", f"{2 * _WRITE_RUN + 1},3"),  # a run written in three blocks
     ])
     def test_stdout_equals_out_file(self, workload, shape, tmp_path, capsysbinary):
         out = tmp_path / "t.csv"

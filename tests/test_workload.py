@@ -1,18 +1,26 @@
 """Tests for workload generators and the trace format."""
 
+import csv
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entropy_roofline.errors import (
     DegenerateWorkloadError,
     DomainError,
     TraceParseError,
+    parse_number,
 )
 from entropy_roofline.workload import (
+    _WRITE_RUN,
+    TRACE_CSV_HEADER,
+    TRACE_OPS,
     TraceRecord,
     WorkloadSpec,
     aggregate,
@@ -296,3 +304,232 @@ class TestSharedRecords:
             finally:
                 tracemalloc.stop()
             assert peak / n <= 16.0
+
+    def test_memory_budget_distinct_lines(self, tmp_path):
+        """A trace whose every line differs keeps no list of runs: loading
+        the bnn trace peaks at no more per record than the line-by-line
+        parser did (168.4 B on Python 3.11, rounded up to 169 B)."""
+        records = bnn_trace(128, 256, 4)
+        path = tmp_path / "bnn.csv"
+        save_trace(records, str(path))
+        del records
+        load_trace(str(path))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            loaded, _ = load_trace(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(loaded) <= 169.0
+
+
+# ------------------------------------------------------------------------
+# Run-length trace I/O against the line-by-line reader and writer
+# ------------------------------------------------------------------------
+
+
+def _line_by_line_load_trace(path):
+    """The line-by-line parser that ``load_trace`` replaced, kept as the
+    oracle: one ``csv.reader`` over the file, a compare with the last row
+    parsed and an append per line, then a sum over every record."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+            raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
+        last_row = last = None
+        for line_no, row in enumerate(reader, start=2):
+            if row == last_row:
+                records.append(last)
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if len(row) != 4:
+                raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
+            op, row_s, col_s, count_s = (f.strip() for f in row)
+            try:
+                last = TraceRecord(op, parse_number(row_s) if row_s else None,
+                                   parse_number(col_s) if col_s else None, parse_number(count_s))
+            except DomainError as exc:
+                raise TraceParseError(line_no, str(exc)) from exc
+            records.append(last)
+            last_row = row
+    n_ops = det = stoch = 0
+    for rec in records:
+        if rec.op == "compute":
+            n_ops += rec.count
+        elif rec.op == "sample":
+            stoch += rec.count
+        else:
+            det += rec.count
+    return records, WorkloadSpec(os.path.basename(path), n_ops, det, stoch)
+
+
+def _line_by_line_save(records):
+    """Trace CSV text with each record formatted on its own."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(TRACE_CSV_HEADER)
+    for rec in records:
+        writer.writerow([rec.op, "" if rec.row is None else rec.row,
+                         "" if rec.col is None else rec.col, rec.count])
+    return out.getvalue()
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: the records, the spec and where one
+    record stops being shared by the next, or the parse error."""
+    try:
+        records, spec = load(path)
+    except TraceParseError as exc:
+        return "error", exc.line_no, str(exc)
+    breaks = [i for i in range(1, len(records)) if records[i] is not records[i - 1]]
+    return records, spec, breaks
+
+
+class _Writes:
+    """A text file that keeps every ``write`` call's argument."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+def _spell(value):
+    """``value`` as one CSV field: mostly plain, else padded or quoted."""
+    quoted = '"' + value.replace('"', '""') + '"'
+    return st.sampled_from([value] * 8 + [f" {value}", f"{value}  ", f"\t{value} ", quoted,
+                            f" {quoted}", f"{quoted} ", f"{quoted}{value}"])
+
+
+_SMALL = st.one_of(st.integers(0, 2), st.integers(0, 300)).map(str)
+_NUMBER = st.one_of(_SMALL, st.sampled_from(
+    ["", " ", "x", "-1", "1.5", "1_0", "+2", "\u0663", "0x1", "1e3", '7"', "00"]))
+_OP = st.one_of(st.sampled_from(TRACE_OPS), st.sampled_from(["bogus", "Sample", "", "sam ple"]))
+
+
+@st.composite
+def _trace_line(draw):
+    """One line's text, mostly a valid record, else a blank or malformed
+    one.  Small numbers recur, so equal records spelled apart meet."""
+    kind = draw(st.sampled_from(["record"] * 12 + ["blank", "fields", "malformed"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t  ", '""', '" "', '"" ']))
+    if kind == "fields":
+        return draw(st.sampled_from(["sample,0,0", "sample,0,0,1,2", "sample", ",,,,", "read,0,0,1,"]))
+    op = draw(st.sampled_from(TRACE_OPS)) if kind == "record" else draw(_OP)
+    numbers = [draw(_SMALL), draw(_SMALL), draw(st.one_of(st.integers(1, 3), st.integers(1, 10**6)).map(str))]
+    if kind == "malformed":
+        numbers[draw(st.integers(0, 2))] = draw(_NUMBER)
+    elif op == "compute" and draw(st.booleans()):
+        numbers[:2] = ["", ""]
+    line = ",".join([draw(_spell(op))] + [draw(_spell(n)) for n in numbers])
+    assume(len(list(csv.reader([line, ""]))) == 2)  # every quote it opens closes on the line
+    return line
+
+
+@st.composite
+def _trace_text(draw):
+    """A trace CSV: runs of equal lines, some long enough to span several
+    write blocks, with mixed line ends and an optional missing last one."""
+    header = draw(st.sampled_from(["op,row,col,count"] * 8 + [" op , row,col,count", "op,row,col"]))
+    parts = [header + draw(st.sampled_from(["\n", "\r\n", "\r"]))]
+    for _ in range(draw(st.integers(0, 10))):
+        line = draw(_trace_line())
+        k = draw(st.one_of(st.integers(1, 3), st.integers(1, 3 * _WRITE_RUN)))
+        parts.append((line + draw(st.sampled_from(["\n", "\r\n", "\r"]))) * k)
+    text = "".join(parts)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("traces") / "t.csv")
+
+
+class TestRunLengthTraceIO:
+    """``load_trace`` and ``save_trace`` work on runs of equal lines and
+    give what the line-by-line parser and writer gave."""
+
+    @settings(max_examples=120)
+    @given(text=_trace_text())
+    def test_load_matches_line_by_line_parser(self, trace_file, text):
+        with open(trace_file, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        assert _outcome(load_trace, trace_file) == _outcome(_line_by_line_load_trace, trace_file)
+
+    def test_quoted_field_may_not_span_lines(self, tmp_path):
+        """Line numbers are physical lines.  The line-by-line parser read a
+        quoted field on into the next line and then numbered csv rows, one
+        behind the lines; ``load_trace`` stops at the line that leaves the
+        quote open."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'op,row,col,count\r\nsample,0,0,"1\r\n"\r\nsample,0,0,x\r\n')
+        assert _outcome(load_trace, str(path)) == (
+            "error", 2, "line 2: quoted field left open at the end of the line")
+        assert _outcome(_line_by_line_load_trace, str(path))[:2] == ("error", 3)
+
+    def test_quote_left_open_on_last_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'op,row,col,count\r\nread,0,0,1\r\nsample,0,0,"1')
+        assert _outcome(load_trace, str(path))[:2] == ("error", 3)
+        records, _ = _line_by_line_load_trace(str(path))  # csv closed it at end of file
+        assert records[-1] == TraceRecord("sample", 0, 0, 1)
+
+    def test_quote_left_open_before_distinct_lines(self, tmp_path):
+        """The line-by-line parser read on to csv's field size limit and
+        raised ``csv.Error``, which the CLI did not catch."""
+        path = tmp_path / "t.csv"
+        lines = "".join(f"sample,{i},0,1\r\n" for i in range(20_000))
+        path.write_text('op,row,col,count\r\nread,0,0,1\r\nsample,"0,0,1\r\n' + lines, newline="")
+        assert _outcome(load_trace, str(path))[:2] == ("error", 3)
+        with pytest.raises(csv.Error, match="field limit"):
+            _line_by_line_load_trace(str(path))
+
+    @pytest.mark.parametrize("k", [_WRITE_RUN - 1, _WRITE_RUN, _WRITE_RUN + 1, 3 * _WRITE_RUN + 2])
+    def test_save_run_lengths(self, k):
+        records = mc_trace(k, 3)
+        dest = _Writes()
+        save_trace(records, dest)
+        text = "".join(dest.calls)
+        assert text == (f"op,row,col,count\r\ncompute,,,{3 * k}\r\n"
+                        + "sample,0,0,1\r\n" * k + "write,0,1,1\r\n")
+        assert text == _line_by_line_save(records)
+        assert max(len(call) for call in dest.calls) == len("sample,0,0,1\r\n") * min(k, _WRITE_RUN)
+
+    def test_save_equal_records_that_are_not_shared(self):
+        a, b, c = TraceRecord("sample", 0, 0, 1), TraceRecord("sample", 0, 0, 1), TraceRecord("read", 1, 0, 1)
+        for records in ([a, b], [a, b, a, c, b, b], [c, a] + [b] * (_WRITE_RUN + 1) + [a]):
+            out = io.StringIO(newline="")
+            save_trace(records, out)
+            assert out.getvalue() == _line_by_line_save(records)
+
+    def test_save_formats_integral_fields_as_csv_does(self):
+        records = [TraceRecord("sample", np.int64(3), np.int32(0), np.int64(2)),
+                   TraceRecord("compute", None, None, 2**70), TraceRecord("read", 10**12, 7, 1)]
+        out = io.StringIO(newline="")
+        save_trace(records, out)
+        assert out.getvalue() == _line_by_line_save(records)
+
+    @settings(max_examples=60)
+    @given(runs=st.lists(st.tuples(
+        st.sampled_from(TRACE_OPS), st.integers(0, 3), st.integers(1, 3),
+        st.one_of(st.integers(1, 3), st.integers(1, 3 * _WRITE_RUN)), st.booleans()), max_size=8))
+    def test_save_and_aggregate_match_line_by_line(self, runs):
+        """Runs of shared records, and runs of equal records built anew."""
+        records = []
+        for op, addr, count, k, shared in runs:
+            make = lambda: TraceRecord(op, addr, addr, count)  # noqa: E731
+            records += [make()] * k if shared else [make() for _ in range(k)]
+        out = io.StringIO(newline="")
+        save_trace(iter(records), out)
+        assert out.getvalue() == _line_by_line_save(records)
+        expected = {op: sum(r.count for r in records if r.op == op) for op in TRACE_OPS}
+        spec = aggregate(iter(records))
+        assert (spec.n_ops, spec.det_accesses, spec.stoch_accesses) == (
+            expected["compute"], expected["read"] + expected["write"], expected["sample"])
