@@ -339,6 +339,9 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             raise ConfigError("<grid>", f"invalid JSON: {exc}") from exc
     if not isinstance(grid, dict):
         raise ConfigError("<grid>", "grid document must be a JSON object")
+    for dim, values in grid.items():
+        if not isinstance(values, list):
+            raise ConfigError("<grid>", f"sweep dimension {dim!r} must be a JSON array, got {values!r}")
     workload = None if args.workload is None else _workload(parser, args.workload, args.shape)
     _resolve_seed(args.seed, config.seed)  # validated as on every command; a sweep draws nothing
     sim_config = SimConfig(arch=config.arch, backend=config.backend, mode=config.mode)

@@ -71,12 +71,17 @@ def require_finite(name: str, value, lo: float = -math.inf, hi: float = math.inf
 def parse_number(text: str, kind: type = int):
     """``text`` as this package's CSV writers write an ``int`` (ASCII digits
     alone) or a ``float`` (ASCII, no underscore or surrounding space), where
-    ``int()`` and ``float()`` also take underscores, spaces and other digits."""
-    if not (text.isascii() and (text.isdigit() if kind is int else
-                                "_" not in text and text == text.strip())):
-        what = "unsigned ASCII digits" if kind is int else "a number"
-        raise DomainError(f"expected {what}, got {text!r}")
-    return kind(text)
+    ``int()`` and ``float()`` also take underscores, spaces and other digits.
+    Text ``kind`` rejects, such as ``1.0.0`` or more digits than ``int()``
+    converts, raises DomainError too."""
+    if text.isascii() and (text.isdigit() if kind is int else
+                           "_" not in text and text == text.strip()):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    what = "unsigned ASCII digits" if kind is int else "a number"
+    raise DomainError(f"expected {what}, got {text!r}")
 
 
 class AddressError(EntropyRooflineError, IndexError):

@@ -15,7 +15,7 @@ field for field, to composing the public estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -272,20 +272,7 @@ class FidelityReport:
     degenerate: bool
 
     def to_dict(self) -> Dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "ks_statistic": self.ks_statistic,
-            "ks_critical": self.ks_critical,
-            "ks_pass": self.ks_pass,
-            "autocorr": self.autocorr,
-            "min_entropy_per_sample": self.min_entropy_per_sample,
-            "tail_truncation": self.tail_truncation,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 Subject = Union[SourceSpec, SourceHandle, ShapingPipelineSpec]

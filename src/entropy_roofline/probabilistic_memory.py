@@ -43,10 +43,9 @@ in every primitive and anywhere in a batch.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -180,15 +179,7 @@ class CostReport:
         return replace(self)
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "total_reads": self.total_reads,
-            "total_writes": self.total_writes,
-            "total_samples": self.total_samples,
-            "bytes_moved": self.bytes_moved,
-            "entropy_bits_consumed": self.entropy_bits_consumed,
-            "energy_pj": self.energy_pj,
-            "shaping_ops": self.shaping_ops,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -563,30 +554,42 @@ CELLS_CSV_FIELDS = ("addr_row", "addr_col", "family", "mu", "sigma_or_p")
 
 
 def save_array_csv(array: PMemArray, path: str) -> None:
-    """Dump all cells; initialization data, not simulated traffic."""
+    """Dump all cells; initialization data, not simulated traffic.  Lines
+    end in CRLF and no field is quoted: families are names, the rest numbers."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CELLS_CSV_FIELDS)
+        fh.write(",".join(CELLS_CSV_FIELDS) + "\r\n")
         for r in range(array.rows):
             for c in range(array.cols):
                 spec = array.cell((r, c))
-                writer.writerow([r, c, spec.family, repr(spec.mu), repr(spec.sigma_or_p)])
+                fh.write("{},{},{},{!r},{!r}\r\n".format(r, c, spec.family, spec.mu, spec.sigma_or_p))
 
 
 def load_array_csv(path: str, backend: BackendConfig,
                    bytes_per_element: int = 4,
                    bits_per_raw_sample: int = 32) -> PMemArray:
-    """Build a fresh array from a cells CSV; counters start at zero."""
+    """Build a fresh array from a cells CSV; counters start at zero.
+
+    Each physical line is one row of comma-separated fields, as
+    ``save_array_csv`` writes it; fields are neither stripped nor unquoted,
+    and empty lines are skipped.
+    """
     entries = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CELLS_CSV_FIELDS:
-            raise DomainError(f"bad cells CSV header in {path!r}: {reader.fieldnames!r}")
-        for row in reader:
+        header = next(fh, None)
+        fields = None if header is None else header.rstrip("\r\n").split(",")
+        if fields is None or tuple(fields) != CELLS_CSV_FIELDS:
+            raise DomainError(f"bad cells CSV header in {path!r}: {fields!r}")
+        for line_no, line in enumerate(fh, start=2):
+            row = line.rstrip("\r\n").split(",")
+            if row == [""]:
+                continue  # empty lines
+            if len(row) != len(CELLS_CSV_FIELDS):
+                raise DomainError(f"line {line_no} of {path!r}: expected {len(CELLS_CSV_FIELDS)} "
+                                  f"fields, got {len(row)}")
+            *address, family, mu, sp = row
             r, c = (-parse_number(t[1:]) if t[:1] == "-" else parse_number(t)  # bounds reject < 0
-                    for t in (row["addr_row"], row["addr_col"]))
-            family = row["family"]
-            mu, sp = parse_number(row["mu"], float), parse_number(row["sigma_or_p"], float)
+                    for t in address)
+            mu, sp = parse_number(mu, float), parse_number(sp, float)
             if family == FAMILY_GAUSSIAN:
                 spec = DistributionSpec.gaussian(mu, sp)
             elif family == FAMILY_BERNOULLI:

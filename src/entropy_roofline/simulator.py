@@ -100,6 +100,7 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
 
 _REGIMES = np.array(list(RegimeLabel), dtype=object)  # by code: 0 compute, 1 data, 2 entropy
 _RESULT_FIELDS = ("elapsed_time", "achieved_phi", "achieved_beta", "regime")
+_ABSENT = object()  # beta_rand missing from a grid, where a null is a bad value
 
 
 def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
@@ -190,9 +191,9 @@ def _grid_configs(config: SimConfig, grid: Dict[str, Sequence]) -> List[SimConfi
     """Every (beta_rand, backend, mode) config of the grid, in row order.
     Each arch is built once per beta_rand, each backend once per pair."""
     configs = []
-    for beta_rand in grid.get("beta_rand", [None]):
+    for beta_rand in grid.get("beta_rand", [_ABSENT]):
         arch, base = config.arch, config.backend
-        if beta_rand is not None:
+        if beta_rand is not _ABSENT:
             require_finite("beta_rand", beta_rand, 0.0, math.inf, "()")  # float() takes True and "1e9"
             arch = replace(arch, beta_rand=float(beta_rand))
             base = replace(base, rng_rate=float(beta_rand))

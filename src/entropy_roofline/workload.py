@@ -13,7 +13,6 @@ count is added once, and its records share one frozen ``TraceRecord``.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from itertools import groupby, repeat
@@ -62,7 +61,7 @@ class WorkloadSpec:
         return self.n_ops / self.total_accesses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     op: str
     row: Optional[int]
@@ -211,11 +210,11 @@ def aggregate(records: Iterable[TraceRecord], name: str = "trace") -> WorkloadSp
 def save_trace(records: Iterable[TraceRecord], dest: Union[str, TextIO]) -> None:
     """Write ``records`` as trace CSV to the path or open text file ``dest``.
 
-    Lines end in CRLF, as the csv module writes them; no field needs its
-    quoting (ops are names, the rest digits).  A file object writes the
-    same bytes as a path when it does not translate line ends, as with
-    ``open(..., newline="")`` or ``sys.stdout`` on POSIX.  A run of equal
-    records is formatted once and written ``_WRITE_RUN`` lines at a time.
+    Lines end in CRLF and no field is quoted: ops are names, the rest
+    digits.  A file object writes the same bytes as a path when it does not
+    translate line ends, as with ``open(..., newline="")`` or ``sys.stdout``
+    on POSIX.  A run of equal records is formatted once and written
+    ``_WRITE_RUN`` lines at a time.
     """
     if isinstance(dest, str):
         with open(dest, "w", newline="") as fh:
@@ -234,28 +233,24 @@ def save_trace(records: Iterable[TraceRecord], dest: Union[str, TextIO]) -> None
 def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     """Parse a trace CSV; malformed lines report their 1-based line number.
 
-    Each line is one row: a quoted field left open at its end is an error.
-    A run of equal lines, and the next lines whose fields equal its, share
-    one record.  The workload is named by the file's base name, so one trace
-    gives one workload however its path is spelled.
+    Each physical line is one row of comma-separated fields, as
+    ``save_trace`` writes it; fields are stripped, never unquoted, so a
+    quoted field fails its own check on its own line.  Blank lines are
+    skipped.  A run of equal lines, and the next lines whose fields equal
+    its, share one record.  The workload is named by the file's base name,
+    so one trace gives one workload however its path is spelled.
     """
     records: List[TraceRecord] = []
     totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
     with open(path, newline="") as fh:
-        header = next(csv.reader([next(fh, "")]), [])  # readline() keeps an 8 KiB tell() snapshot
+        header = next(fh, "").rstrip("\r\n").split(",")  # readline() keeps an 8 KiB tell() snapshot
         if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
             raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
         line_no, last_row, last = 2, None, None
-        pending: List[str] = []  # csv's input, one line per row: a row that runs on finds it empty
-        rows = csv.reader(iter(pending.pop, None))
         for line, k in _runs(fh):
-            pending.append(line)
-            try:
-                row = next(rows)
-            except IndexError:
-                raise TraceParseError(line_no, "quoted field left open at the end of the line") from None
+            row = line.rstrip("\r\n").split(",")
             if row != last_row:
-                if not row or (len(row) == 1 and not row[0].strip()):
+                if not line.strip():
                     line_no += k
                     continue  # blank lines
                 if len(row) != 4:

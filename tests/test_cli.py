@@ -202,6 +202,18 @@ class TestSimulate:
         doc = json.loads(out.read_text())
         assert doc["result"]["cost"]["total_samples"] == 16 * 8 * 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("op,row,col,count\r\nread,0,0,1\r\nsample,0,0," + "7" * 140_000 + "\r\n", 3),
+        ("o" * 140_000 + "\r\nread,0,0,1\r\n", 1),
+    ], ids=["count", "header"])
+    def test_field_longer_than_csv_limit_exits_3(self, tmp_path, capsys, text, line):
+        """A field past the csv module's 131,072-character limit is a trace
+        error on its line, not a traceback."""
+        trace = tmp_path / "t.csv"
+        trace.write_text(text, newline="")
+        assert run_cli("simulate", "--trace", str(trace)) == 3
+        assert f"trace error: line {line}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--shape", "1,2"), ("--workload", "bnn")])
     def test_generator_flag_with_trace_exits_2(self, flag, value, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -370,6 +382,16 @@ class TestSweep:
             assert run_cli("sweep", "--grid", grid, "--out", str(out)) == 3
             assert "config error: <grid>:" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"alpha": 0.5}, "sweep dimension 'alpha' must be a JSON array, got 0.5"),
+        ({"beta_rand": [None]}, "beta_rand must be a finite number in (0.0, inf), got None"),
+    ])
+    def test_grid_value_shape_exits_3(self, tmp_path, capsys, payload, message):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--grid", self.grid(tmp_path, payload), "--out", str(out)) == 3
+        assert f"config error: <grid>: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_grid_exits_4(self, tmp_path):
         assert run_cli("sweep", "--grid", str(tmp_path / "nope.json")) == 4

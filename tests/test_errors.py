@@ -1,5 +1,6 @@
 """Tests for the shared numeric checks and for their use at every spec boundary."""
 
+import ast
 import math
 import pathlib
 import re
@@ -12,7 +13,7 @@ import pytest
 from entropy_roofline import errors
 from entropy_roofline.distribution_shaping import ShapingPipelineSpec
 from entropy_roofline.entropy_sources import EntropyStream, NonidealitySpec, SourceSpec
-from entropy_roofline.errors import DomainError, require_finite, require_int
+from entropy_roofline.errors import DomainError, parse_number, require_finite, require_int
 from entropy_roofline.fidelity import FidelityConfig
 from entropy_roofline.perf_model import ArchParams
 from entropy_roofline.probabilistic_memory import BackendConfig
@@ -57,6 +58,24 @@ class TestRequireFinite:
         assert info.value.name == "seed"
         assert str(info.value) == "seed must be an integer, got 1.5"
         assert DomainError("other").name is None
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("abc", float), ("", float), ("1.0.0", float), (" 1.5", float), ("1_0.5", float),
+    ("", int), ("-1", int), ("1.5", int), ("\u0663", int), pytest.param("7" * 5000, int, id="5000-digits"),
+])
+def test_parse_number_rejects_text_its_writers_never_write(text, kind):
+    with pytest.raises(DomainError) as info:
+        parse_number(text, kind)
+    assert str(info.value).endswith(f", got {text!r}")
+
+
+@pytest.mark.parametrize("text, kind, value", [
+    ("0", int, 0), ("007", int, 7), pytest.param("7" * 4300, int, int("7" * 4300), id="4300-digits"),
+    ("-0.0", float, -0.0), ("1e-300", float, 1e-300), ("2.5", float, 2.5),
+])
+def test_parse_number_reads_what_its_writers_write(text, kind, value):
+    assert parse_number(text, kind) == value
 
 
 # Every numeric field of every spec gets each of VALUES.  A field kind lists
@@ -122,5 +141,19 @@ def test_numeric_checks_live_only_in_errors():
         f"{path.name}:{no}: {line.strip()}"
         for path in sorted(package.glob("*.py")) if path.name != "errors.py"
         for no, line in enumerate(path.read_text().splitlines(), start=1) if copy.search(line)
+    ]
+    assert found == []
+
+
+def test_no_module_imports_csv():
+    """Both CSV formats are one comma-split line per row, with no quoting;
+    the csv module's quoting and field limit would take that back."""
+    package = pathlib.Path(errors.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] in ("csv", "_csv") for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in ("csv", "_csv")
     ]
     assert found == []

@@ -1,5 +1,7 @@
 """Tests for the unified memory primitives and backend cost models."""
 
+import csv
+import io
 import math
 from dataclasses import fields
 
@@ -747,6 +749,14 @@ class TestCsvRoundTrip:
         "0,0,point_mass,\u0661.5,0",
         "0,0,gaussian,1.0, 0.5",
         "0, 1,point_mass,1.0,0",
+        "0,0,point_mass,1.0",  # a short row
+        "0,0,point_mass,1.0,0.0,",  # long rows
+        "0,0,point_mass,1.0,0.0,extra",
+        '"0",0,point_mass,1.0,0.0',  # a quoted field is no number or family
+        '0,0,"point_mass",1.0,0.0',
+        "  ",  # a whitespace-only line is a one-field row
+        "0,0,point_mass,,0.0",  # text float() rejects
+        "0,0,point_mass,1.0.0,0.0",
     ])
     def test_fields_parse_as_save_writes_them(self, tmp_path, line):
         path = tmp_path / "cells.csv"
@@ -759,3 +769,41 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DomainError):
             load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
+
+    @pytest.mark.parametrize("text", ["", "\n", "addr_row,addr_col,family,mu,sigma_or_p\n"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "cells.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
+
+    def test_save_writes_what_csv_writer_writes(self, tmp_path):
+        arr = fresh(rows=3, cols=2)
+        arr.write((0, 0), DistributionSpec.gaussian(-1e-300, 2.5e10))
+        arr.write((0, 1), DistributionSpec.bernoulli(1 / 3))
+        arr.write((1, 0), -0.0)
+        arr.write((2, 1), 123456789.125)
+        path = tmp_path / "cells.csv"
+        save_array_csv(arr, str(path))
+        oracle = io.StringIO(newline="")
+        writer = csv.writer(oracle)
+        writer.writerow(("addr_row", "addr_col", "family", "mu", "sigma_or_p"))
+        for r in range(arr.rows):
+            for c in range(arr.cols):
+                spec = arr.cell((r, c))
+                writer.writerow([r, c, spec.family, repr(spec.mu), repr(spec.sigma_or_p)])
+        assert path.read_bytes() == oracle.getvalue().encode()
+
+    def test_field_count_error_names_line(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("addr_row,addr_col,family,mu,sigma_or_p\r\n0,0,point_mass,1.0,0.0\r\n"
+                        "\r\n0,1,point_mass\r\n", newline="")
+        with pytest.raises(DomainError, match="^line 4 of .*: expected 5 fields, got 3$"):
+            load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
+
+    def test_empty_lines_skipped(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("addr_row,addr_col,family,mu,sigma_or_p\r\n\r\n0,1,point_mass,2.0,0.0\n\n",
+                        newline="")
+        loaded = load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
+        assert (loaded.rows, loaded.cols) == (1, 2) and loaded.cell((0, 1)).mu == 2.0

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropy_roofline.errors import (
@@ -137,6 +137,12 @@ class TestTraceRecords:
 
     def test_compute_without_address(self):
         TraceRecord("compute", None, None, 5)
+
+    def test_frozen_with_slots(self):
+        rec = TraceRecord("read", 0, 0, 1)
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.count = 2
 
     def test_count_positive(self):
         with pytest.raises(DomainError):
@@ -307,8 +313,8 @@ class TestSharedRecords:
 
     def test_memory_budget_distinct_lines(self, tmp_path):
         """A trace whose every line differs keeps no list of runs: loading
-        the bnn trace peaks at no more per record than the line-by-line
-        parser did (168.4 B on Python 3.11, rounded up to 169 B)."""
+        the bnn trace peaks at 127.9 B per record on Python 3.11, rounded up
+        to 129 B (168.4 B before records had slots)."""
         records = bnn_trace(128, 256, 4)
         path = tmp_path / "bnn.csv"
         save_trace(records, str(path))
@@ -320,7 +326,7 @@ class TestSharedRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(loaded) <= 169.0
+        assert peak / len(loaded) <= 129.0
 
 
 # ------------------------------------------------------------------------
@@ -399,10 +405,8 @@ class _Writes:
 
 
 def _spell(value):
-    """``value`` as one CSV field: mostly plain, else padded or quoted."""
-    quoted = '"' + value.replace('"', '""') + '"'
-    return st.sampled_from([value] * 8 + [f" {value}", f"{value}  ", f"\t{value} ", quoted,
-                            f" {quoted}", f"{quoted} ", f"{quoted}{value}"])
+    """``value`` as one unquoted CSV field: mostly plain, else padded."""
+    return st.sampled_from([value] * 8 + [f" {value}", f"{value}  ", f"\t{value} "])
 
 
 _SMALL = st.one_of(st.integers(0, 2), st.integers(0, 300)).map(str)
@@ -417,7 +421,7 @@ def _trace_line(draw):
     one.  Small numbers recur, so equal records spelled apart meet."""
     kind = draw(st.sampled_from(["record"] * 12 + ["blank", "fields", "malformed"]))
     if kind == "blank":
-        return draw(st.sampled_from(["", " ", "\t  ", '""', '" "', '"" ']))
+        return draw(st.sampled_from(["", " ", "\t  "]))
     if kind == "fields":
         return draw(st.sampled_from(["sample,0,0", "sample,0,0,1,2", "sample", ",,,,", "read,0,0,1,"]))
     op = draw(st.sampled_from(TRACE_OPS)) if kind == "record" else draw(_OP)
@@ -426,9 +430,7 @@ def _trace_line(draw):
         numbers[draw(st.integers(0, 2))] = draw(_NUMBER)
     elif op == "compute" and draw(st.booleans()):
         numbers[:2] = ["", ""]
-    line = ",".join([draw(_spell(op))] + [draw(_spell(n)) for n in numbers])
-    assume(len(list(csv.reader([line, ""]))) == 2)  # every quote it opens closes on the line
-    return line
+    return ",".join([draw(_spell(op))] + [draw(_spell(n)) for n in numbers])
 
 
 @st.composite
@@ -466,13 +468,26 @@ class TestRunLengthTraceIO:
     def test_quoted_field_may_not_span_lines(self, tmp_path):
         """Line numbers are physical lines.  The line-by-line parser read a
         quoted field on into the next line and then numbered csv rows, one
-        behind the lines; ``load_trace`` stops at the line that leaves the
-        quote open."""
+        behind the lines; ``load_trace`` stops at the line with the quote."""
         path = tmp_path / "t.csv"
         path.write_bytes(b'op,row,col,count\r\nsample,0,0,"1\r\n"\r\nsample,0,0,x\r\n')
         assert _outcome(load_trace, str(path)) == (
-            "error", 2, "line 2: quoted field left open at the end of the line")
+            "error", 2, "line 2: expected unsigned ASCII digits, got '\"1'")
         assert _outcome(_line_by_line_load_trace, str(path))[:2] == ("error", 3)
+
+    @pytest.mark.parametrize("line, message", [
+        ('"sample",0,0,1', "unknown trace op '\"sample\"'"),
+        ('sample,"0",0,1', "expected unsigned ASCII digits, got '\"0\"'"),
+        ('compute,"","",4', "expected unsigned ASCII digits, got '\"\"'"),
+        ('"sample,0,0,1"', "expected unsigned ASCII digits, got '1\"'"),
+        ('""', "expected 4 fields, got 1"),
+    ], ids=["op", "row", "empty-address", "whole-line", "empty-field"])
+    def test_quoted_line_is_an_error_on_its_own_line(self, tmp_path, line, message):
+        """Neither the writer nor any field's syntax quotes, so a quote is
+        read as part of its field and fails that field's check."""
+        path = tmp_path / "t.csv"
+        path.write_text(f"op,row,col,count\r\nread,0,0,1\r\n{line}\r\nread,0,0,1\r\n", newline="")
+        assert _outcome(load_trace, str(path)) == ("error", 3, f"line 3: {message}")
 
     def test_quote_left_open_on_last_line(self, tmp_path):
         path = tmp_path / "t.csv"
