@@ -17,6 +17,7 @@ from statistics import NormalDist
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import DomainError, require_finite, require_int
 
@@ -87,7 +88,9 @@ def box_muller(u1: ArrayLike, u2: ArrayLike):
     """Standard-normal pair from uniforms u1 in (0, 1], u2 in [0, 1).
 
     z1 = sqrt(-2 ln u1) cos(2 pi u2), z2 = sqrt(-2 ln u1) sin(2 pi u2).
-    Callers must keep u1 away from 0 (map u <- 1 - u upstream).
+    Callers must keep u1 away from 0 (map u <- 1 - u upstream).  Two scalars
+    go through ``math``, anything else through ``box_muller_block``; both are
+    libm, so they agree bit for bit.
     """
     if np.isscalar(u1) and np.isscalar(u2):
         if not (0.0 < u1 <= 1.0):
@@ -103,9 +106,18 @@ def box_muller(u1: ArrayLike, u2: ArrayLike):
         raise DomainError("u1 must lie in (0, 1]")
     if np.any(u2a < 0.0) or np.any(u2a >= 1.0):
         raise DomainError("u2 must lie in [0, 1)")
-    r = np.sqrt(-2.0 * np.log(u1a))
-    theta = 2.0 * math.pi * u2a
-    return r * np.cos(theta), r * np.sin(theta)
+    return box_muller_block(u1a, u2a)
+
+
+def box_muller_block(u1: np.ndarray, u2: np.ndarray, sine: bool = True):
+    """``box_muller`` over float64 arrays in its domain, unchecked; z2 is None
+    without ``sine``.  Every array Box-Muller runs here, on libm alone, so no
+    byte depends on the CPU: ``xlogy(1.0, u1)`` is libm's ``log`` in a scalar
+    C loop, where numpy's AVX-512 ``log`` differs in the last bit, and numpy's
+    ``cos`` and ``sin`` equal libm under every dispatch."""
+    r = np.sqrt(-2.0 * xlogy(1.0, u1))
+    theta = 2.0 * math.pi * u2
+    return r * np.cos(theta), r * np.sin(theta) if sine else None
 
 
 def bernoulli_from_uniform(u: ArrayLike, p: float):
@@ -227,11 +239,7 @@ def run_pipeline(spec: ShapingPipelineSpec, uniforms: np.ndarray) -> np.ndarray:
     if spec.method == METHOD_BOX_MULLER:
         if u.shape[0] % 2 != 0:
             raise DomainError("box_muller consumes uniforms in pairs")
-        z1, z2 = box_muller(1.0 - u[0::2], u[1::2])
-        out = np.empty(u.shape[0], dtype=np.float64)
-        out[0::2] = z1
-        out[1::2] = z2
-        return out
+        return np.column_stack(box_muller(1.0 - u[0::2], u[1::2])).ravel()  # z1, z2 interleaved
     if spec.method == METHOD_INVERSE_CDF:
         table = InverseCdfTable.for_family(spec.family, spec.n_entries)
         return np.asarray(table.sample(u), dtype=np.float64)

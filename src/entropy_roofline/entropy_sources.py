@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distribution_shaping import box_muller
+from .distribution_shaping import box_muller, box_muller_block
 from .errors import DomainError, require_finite, require_int
 
 # Boltzmann constant, J/K (2019 SI exact value).
@@ -108,15 +108,13 @@ def _uniform_scalar(key: int, counter: int) -> float:
 def _normal_block(key: int, start_index: int, n: int) -> np.ndarray:
     """Standard normals; sample ``i`` consumes counters (2i, 2i+1).
 
-    Uses the cosine branch of a Box-Muller pair per sample, so every sample
-    index maps to a fixed counter pair and block boundaries cannot shift the
+    The cosine branch of ``box_muller_block`` alone, so every sample index
+    maps to a fixed counter pair and block boundaries cannot shift the
     stream.  u1 is mapped to (0, 1] via u -> 1 - u to dodge log(0).
     """
     u = _uniform_block(key, 2 * start_index, 2 * n)
-    u1 = 1.0 - u[0::2]
-    u2 = u[1::2]
-    z1, _ = box_muller(u1, u2)
-    return np.asarray(z1, dtype=np.float64)
+    z1, _ = box_muller_block(1.0 - u[0::2], u[1::2], sine=False)
+    return z1
 
 
 # ------------------------------------------------------------------------
@@ -408,10 +406,8 @@ class EntropyStream:
         where ``normal[i]`` is true, else ``float(next_bit(p[i]))``.
 
         Bit-identical to those calls made in order, and advances the cursor
-        by the same number of words; all words come from one block.  The
-        two transcendental steps of the normals run through libm
-        (``math.log``, ``math.cos``) as in ``next_normal``: numpy's SIMD
-        ``log`` differs from it in the last bit on some inputs.
+        by the same number of words; all words come from one block, and the
+        normals from one ``box_muller_block`` (libm, as ``next_normal``).
         """
         normal = np.asarray(normal, dtype=bool)
         p = np.asarray(p, dtype=np.float64)
@@ -425,10 +421,7 @@ class EntropyStream:
         u = _uniform_block(self._key, self._pos, n_words)
         out = (u[offsets] < p).astype(np.float64)
         first = offsets[normal]
-        u1 = 1.0 - u[first]
-        theta = 2.0 * math.pi * u[first + 1]
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, memoryview(u1)), np.float64, u1.size))
-        out[normal] = r * np.fromiter(map(math.cos, memoryview(theta)), np.float64, theta.size)
+        out[normal], _ = box_muller_block(1.0 - u[first], u[first + 1], sine=False)
         self._pos += n_words
         return out
 

@@ -73,15 +73,18 @@ def parse_number(text: str, kind: type = int):
     alone) or a ``float`` (ASCII, no underscore or surrounding space), where
     ``int()`` and ``float()`` also take underscores, spaces and other digits.
     Text ``kind`` rejects, such as ``1.0.0`` or more digits than ``int()``
-    converts, raises DomainError too."""
+    converts, raises DomainError too, echoing at most its first 40 characters."""
     if text.isascii() and (text.isdigit() if kind is int else
                            "_" not in text and text == text.strip()):
         try:
             return kind(text)
         except ValueError:
             pass
-    what = "unsigned ASCII digits" if kind is int else "a number"
-    raise DomainError(f"expected {what}, got {text!r}")
+    too_long = kind is int and text.isascii() and text.isdigit()  # digits int() refused
+    what = f"no more than {sys.get_int_max_str_digits():,} digits" if too_long else (
+        "unsigned ASCII digits" if kind is int else "a number")
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
+    raise DomainError(f"expected {what}, got {shown}")
 
 
 class AddressError(EntropyRooflineError, IndexError):

@@ -583,21 +583,17 @@ def load_array_csv(path: str, backend: BackendConfig,
             row = line.rstrip("\r\n").split(",")
             if row == [""]:
                 continue  # empty lines
-            if len(row) != len(CELLS_CSV_FIELDS):
-                raise DomainError(f"line {line_no} of {path!r}: expected {len(CELLS_CSV_FIELDS)} "
-                                  f"fields, got {len(row)}")
-            *address, family, mu, sp = row
-            r, c = (-parse_number(t[1:]) if t[:1] == "-" else parse_number(t)  # bounds reject < 0
-                    for t in address)
-            mu, sp = parse_number(mu, float), parse_number(sp, float)
-            if family == FAMILY_GAUSSIAN:
-                spec = DistributionSpec.gaussian(mu, sp)
-            elif family == FAMILY_BERNOULLI:
-                spec = DistributionSpec.bernoulli(sp)
-            elif family == FAMILY_POINT_MASS:
-                spec = DistributionSpec.point_mass(mu)
-            else:
-                raise DomainError(f"unknown family {family!r} in {path!r}")
+            try:
+                if len(row) != len(CELLS_CSV_FIELDS):
+                    raise DomainError(f"expected {len(CELLS_CSV_FIELDS)} fields, got {len(row)}")
+                *address, family, mu, sp = row
+                r, c = (-parse_number(t[1:]) if t[:1] == "-" else parse_number(t)  # bounds reject < 0
+                        for t in address)
+                mu, sp = parse_number(mu, float), parse_number(sp, float)
+                kwargs = {FAMILY_GAUSSIAN: {"mu": mu, "sigma": sp}, FAMILY_BERNOULLI: {"p": sp}}
+                spec = DistributionSpec(family, **kwargs.get(family, {"mu": mu}))  # checks the family
+            except DomainError as exc:
+                raise DomainError(f"line {line_no} of {path!r}: {exc}", exc.name) from exc
             entries.append((r, c, spec))
     if not entries:
         raise DomainError(f"empty cells CSV {path!r}")

@@ -230,8 +230,8 @@ def sweep(
     for dim, values in grid.items():
         if dim not in SWEEP_DIMENSIONS:
             raise DomainError(f"unknown sweep dimension {dim!r}; valid: {', '.join(SWEEP_DIMENSIONS)}")
-        if len(values) == 0:
-            raise DomainError(f"sweep dimension {dim!r} has no values")
+        if not isinstance(values, (list, tuple)) or not values:
+            raise DomainError(f"sweep dimension {dim!r} must be a non-empty list or tuple, got {values!r}")
     require_int("base_accesses", base_accesses, 0)
 
     if workload is None or "alpha" in grid or "ai" in grid:

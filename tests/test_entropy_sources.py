@@ -303,7 +303,7 @@ class TestEntropyStream:
             EntropyStream(seed=1).next_bit(1.5)
 
     def test_next_block_normals_equal_next_normal(self):
-        # pins the libm log/cos choice: numpy's SIMD log differs in the last bit
+        # one libm Box-Muller behind both: numpy's AVX-512 log differs in the last bit
         n = 100_000
         block = EntropyStream(seed=21, stream_id=3)
         block.position = 7

@@ -67,7 +67,25 @@ class TestRequireFinite:
 def test_parse_number_rejects_text_its_writers_never_write(text, kind):
     with pytest.raises(DomainError) as info:
         parse_number(text, kind)
-    assert str(info.value).endswith(f", got {text!r}")
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
+    assert str(info.value).endswith(shown)
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    pytest.param("7" * 5000, int, f"expected no more than 4,300 digits, got '{'7' * 40}'... (5,000 characters)",
+                 id="5000-digits"),
+    pytest.param("7" * 140_000, int, f"expected no more than 4,300 digits, got '{'7' * 40}'... (140,000 characters)",
+                 id="140000-digits"),
+    pytest.param("7" * 39 + "x", int, f"expected unsigned ASCII digits, got '{'7' * 39}x'", id="40-characters"),
+    pytest.param("7" * 40 + "x", int, f"expected unsigned ASCII digits, got '{'7' * 40}'... (41 characters)",
+                 id="41-characters"),
+    pytest.param("1" * 99 + ".0.0", float, f"expected a number, got '{'1' * 40}'... (103 characters)",
+                 id="103-characters"),
+])
+def test_parse_number_error_echoes_at_most_40_characters(text, kind, message):
+    with pytest.raises(DomainError) as info:
+        parse_number(text, kind)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text, kind, value", [

@@ -2,14 +2,20 @@
 
 Each case runs one command into ``--out`` and compares the file's sha256 with
 the value recorded for this release, so a refactor that moves any output byte
-fails here.
+fails here.  The draws behind those bytes must not depend on which SIMD loops
+numpy dispatches to on the host CPU; ``test_bytes_do_not_depend_on_numpy_dispatch``
+checks that.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import entropy_roofline
 from entropy_roofline.cli import main
 
 BACKENDS = ("von_neumann", "coupled_pcim", "decoupled_near_memory", "decoupled_in_memory")
@@ -85,8 +91,8 @@ CASES["gen-trace-mc-default"] = ["gen-trace", "--workload", "mc"]
 CASES["simulate-trace-mc-default"] = ["simulate", "--trace", "{mc_trace}"]
 
 EXPECTED = {
-    "fidelity-normal": "e49d62ef5e6c0a3a2fdd7159db24bf5cfe569778e6ab1b140803ac09457287ce",
-    "fidelity-uniform": "7e336bd84a64871618b3f3a7fa194ff19f4ee92cf3f7299e7105c3a64d71ac01",
+    "fidelity-normal": "ea141c6920c89927e641a957dcac5143dc196afcc47bc26c5cef75e02191d629",
+    "fidelity-uniform": "6c3b8c7761dfcf9b02bc0e88b67766b1f137aa3442905db1407c1eb1354def14",
     "gen-trace-bnn": "bb0b792b46f2a9d93f2db784a73f1fe8805e9d451c4f4da6055fce567fe7371c",
     "gen-trace-conv": "96d68df7c16ff7b4a79722a839820c54febe39a1842229fba444a09c9c8b3572",
     "gen-trace-conv-stoch": "d52b122229772a6dff9974bce486f6164f23677996722cfeeae70f8449736476",
@@ -154,3 +160,52 @@ def test_every_case_has_one_digest():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_pinned(name, tmp_path):
     assert case_digest(name, tmp_path) == EXPECTED[name]
+
+
+# One "name sha256" line per output of every path that draws normals: the CLI
+# fidelity report, a thermal source, a mismatch map and a mixed batch_sample.
+DISPATCH_PROBE = """
+import hashlib, os, sys
+from entropy_roofline.cli import main
+from entropy_roofline.entropy_sources import EntropyStream, SourceSpec, create_source, mismatch_array
+from entropy_roofline.probabilistic_memory import BackendConfig, DistributionSpec, PMemArray
+
+def emit(name, data):
+    print(name, hashlib.sha256(data).hexdigest())
+
+for target in ("normal", "uniform"):
+    out = os.path.join(sys.argv[1], target + ".json")
+    assert main(["fidelity", "--samples", "100000", "--seed", "3", "--target", target, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        emit("fidelity-" + target, fh.read())
+emit("thermal", create_source(SourceSpec.thermal_gaussian(sigma=0.5, seed=3)).draw(100_000).tobytes())
+emit("mismatch", mismatch_array(SourceSpec.mismatch_static(0.01, seed=3), 300, 300).offsets.tobytes())
+array = PMemArray(100, 100, BackendConfig.von_neumann())
+addrs = [(r, c) for r in range(100) for c in range(100)]
+for k, addr in enumerate(addrs):
+    array.write(addr, DistributionSpec.bernoulli(0.3) if k % 4 == 3 else DistributionSpec.gaussian(k * 1e-3, 0.5))
+stream = EntropyStream(seed=3)
+values = [array.batch_sample(addrs, stream)[0] for _ in range(10)]
+emit("batch_sample", repr(values).encode())
+"""
+
+
+def test_bytes_do_not_depend_on_numpy_dispatch(tmp_path):
+    """Every output is the same with numpy's SIMD dispatch on and with every
+    dispatch target off, as on a host without AVX-512 (numpy's AVX-512
+    ``log`` differs from libm's in the last bit on some inputs)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    src = os.path.dirname(os.path.dirname(entropy_roofline.__file__))
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    base.pop("NPY_DISABLE_CPU_FEATURES", None)
+    digests = []
+    for disabled in (None, " ".join(__cpu_dispatch__)):
+        env = base if disabled is None else dict(base, NPY_DISABLE_CPU_FEATURES=disabled)
+        out = tmp_path / ("plain" if disabled is None else "scalar")
+        out.mkdir()
+        done = subprocess.run([sys.executable, "-c", DISPATCH_PROBE, str(out)], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(dict(line.split() for line in done.stdout.splitlines()))
+    assert len(digests[0]) == 5
+    assert digests[0] == digests[1]

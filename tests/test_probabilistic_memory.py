@@ -801,6 +801,20 @@ class TestCsvRoundTrip:
         with pytest.raises(DomainError, match="^line 4 of .*: expected 5 fields, got 3$"):
             load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
 
+    @pytest.mark.parametrize("line, message", [
+        ("0,1,point_mass,1.0.0,0.0", "expected a number, got '1.0.0'"),
+        ("0,x,point_mass,1.0,0.0", "expected unsigned ASCII digits, got 'x'"),
+        ("0,1,poisson,1.0,0.0", "unknown distribution family 'poisson'"),
+        ("0,1,gaussian,1.0,-0.5", "sigma must be a finite number in [0.0, inf), got -0.5"),
+        ("0,1,bernoulli,0.0,1.5", "p must be a finite number in [0.0, 1.0], got 1.5"),
+    ])
+    def test_row_error_names_line(self, tmp_path, line, message):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"addr_row,addr_col,family,mu,sigma_or_p\n0,0,point_mass,1.0,0.0\n\n{line}\n")
+        with pytest.raises(DomainError) as info:
+            load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
+        assert str(info.value) == f"line 4 of {str(path)!r}: {message}"
+
     def test_empty_lines_skipped(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("addr_row,addr_col,family,mu,sigma_or_p\r\n\r\n0,1,point_mass,2.0,0.0\n\n",

@@ -297,6 +297,17 @@ class TestSweep:
         with pytest.raises(DomainError, match="alpha"):
             sweep(cfg, {"alpha": []})
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"mode": "serialized"}, "sweep dimension 'mode' must be a non-empty list or tuple, got 'serialized'"),
+        ({"alpha": 0.5}, "sweep dimension 'alpha' must be a non-empty list or tuple, got 0.5"),
+    ])
+    def test_dimension_must_be_a_list_or_tuple(self, grid, message):
+        # a string would be swept character by character, a number has no len()
+        cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
+        with pytest.raises(DomainError) as info:
+            sweep(cfg, grid)
+        assert str(info.value) == message
+
     def test_unknown_dimension_rejected(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
         with pytest.raises(DomainError, match="voltage"):
