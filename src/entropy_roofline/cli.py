@@ -180,13 +180,13 @@ def _csv_text(schema: str, columns: Dict[str, List[str]]) -> str:
 
 
 def _cells(values: np.ndarray, shape: Sequence[int]) -> List[str]:
-    """``values`` broadcast to ``shape`` as CSV cells, each stored value
-    formatted once: a number by its repr, a kind, mode or label as it is."""
-    if values.dtype.kind == "f":
-        text = list(map(repr, values.ravel().tolist()))
-    else:
-        text = [v if isinstance(v, str) else repr(v) for v in values.ravel().tolist()]
-    return np.broadcast_to(np.array(text, dtype=object).reshape(values.shape), shape).ravel().tolist()
+    """``values`` broadcast to ``shape`` as CSV cells, a number by its repr and a label as it
+    is: each distinct float formatted once, each other stored value once (``1 == 1.0``)."""
+    flat, inverse = values.ravel(), slice(None)
+    if values.dtype.kind == "f":  # keyed on the bits, as -0.0 == 0.0 and NaN != NaN
+        flat, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = [v if isinstance(v, str) else repr(v) for v in flat.view(values.dtype).tolist()]
+    return np.broadcast_to(np.array(text, dtype=object)[inverse].reshape(values.shape), shape).ravel().tolist()
 
 
 def _json_text(payload: Dict) -> str:
@@ -206,8 +206,10 @@ def _resolve_seed(flag_seed: Optional[int], config_seed: int) -> int:
 
 
 def _parse_floats(parser: argparse.ArgumentParser, flag: str, text: str) -> List[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not text.strip():
+        parser.error(f"{flag}: needs at least one value")
+    try:  # an empty item is as wrong as any other non-number
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         parser.error(f"{flag}: expected a comma-separated list of numbers, got {text!r}")
 
@@ -253,20 +255,18 @@ _ROOFLINE_FLAGS = {
 
 def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     alphas = _parse_floats(parser, "--alpha", args.alpha)
-    if not alphas:
-        parser.error("--alpha: needs at least one value")
     config = load_config(args.config)
     overrides = {name: getattr(args, name) for name in ("pi", "beta_data", "beta_rand")
                  if getattr(args, name) is not None}
-    columns = {name: [] for name in ("alpha", "ai", "beta_eff", "phi", "regime")}
     try:  # the library checks every flag value; a rejected one names its flag
         arch = replace(config.arch, **overrides)
-        for alpha in alphas:
-            curve = roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points)
-            for name, cells in columns.items():
-                cells += _cells(np.asarray(getattr(curve, name)), (len(curve),))
+        curves = [roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points) for alpha in alphas]
     except DomainError as exc:
         parser.error(f"{_ROOFLINE_FLAGS[exc.name]}: {exc}")
+    # a row per curve; alpha and beta_eff stay as given, so an int beta_eff keeps its repr
+    columns = {name: _cells(np.stack([getattr(c, name) for c in curves]) if name in ("ai", "phi", "regime")
+                            else np.array([[getattr(c, name)] for c in curves], dtype=object),
+                            (len(curves), args.points)) for name in ("alpha", "ai", "beta_eff", "phi", "regime")}
     _emit(_csv_text("roofline", columns), args.out)
     return EXIT_OK
 

@@ -88,11 +88,15 @@ def _raw_block(key: int, start: int, n: int) -> np.ndarray:
     """Vectorized words for counters [start, start + n) of a keyed stream."""
     # uint64 array arithmetic wraps mod 2**64 (C semantics), which is exactly
     # the masking the scalar path does explicitly.
-    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    z = np.uint64(key) + idx * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(key)
+    t = np.empty_like(z)  # one scratch array for every shift
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(mix)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def _uniform_block(key: int, start: int, n: int) -> np.ndarray:

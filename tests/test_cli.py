@@ -2,16 +2,22 @@
 
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import entropy_roofline
 from entropy_roofline import cli
 from entropy_roofline.cli import SEED_ENV_VAR, main, parse_config
 from entropy_roofline.errors import ConfigError
+from entropy_roofline.perf_model import RegimeLabel
 from entropy_roofline.workload import _WRITE_RUN, load_trace
 
 
@@ -156,6 +162,7 @@ class TestRoofline:
         ("--pi", "nan"), ("--pi", "inf"), ("--beta-data", "-1"), ("--beta-rand", "0"),
         ("--ai-min", "nan"), ("--ai-min", "0"), ("--ai-max", "inf"), ("--ai-max", "0.001"),
         ("--alpha", "0.5,nan"), ("--alpha", "-0.1"), ("--points", "1"),
+        ("--alpha", "0.5,,1"), ("--alpha", "0.5,"), ("--alpha", ","),
         ("--ai-max", "1e307"),  # over the default --ai-min 0.01, the ratio overflows
     ])
     def test_rejected_flag_value_names_its_flag(self, flag, value, tmp_path, capsys):
@@ -165,6 +172,101 @@ class TestRoofline:
         assert info.value.code == 2
         assert f"error: {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", " "])
+    def test_empty_alpha_needs_a_value(self, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("roofline", "--alpha", value)
+        assert info.value.code == 2
+        assert "error: --alpha: needs at least one value" in capsys.readouterr().err
+
+    def test_signed_zero_alphas_print_apart(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli("roofline", "--alpha=-0.0,0", "--points", "2", "--out", str(out)) == 0
+        _, rows = data_rows(out.read_text())
+        assert [row.split(",")[0] for row in rows] == ["-0.0", "-0.0", "0.0", "0.0"]
+
+    @pytest.mark.parametrize("arch", [{}, {"pi": 10**13, "beta_data": 25 * 10**9, "beta_rand": 10**9}])
+    def test_alphas_together_equal_alphas_apart(self, arch, tmp_path):
+        """Integer rates keep their repr on the curves (alpha 0 and 1) that
+        return them, beside the float rates of the others."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"arch": arch}))
+        alphas = ["0", "0.25", "1"]
+
+        def roofline(alpha, name):
+            out = tmp_path / name
+            assert run_cli("roofline", "--alpha", alpha, "--ai-min", "0.5", "--ai-max", "2e4",
+                           "--points", "7", "--config", str(config), "--out", str(out)) == 0
+            return out.read_text().splitlines()
+
+        together = roofline(",".join(alphas), "all.csv")
+        apart = [roofline(alpha, f"{i}.csv") for i, alpha in enumerate(alphas)]
+        assert together[:2] == apart[0][:2]
+        assert together[2:] == [row for lines in apart for row in lines[2:]]
+        if arch:
+            assert together[2].split(",")[2] == "25000000000"
+            assert together[-1].split(",")[2] == "1000000000"
+
+    def test_cells_called_once_per_column(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli._cells
+
+        def counting(values, shape):
+            calls.append(shape)
+            return original(values, shape)
+
+        monkeypatch.setattr(cli, "_cells", counting)
+        assert run_cli("roofline", "--alpha", "0,0.5,1", "--points", "4",
+                       "--out", str(tmp_path / "r.csv")) == 0
+        assert calls == [(3, 4)] * 5
+
+
+# float64 values whose reprs a per-value cache could confuse: signed zeros,
+# infinities, NaNs with other sign and payload bits, subnormals
+_NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8DEADBEEF0001)
+_AWKWARD_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+                   1.0, 0.1, 1e300] + [struct.unpack("<d", struct.pack("<Q", b))[0] for b in _NAN_BITS]
+
+
+@st.composite
+def _sweep_column(draw, pools):
+    """A column at one of the shapes ``SweepTable`` stores (varying over
+    alpha, ai, configs or all three), the row shape it is broadcast to, and
+    values drawn from a small pool, so duplicates are the rule."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    axes = draw(st.sampled_from([(0,), (1,), (2,), (0, 1, 2)]))
+    stored = tuple(n if axis in axes else 1 for axis, n in enumerate(shape))
+    pool = draw(pools)
+    values = draw(st.lists(st.sampled_from(pool), min_size=math.prod(stored), max_size=math.prod(stored)))
+    return values, stored, shape
+
+
+class TestCells:
+    @given(_sweep_column(st.builds(lambda floats, awkward: [-0.0, 0.0] + floats + awkward,
+                                   st.lists(st.floats(), max_size=3),
+                                   st.lists(st.sampled_from(_AWKWARD_FLOATS), max_size=8))))
+    def test_floats_format_as_their_reprs(self, column):
+        values, stored, shape = column
+        array = np.array(values, dtype=np.float64).reshape(stored)
+        assert cli._cells(array, shape) == [repr(v) for v in np.broadcast_to(array, shape).ravel().tolist()]
+
+    @given(_sweep_column(st.lists(st.sampled_from([
+        1, 1.0, True, 0, -0.0, 0.0, 25 * 10**9, 2.5e10, math.nan,
+        RegimeLabel.DATA_BOUND, RegimeLabel.COMPUTE_BOUND, "coupled_pcim", "serialized",
+    ]), min_size=1, max_size=8)))
+    def test_objects_format_one_by_one(self, column):
+        values, stored, shape = column
+        array = np.empty(len(values), dtype=object)
+        array[:] = values
+        array = array.reshape(stored)
+        expected = [v if isinstance(v, str) else repr(v) for v in np.broadcast_to(array, shape).ravel().tolist()]
+        assert cli._cells(array, shape) == expected
+
+    def test_nan_payloads_and_signed_zeros(self):
+        array = np.array(_AWKWARD_FLOATS * 3)
+        assert cli._cells(array, array.shape) == [repr(v) for v in array.tolist()]
+        assert cli._cells(np.array([-0.0, 0.0, -0.0]), (3,)) == ["-0.0", "0.0", "-0.0"]
 
 
 class TestSimulate:
