@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     EntropyRooflineError,
     TraceParseError,
+    parse_number,
     require_int,
 )
 from .fidelity import FidelityConfig, fidelity_report
@@ -198,9 +199,9 @@ def _resolve_seed(flag_seed: Optional[int], config_seed: int) -> int:
         return flag_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
+        try:  # ASCII digits after an optional "-", as the package writes an int
+            return -parse_number(env[1:]) if env[:1] == "-" else parse_number(env)
+        except DomainError as exc:
             raise ConfigError(SEED_ENV_VAR, f"not an integer: {env!r}") from exc
     return config_seed
 
@@ -222,13 +223,11 @@ def _workload(parser: argparse.ArgumentParser, name: str, shape_text: Optional[s
     shape = default = _WORKLOAD_DEFAULT_SHAPE[name]
     if shape_text is not None:
         try:
-            shape = tuple(int(tok) for tok in shape_text.split(","))
-        except ValueError:
-            parser.error(f"--shape: expected integers, got {shape_text!r}")
+            shape = tuple(parse_number(tok) for tok in shape_text.split(","))
+        except DomainError as exc:
+            parser.error(f"--shape: {exc} in {shape_text!r}")
         if len(shape) != len(default):
-            parser.error(
-                f"--shape: workload {name!r} takes {len(default)} integers, got {len(shape)}"
-            )
+            parser.error(f"--shape: workload {name!r} takes {len(default)} integers, got {len(shape)}")
     try:
         if name == "bnn":
             return bnn_trace(*shape) if trace else bnn_layer(*shape)

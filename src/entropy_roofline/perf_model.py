@@ -136,23 +136,23 @@ def system_throughput(ai: float, alpha: float, arch: ArchParams) -> float:
 
 
 def classify_regime(ai: float, alpha: float, arch: ArchParams) -> RegimeLabel:
-    """Label the binding resource at (ai, alpha).
-
-    Ties break toward ComputeBound (pi == ai * beta_eff) and toward
-    EntropyBound (equal access terms); both choices are deterministic and
-    conservative toward the entropy-limited reading of an operating point.
-    """
+    """Label the binding resource at (ai, alpha) from the per-access times
+    ai / pi, (1 - alpha) / beta_data and alpha / beta_rand.  ``ai`` counts
+    shaping ops too: ``shaping_ops_per_sample * alpha`` on a shaping backend."""
     _check_ai(ai)
-    if arch.pi <= ai * effective_beta(alpha, arch):
-        return RegimeLabel.COMPUTE_BOUND
-    return _access_regime(alpha, arch)
+    _check_alpha(alpha)
+    t_data, t_entropy = (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
+    return _REGIMES[_regime_codes(ai / arch.pi, t_data + t_entropy, t_data, t_entropy)]
 
 
-def _access_regime(alpha: float, arch: ArchParams) -> RegimeLabel:
-    """The access stream that binds at a checked ``alpha`` below the compute roof."""
-    if alpha / arch.beta_rand >= (1.0 - alpha) / arch.beta_data:
-        return RegimeLabel.ENTROPY_BOUND
-    return RegimeLabel.DATA_BOUND
+_REGIMES = np.array(list(RegimeLabel), dtype=object)  # by code: 0 compute, 1 data, 2 entropy
+
+
+def _regime_codes(t_compute, t_access, t_data, t_entropy) -> np.ndarray:
+    """The one label rule, over time columns: 0 (ComputeBound) where ``t_compute
+    >= t_access``, elapsed's other term, else 2 (EntropyBound) where ``t_entropy
+    >= t_data``, else 1 (DataBound).  Ties go to compute, then to entropy."""
+    return np.where(t_compute >= t_access, 0, np.where(t_entropy >= t_data, 2, 1))
 
 
 def crossover_alpha(ai: float, arch: ArchParams) -> Optional[float]:
@@ -200,11 +200,11 @@ def roofline_curve(
     if ratio == math.inf:
         raise DomainError(f"ai_max / ai_min overflows: {ai_max!r} / {ai_min!r}", "ai_max")
     ai = np.array([ai_min * ratio ** (i / (n_points - 1)) for i in range(n_points)])
+    t_data, t_entropy = (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
     with np.errstate(over="ignore"):  # past the float range is inf, as for Python floats
         roof = ai * beta_eff
-    bound = arch.pi <= roof
+        code = _regime_codes(ai / arch.pi, t_data + t_entropy, t_data, t_entropy)
     # phi is pi itself where compute binds, so a pi given as an int stays one
     pi = arch.pi if isinstance(arch.pi, float) else np.array(arch.pi, dtype=object)
-    labels = np.array([_access_regime(alpha, arch), RegimeLabel.COMPUTE_BOUND], dtype=object)
-    return RooflineCurve(alpha=alpha, beta_eff=beta_eff, ai=ai, phi=np.where(bound, pi, roof),
-                         regime=labels[bound.astype(np.intp)])
+    return RooflineCurve(alpha=alpha, beta_eff=beta_eff, ai=ai, phi=np.where(code == 0, pi, roof),
+                         regime=_REGIMES[code])

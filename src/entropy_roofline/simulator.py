@@ -22,9 +22,10 @@ read (``reads_parameters_per_draw``).
 One function, ``_evaluate``, defines the time terms over float64 columns:
 t_compute = (n_ops + shaping * draws) / pi, t_data = det / beta_data,
 t_transport = draws * side_elements / beta_data, t_entropy = draws / raw;
-the mode's elapsed time; and the regime rule, which in both modes compares
-n_ops / pi (shaping left out) with the serial access time, so a label can
-name a term that does not set elapsed.  ``sweep`` evaluates it once over the
+elapsed = max(t_compute, access), transport riding on the side of access that
+elapsed adds it to (entropy's when serialized, data's when overlapped); and
+the label, by ``perf_model``'s one rule: ComputeBound where t_compute sets
+elapsed, else the larger access side.  ``sweep`` evaluates it once over the
 whole alpha x ai x config grid, ``run`` over a one-point column.  Counts are
 float64 (an ai near the float maximum gives counts far past int64), each
 rounded once from its Python integer, the operation demand after the exact
@@ -43,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateWorkloadError, DomainError, require_finite, require_int
-from .perf_model import ArchParams, RegimeLabel, _check_ai, _check_alpha
+from .perf_model import _REGIMES, ArchParams, RegimeLabel, _check_ai, _check_alpha, _regime_codes
 from .probabilistic_memory import BACKEND_KINDS, BackendConfig, CostReport
 from .workload import WorkloadSpec
 
@@ -98,7 +99,6 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
     return beta_data, 1.0 / (1.0 / raw + extra / beta_data)
 
 
-_REGIMES = np.array(list(RegimeLabel), dtype=object)  # by code: 0 compute, 1 data, 2 entropy
 _RESULT_FIELDS = ("elapsed_time", "achieved_phi", "achieved_beta", "regime")
 _ABSENT = object()  # beta_rand missing from a grid, where a null is a bad value
 
@@ -124,12 +124,12 @@ def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
         t_data = det / beta_data
         t_transport = stoch * extra / beta_data
         t_entropy = stoch / raw_rate
-        t_access_serial = t_data + t_transport + t_entropy
-        elapsed = np.maximum(t_compute, np.where(
-            serialized, t_access_serial, np.maximum(t_data + t_transport, t_entropy)))
-        regime = np.where(n_ops / pi >= t_access_serial, 0,
-                          np.where(t_entropy + t_transport >= t_data, 2, 1))
-        return elapsed, n_ops / elapsed, float(total) / elapsed, _REGIMES[regime]
+        data = t_data + np.where(serialized, 0.0, t_transport)
+        entropy = t_entropy + np.where(serialized, t_transport, 0.0)
+        access = np.where(serialized, t_data + t_transport + t_entropy, np.maximum(data, entropy))
+        elapsed = np.maximum(t_compute, access)
+        return (elapsed, n_ops / elapsed, float(total) / elapsed,
+                _REGIMES[_regime_codes(t_compute, access, data, entropy)])
 
 
 def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:

@@ -405,13 +405,15 @@ class TestGenTrace:
         assert sum(1 for r in records if r.op == "sample") == 10
         assert sum(1 for r in records if r.op == "write") == 1
 
-    def test_bad_shape_exits_2(self, capsys):
+    @pytest.mark.parametrize("command, workload, shape", [
+        ("gen-trace", "bnn", "1,2"), ("gen-trace", "mc", "0,4"),
+        # int() takes these; the package writes an int as ASCII digits alone
+        ("simulate", "bnn", "\u0661\u0662\u0668,1_28, 2"), ("simulate", "bnn", "128,1_28,2"),
+        ("gen-trace", "mc", "10, 4"), ("gen-trace", "mc", "+10,4"), ("gen-trace", "mc", "10,,4"),
+    ])
+    def test_bad_shape_exits_2(self, command, workload, shape, capsys):
         with pytest.raises(SystemExit) as info:
-            run_cli("gen-trace", "--workload", "bnn", "--shape", "1,2")
-        assert info.value.code == 2
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as info:
-            run_cli("gen-trace", "--workload", "mc", "--shape", "0,4")
+            run_cli(command, "--workload", workload, "--shape", shape)
         assert info.value.code == 2
         assert "--shape:" in capsys.readouterr().err
 
@@ -530,9 +532,17 @@ class TestSeedEnvVar:
         run_cli("simulate", "--seed", "5", "--out", str(out_b))
         assert json.loads(out_b.read_text())["seed"] == 5
 
-    def test_bad_env_seed_exits_3(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
+    def test_negative_env_seed_applies(self, tmp_path, monkeypatch):
+        out = tmp_path / "a.json"
+        monkeypatch.setenv(SEED_ENV_VAR, "-12")
+        run_cli("simulate", "--out", str(out))
+        assert json.loads(out.read_text())["seed"] == -12
+
+    @pytest.mark.parametrize("value", ["not-a-number", "1_0", "\u0663", " 5", "+5", "-", "", "1.0"])
+    def test_bad_env_seed_exits_3(self, value, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
         assert run_cli("simulate") == 3
+        assert f"{SEED_ENV_VAR}: not an integer" in capsys.readouterr().err
 
     def test_fidelity_seed_changes_samples(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -120,7 +120,7 @@ EXPECTED = {
     "simulate-trace-mc-default": "3eb8f1c67138c601ce05f7befbd8255cbdeb0bcf8f056873f6fdc5a807409684",
     "sweep-shaping-backends": "e62a57c282dde7a421a3d0903ef63ff979cc5cf6aa24ec00341ad1c8b9665808",
     "roofline-10k": "b7712c81243f8fa021282d89722ecc51201467329ceec006661c5b751259be73",
-    "sweep-model-grid": "158965918026b801b3cf7d3c64a7b1d9e6c0b222519b905f7beff14660cba4a0",
+    "sweep-model-grid": "d72a18c01586c45d921dcff0ff7f9ab1d2adf4af60e14f0854a7346406a496cd",
     "simulate-trace-huge-compute": "2720f0ad3a36b66361f06824ad788c9260a3c2cb34cfdc29998bfef909e32be2",
 }
 

@@ -249,8 +249,9 @@ class TestRooflineCurve:
         curve = roofline_curve(a, 0.3, 0.01, 1e5, 200)
         phis = curve.phi.tolist()
         assert all(b >= a_ for a_, b in zip(phis, phis[1:]))
-        for ai, phi in zip(curve.ai.tolist(), phis):
+        for ai, phi, regime in zip(curve.ai.tolist(), phis, curve.regime):
             assert phi == min(a.pi, ai * curve.beta_eff)
+            assert regime is classify_regime(ai, 0.3, a)
 
     def test_invalid_ranges(self):
         a = arch()
