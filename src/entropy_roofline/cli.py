@@ -199,11 +199,22 @@ def _resolve_seed(flag_seed: Optional[int], config_seed: int) -> int:
         return flag_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:  # ASCII digits after an optional "-", as the package writes an int
-            return -parse_number(env[1:]) if env[:1] == "-" else parse_number(env)
+        try:
+            return parse_number(env, signed=True)
         except DomainError as exc:
             raise ConfigError(SEED_ENV_VAR, f"not an integer: {env!r}") from exc
     return config_seed
+
+
+def _integer(signed: bool = False) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer flag: ``parse_number``, whose
+    DomainError argparse reports after the flag's name, exiting 2."""
+    def convert(text: str) -> int:
+        try:
+            return parse_number(text, signed=signed)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _parse_floats(parser: argparse.ArgumentParser, flag: str, text: str) -> List[float]:
@@ -370,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0", help="comma-separated stochastic fractions in [0,1]")
     p.add_argument("--ai-min", type=float, default=0.01)
     p.add_argument("--ai-max", type=float, default=1e4)
-    p.add_argument("--points", type=int, default=64)
+    p.add_argument("--points", type=_integer(), default=64)
     p.add_argument("--config", default=None, help="JSON config path")
     p.add_argument("--pi", type=float, default=None, help="compute rate override, ops/s")
     p.add_argument("--beta-data", type=float, default=None, help="data rate override, elements/s")
@@ -386,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="trace CSV instead of a generator")
     p.add_argument("--backend", choices=BACKEND_KINDS, default=None)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer(signed=True), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fidelity", help="statistical battery over the configured pipeline")
     p.add_argument("--config", default=None)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_integer(), default=100_000)
     p.add_argument("--target", choices=("normal", "uniform"), default="normal")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer(signed=True), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fidelity)
 
@@ -407,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="simulate a parameter grid, emit a CSV table")
     p.add_argument("--config", default=None)
     p.add_argument("--grid", required=True, help="JSON grid document")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_integer(), default=1,
                    help="accepted for compatibility; the grid is evaluated in one process")
     p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), default=None)
     p.add_argument("--shape", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer(signed=True), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -17,7 +17,6 @@ from statistics import NormalDist
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, require_finite, require_int
 
@@ -114,7 +113,11 @@ def box_muller_block(u1: np.ndarray, u2: np.ndarray, sine: bool = True):
     without ``sine``.  Every array Box-Muller runs here, on libm alone, so no
     byte depends on the CPU: ``xlogy(1.0, u1)`` is libm's ``log`` in a scalar
     C loop, where numpy's AVX-512 ``log`` differs in the last bit, and numpy's
-    ``cos`` and ``sin`` equal libm under every dispatch."""
+    ``cos`` and ``sin`` equal libm under every dispatch.  ``scipy.special``
+    is imported here, at the first draw, so commands that draw no normals
+    never load it."""
+    from scipy.special import xlogy
+
     r = np.sqrt(-2.0 * xlogy(1.0, u1))
     theta = 2.0 * math.pi * u2
     return r * np.cos(theta), r * np.sin(theta) if sine else None

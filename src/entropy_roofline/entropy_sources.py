@@ -282,8 +282,8 @@ def _apply_nonidealities_block(
     n = x.shape[0]
     t0 = state.t
     if spec.rho != 0.0:
-        # deferred: scipy.signal is the slowest import in the package and
-        # only this branch uses it
+        # deferred, like every scipy import in the package: only this
+        # branch uses scipy.signal
         from scipy.signal import lfilter
 
         c = math.sqrt(1.0 - spec.rho * spec.rho)

@@ -68,21 +68,25 @@ def require_finite(name: str, value, lo: float = -math.inf, hi: float = math.inf
     )
 
 
-def parse_number(text: str, kind: type = int):
+def parse_number(text: str, kind: type = int, signed: bool = False):
     """``text`` as this package's CSV writers write an ``int`` (ASCII digits
-    alone) or a ``float`` (ASCII, no underscore or surrounding space), where
-    ``int()`` and ``float()`` also take underscores, spaces and other digits.
-    Text ``kind`` rejects, such as ``1.0.0`` or more digits than ``int()``
-    converts, raises DomainError too, echoing at most its first 40 characters."""
-    if text.isascii() and (text.isdigit() if kind is int else
+    alone, after one ``-`` if ``signed``) or a ``float`` (ASCII, no underscore
+    or surrounding space), where ``int()`` and ``float()`` also take
+    underscores, spaces and other digits.  ``signed`` is the package's one
+    signed integer form, for a seed or a cells-CSV address.  Text ``kind``
+    rejects, such as ``1.0.0`` or more digits than ``int()`` converts, raises
+    DomainError too, echoing at most its first 40 characters."""
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if text.isascii() and (digits.isdigit() if kind is int else
                            "_" not in text and text == text.strip()):
         try:
             return kind(text)
         except ValueError:
             pass
-    too_long = kind is int and text.isascii() and text.isdigit()  # digits int() refused
+    too_long = kind is int and text.isascii() and digits.isdigit()  # digits int() refused
     what = f"no more than {sys.get_int_max_str_digits():,} digits" if too_long else (
-        "unsigned ASCII digits" if kind is int else "a number")
+        "a number" if kind is not int else
+        "ASCII digits after an optional '-'" if signed else "unsigned ASCII digits")
     shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
     raise DomainError(f"expected {what}, got {shown}")
 

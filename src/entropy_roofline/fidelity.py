@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .distribution_shaping import (
     METHOD_INVERSE_CDF,
@@ -59,7 +58,11 @@ Target = Union[DistributionSpec, str]
 def normal_cdf(x, mu: float = 0.0, sigma: float = 1.0):
     """Gaussian CDF, ``scipy.special.ndtr`` of the standardized value
     (independent of every sampler in the package).  Array input gets one
-    new array, which is also the result."""
+    new array, which is also the result.  ``scipy.special`` is imported
+    here, at the first call, so commands that judge no gaussian never load
+    it."""
+    from scipy.special import ndtr
+
     require_finite("sigma", sigma, 0.0, math.inf, "()")
     z = np.array(x, dtype=np.float64)
     z -= mu
@@ -304,6 +307,8 @@ def fidelity_report(
         raise DomainError(
             f"n must lie in [{config.n_min}, {config.n_max}], got {n}"
         )
+    # loaded before any sample array exists, so its memory does not add to their peak
+    import scipy.special  # noqa: F401
 
     tail = None
     if isinstance(subject, ShapingPipelineSpec):

@@ -278,6 +278,16 @@ class BackendConfig:
         dev = self.sigma_dev(mu)
         return (self.sigma_min_frac * dev, self.sigma_max_frac * dev)
 
+    def check_sigma(self, mu: float, sigma: float) -> None:
+        """Raise VarianceRangeError unless a gaussian cell at ``mu`` can hold
+        ``sigma``: a coupled device reaches only its variance window, every
+        other kind any sigma.  SET_VARIANCE, WRITE and a loaded cells CSV all
+        ask here."""
+        if self.kind == KIND_COUPLED_PCIM:
+            lo, hi = self.variance_window(mu)
+            if not (lo <= sigma <= hi):
+                raise VarianceRangeError(sigma, lo, hi)
+
     # -- what one stochastic draw costs ----------------------------------------
 
     @property
@@ -409,9 +419,13 @@ class PMemArray:
     # -- primitives ------------------------------------------------------------
 
     def write(self, addr: Address, state: CellState) -> None:
-        """Replace a cell; counts one physical write for endurance."""
+        """Replace a cell; counts one physical write for endurance.  A gaussian
+        outside a coupled backend's variance window raises VarianceRangeError
+        and changes nothing."""
         r, c = self._check_addr(addr)
         spec = _canonical(state)
+        if spec.family == FAMILY_GAUSSIAN:
+            self.backend.check_sigma(spec.mu, spec.sigma)
         self._store(r, c, spec)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
@@ -468,10 +482,7 @@ class PMemArray:
             raise CellTypeError("set_variance needs a gaussian cell, got bernoulli")
         mu = self._mu.item(r, c)
         spec = DistributionSpec.gaussian(mu, sigma_new)  # DomainError unless finite and >= 0
-        if self.backend.kind == KIND_COUPLED_PCIM:
-            lo, hi = self.backend.variance_window(mu)
-            if not (lo <= sigma_new <= hi):
-                raise VarianceRangeError(sigma_new, lo, hi)
+        self.backend.check_sigma(mu, sigma_new)  # 0 too: a coupled window starts above 0
         self._store(r, c, spec)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
@@ -571,7 +582,8 @@ def load_array_csv(path: str, backend: BackendConfig,
 
     Each physical line is one row of comma-separated fields, as
     ``save_array_csv`` writes it; fields are neither stripped nor unquoted,
-    and empty lines are skipped.
+    and empty lines are skipped.  A bad row, a gaussian outside a coupled
+    backend's variance window included, raises DomainError naming its line.
     """
     entries = []
     with open(path, newline="") as fh:
@@ -587,13 +599,14 @@ def load_array_csv(path: str, backend: BackendConfig,
                 if len(row) != len(CELLS_CSV_FIELDS):
                     raise DomainError(f"expected {len(CELLS_CSV_FIELDS)} fields, got {len(row)}")
                 *address, family, mu, sp = row
-                r, c = (-parse_number(t[1:]) if t[:1] == "-" else parse_number(t)  # bounds reject < 0
-                        for t in address)
+                r, c = (parse_number(t, signed=True) for t in address)  # bounds reject < 0
                 mu, sp = parse_number(mu, float), parse_number(sp, float)
                 kwargs = {FAMILY_GAUSSIAN: {"mu": mu, "sigma": sp}, FAMILY_BERNOULLI: {"p": sp}}
                 spec = DistributionSpec(family, **kwargs.get(family, {"mu": mu}))  # checks the family
-            except DomainError as exc:
-                raise DomainError(f"line {line_no} of {path!r}: {exc}", exc.name) from exc
+                if spec.family == FAMILY_GAUSSIAN:
+                    backend.check_sigma(spec.mu, spec.sigma)
+            except (DomainError, VarianceRangeError) as exc:
+                raise DomainError(f"line {line_no} of {path!r}: {exc}", getattr(exc, "name", None)) from exc
             entries.append((r, c, spec))
     if not entries:
         raise DomainError(f"empty cells CSV {path!r}")

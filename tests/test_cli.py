@@ -544,6 +544,11 @@ class TestSeedEnvVar:
         assert run_cli("simulate") == 3
         assert f"{SEED_ENV_VAR}: not an integer" in capsys.readouterr().err
 
+    def test_negative_flag_seed_applies(self, tmp_path):
+        out = tmp_path / "a.json"
+        assert run_cli("simulate", "--seed", "-12", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["seed"] == -12
+
     def test_fidelity_seed_changes_samples(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("fidelity", "--samples", "10000", "--seed", "1", "--out", str(a))
@@ -551,6 +556,33 @@ class TestSeedEnvVar:
         ra = json.loads(a.read_text())["report"]["ks_statistic"]
         rb = json.loads(b.read_text())["report"]["ks_statistic"]
         assert ra != rb
+
+
+class TestIntegerFlags:
+    """The integer flags read an int as the env seed does; only a seed may be negative."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--seed"), ("fidelity", "--seed"), ("sweep", "--seed"),
+        ("roofline", "--points"), ("fidelity", "--samples"), ("sweep", "--jobs"),
+    ])
+    @pytest.mark.parametrize("value", ["not-a-number", "1_0", "\u0663", " 5", "+5", "", "1.0", "1e3", "--1"])
+    def test_bad_integer_flag_exits_2(self, command, flag, value, tmp_path, capsys):
+        grid = ["--grid", str(tmp_path / "g.json")] if command == "sweep" else []
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, f"{flag}={value}", *grid, "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        assert f"error: argument {flag}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("roofline", "--points"), ("fidelity", "--samples"), ("sweep", "--jobs"),
+    ])
+    def test_negative_count_flag_exits_2(self, command, flag, tmp_path, capsys):
+        grid = ["--grid", str(tmp_path / "g.json")] if command == "sweep" else []
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, f"{flag}=-3", *grid)
+        assert info.value.code == 2
+        assert f"error: argument {flag}: expected unsigned ASCII digits, got '-3'" in capsys.readouterr().err
 
 
 class TestPatchableNames:
@@ -582,10 +614,32 @@ class TestPatchableNames:
         assert calls == [name]
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    """scipy.signal is loaded only when an AR(1) non-ideality runs."""
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    """No scipy module loads with the CLI, nor in a command that draws no
+    normals and judges no gaussian; ``fidelity`` loads ``scipy.special``, and
+    ``scipy.signal`` is loaded only when an AR(1) non-ideality runs."""
     src = os.path.dirname(os.path.dirname(entropy_roofline.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, entropy_roofline.cli; print('scipy.signal' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    (tmp_path / "g.json").write_text(json.dumps({"alpha": [0.0, 1.0]}))
+    probe = """if True:
+        import json, sys
+        import entropy_roofline.cli as cli
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        seen = {"import": loaded()}
+        for argv in (["gen-trace", "--workload", "mc", "--shape", "10,4", "--out", "t.csv"],
+                     ["roofline", "--alpha", "0,1", "--out", "r.csv"],
+                     ["sweep", "--grid", "g.json", "--out", "s.csv"],
+                     ["simulate", "--out", "a.json"],
+                     ["simulate", "--trace", "t.csv", "--out", "b.json"],
+                     ["fidelity", "--samples", "1000", "--out", "f.json"]):
+            assert cli.main(argv) == 0, argv
+            seen[" ".join(argv[:3])] = loaded()
+        print(json.dumps(seen))
+    """
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout)
+    fidelity = seen.pop("fidelity --samples 1000")
+    assert seen == dict.fromkeys(seen, [])
+    assert "scipy.special" in fidelity and "scipy.signal" not in fidelity

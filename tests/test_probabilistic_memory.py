@@ -266,22 +266,23 @@ class TestSample:
         assert vals.mean() == pytest.approx(0.3, abs=0.006)
 
     def test_statistical_correctness_all_backends(self):
-        # 1e5 samples of N(1, 2) pass KS at significance 0.01 on every backend
+        # 1e5 samples of N(1, 0.15) pass KS at significance 0.01 on every
+        # backend (sigma inside the coupled window [0.05, 0.2])
         n = 100_000
         for name in ALL_BACKENDS:
             arr = fresh(name)
-            arr.write((0, 0), DistributionSpec.gaussian(1.0, 2.0))
+            arr.write((0, 0), DistributionSpec.gaussian(1.0, 0.15))
             stream = EntropyStream(6)
             vals = np.array([arr.sample((0, 0), stream) for _ in range(n)])
-            _, ok = ks_test(vals, lambda x: normal_cdf(x, 1.0, 2.0), 0.01)
+            _, ok = ks_test(vals, lambda x: normal_cdf(x, 1.0, 0.15), 0.01)
             assert ok, name
 
     def test_backend_value_equivalence(self):
-        cells = [
-            DistributionSpec.gaussian(0.0, 1.0),
+        cells = [  # sigmas inside the coupled window [0.05, 0.2]
+            DistributionSpec.gaussian(0.0, 0.1),
             DistributionSpec.point_mass(4.0),
             DistributionSpec.bernoulli(0.4),
-            DistributionSpec.gaussian(-2.0, 0.5),
+            DistributionSpec.gaussian(-2.0, 0.05),
     ]
         traces = {}
         for name in ALL_BACKENDS:
@@ -397,6 +398,48 @@ class TestSetVariance:
         arr.set_variance((0, 0), be.sigma_dev(0.0))
         assert arr.read_distribution((0, 0)).sigma == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.0999, 0.1, 0.3, 0.4, 0.4001, 100.0])
+    def test_every_write_path_keeps_the_coupled_window(self, sigma, tmp_path):
+        # at mu = 2 and gamma = 0.5 the window is [0.5, 2] * 0.1 * (1 + 0.5 * 2) = [0.1, 0.4]
+        be = BackendConfig.coupled_pcim(sigma0=0.1, gamma=0.5)
+        inside = 0.1 <= sigma <= 0.4
+        path = tmp_path / "cells.csv"
+        path.write_text(f"addr_row,addr_col,family,mu,sigma_or_p\n0,0,point_mass,1.0,0.0\n0,1,gaussian,2.0,{sigma!r}\n")
+        outcomes = []
+        for op in (lambda arr: arr.set_variance((0, 1), sigma),
+                   lambda arr: arr.write((0, 1), DistributionSpec.gaussian(2.0, sigma)),
+                   lambda arr: load_array_csv(str(path), be)):
+            arr = PMemArray(2, 2, be)
+            arr.write((0, 1), DistributionSpec.gaussian(2.0, 0.2))
+            before, cell = arr.cost_report(), arr.cell((0, 1))
+            try:
+                op(arr)
+                outcomes.append(None)
+            except (VarianceRangeError, DomainError) as exc:
+                window = exc if isinstance(exc, VarianceRangeError) else exc.__cause__
+                outcomes.append((window.requested, window.lo, window.hi))
+                assert arr.cost_report() == before and arr.cell((0, 1)) == cell
+        assert outcomes == [None if inside else (sigma, 0.1, 0.4)] * 3
+
+    def test_coupled_window_rejection_in_cells_csv_names_its_line(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("addr_row,addr_col,family,mu,sigma_or_p\n0,0,point_mass,1.0,0.0\n\n0,1,gaussian,1.0,100.0\n")
+        with pytest.raises(DomainError) as info:
+            load_array_csv(str(path), ALL_BACKENDS["coupled_pcim"])
+        assert str(info.value) == f"line 4 of {str(path)!r}: sigma=100.0 outside achievable range [0.05, 0.2]"
+        assert isinstance(info.value.__cause__, VarianceRangeError)
+
+    def test_coupled_write_takes_values_and_non_gaussians(self):
+        arr = fresh("coupled_pcim")
+        before = arr.cost_report().total_writes
+        for k, state in enumerate([7.0, 3, DistributionSpec.point_mass(100.0), DistributionSpec.gaussian(5.0, 0.0),
+                                   DistributionSpec.bernoulli(0.3)]):
+            arr.write(divmod(k, 4), state)
+        assert arr.cost_report().total_writes == before + 5
+        assert arr.cell((0, 3)) == DistributionSpec.point_mass(5.0)
+        with pytest.raises(VarianceRangeError):  # a point mass is written, not programmed
+            arr.set_variance((0, 3), 0.0)
+
     def test_bernoulli_cell_rejected(self):
         arr = fresh()
         arr.write((0, 0), DistributionSpec.bernoulli(0.5))
@@ -426,11 +469,11 @@ class TestBatchSample:
         arr = fresh("coupled_pcim", rows=2, cols=8)
         addrs = [(0, i) for i in range(8)]
         for i in range(8):
-            arr.write((0, i), DistributionSpec.gaussian(float(i), 1.0))
+            arr.write((0, i), DistributionSpec.gaussian(float(i), 0.1))
         batch_vals, _ = arr.batch_sample(addrs, EntropyStream(15))
         arr2 = fresh("coupled_pcim", rows=2, cols=8)
         for i in range(8):
-            arr2.write((0, i), DistributionSpec.gaussian(float(i), 1.0))
+            arr2.write((0, i), DistributionSpec.gaussian(float(i), 0.1))
         stream = EntropyStream(15)
         seq_vals = [arr2.sample(a, stream) for a in addrs]
         assert batch_vals == seq_vals
@@ -490,13 +533,20 @@ class TestBatchSample:
 _finite = st.floats(-1e6, 1e6)
 _energy = st.one_of(st.sampled_from([0.3, 0.7]), st.floats(1e-3, 10.0))
 _bytes = st.one_of(st.sampled_from([1.3, 3.3]), st.floats(0.0, 10.0))
-_cell_states = st.one_of(
-    st.builds(DistributionSpec.gaussian, _finite, st.one_of(st.just(0.0), st.floats(1e-3, 5.0))),
-    st.builds(DistributionSpec.bernoulli, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
-    st.builds(DistributionSpec.point_mass, _finite),
-    _finite,  # raw numbers
-    st.integers(-5, 5),
-)
+
+
+def _cell_states_with(sigmas):
+    """Cell states whose gaussians draw their sigma from ``sigmas`` (or are 0)."""
+    return st.one_of(
+        st.builds(DistributionSpec.gaussian, _finite, st.one_of(st.just(0.0), sigmas)),
+        st.builds(DistributionSpec.bernoulli, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        st.builds(DistributionSpec.point_mass, _finite),
+        _finite,  # raw numbers
+        st.integers(-5, 5),
+    )
+
+
+_cell_states = _cell_states_with(st.floats(1e-3, 5.0))
 
 
 @st.composite
@@ -520,7 +570,10 @@ class TestBatchEqualsSequential:
         backend = data.draw(_backends())
         rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
         bpe, bits = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 64))
-        states = data.draw(st.lists(_cell_states, min_size=rows * cols, max_size=rows * cols))
+        # a coupled array holds only sigmas in its window (gamma 0: the same at every mu)
+        cell_states = (_cell_states_with(st.floats(*backend.variance_window(0.0)))
+                       if backend.kind == "coupled_pcim" else _cell_states)
+        states = data.draw(st.lists(cell_states, min_size=rows * cols, max_size=rows * cols))
         addr = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
         addrs = data.draw(st.lists(addr, max_size=40))
         seed, start = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 10**6))
@@ -803,7 +856,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("line, message", [
         ("0,1,point_mass,1.0.0,0.0", "expected a number, got '1.0.0'"),
-        ("0,x,point_mass,1.0,0.0", "expected unsigned ASCII digits, got 'x'"),
+        ("0,x,point_mass,1.0,0.0", "expected ASCII digits after an optional '-', got 'x'"),
         ("0,1,poisson,1.0,0.0", "unknown distribution family 'poisson'"),
         ("0,1,gaussian,1.0,-0.5", "sigma must be a finite number in [0.0, inf), got -0.5"),
         ("0,1,bernoulli,0.0,1.5", "p must be a finite number in [0.0, 1.0], got 1.5"),

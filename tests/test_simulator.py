@@ -400,7 +400,7 @@ class TestReplayAgreement:
             write_based_sampling=wear, read_energy_pj=energy[0], sample_energy_pj=energy[1],
         )
         arr = PMemArray(1, 1, backend, bytes_per_element=bpe)
-        arr.write((0, 0), DistributionSpec.gaussian(0.5, 0.25))
+        arr.write((0, 0), DistributionSpec.gaussian(0.5, 0.125))  # inside the coupled window
         before = arr.cost_report()
         stream = EntropyStream(1)
         for _ in range(m):
