@@ -52,7 +52,10 @@ class ArchParams:
     beta_data:
         Deterministic access throughput, element-accesses/second.
     beta_rand:
-        Entropy (sampling) throughput, samples/second.
+        Entropy (sampling) throughput, samples/second: the one entropy
+        rate, which the simulator reads too.  It is per lane, so a
+        decoupled_in_memory backend draws at ``parallelism * beta_rand``; a
+        coupled_pcim backend samples at ``beta_data`` and leaves it unused.
     bytes_per_element:
         Element width used only to convert byte-rate specs.
     """

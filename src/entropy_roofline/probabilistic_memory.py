@@ -189,7 +189,6 @@ class BackendConfig:
 
     kind: str
     # shared cost knobs
-    rng_rate: float = 1e9  # raw samples/second of the entropy path
     read_energy_pj: float = 1.0
     write_energy_pj: float = 10.0
     sample_energy_pj: float = 5.0
@@ -211,7 +210,7 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise DomainError(f"unknown backend kind {self.kind!r}")
-        for name in ("rng_rate", "read_energy_pj", "write_energy_pj", "sample_energy_pj", "sigma0"):
+        for name in ("read_energy_pj", "write_energy_pj", "sample_energy_pj", "sigma0"):
             require_finite(name, getattr(self, name), 0.0, math.inf, "()")
         for name in ("transport_bytes_per_sample", "writeback_bytes_per_sample", "gamma"):
             require_finite(name, getattr(self, name), 0.0)
@@ -223,12 +222,11 @@ class BackendConfig:
     # -- constructors per kind ---------------------------------------------
 
     @classmethod
-    def von_neumann(cls, rng_rate: float = 1e9, transport_bytes_per_sample: float = 4.0,
+    def von_neumann(cls, transport_bytes_per_sample: float = 4.0,
                     shaping: Optional[ShapingPipelineSpec] = None, **kw) -> "BackendConfig":
         if shaping is None:
             shaping = ShapingPipelineSpec(method="box_muller")
-        return cls(kind=KIND_VON_NEUMANN, rng_rate=rng_rate,
-                   transport_bytes_per_sample=transport_bytes_per_sample,
+        return cls(kind=KIND_VON_NEUMANN, transport_bytes_per_sample=transport_bytes_per_sample,
                    shaping=shaping, **kw)
 
     @classmethod
@@ -240,32 +238,28 @@ class BackendConfig:
                    write_based_sampling=write_based_sampling, **kw)
 
     @classmethod
-    def decoupled_near_memory(cls, rng_rate: float = 1e9,
-                              writeback_bytes_per_sample: float = 4.0, **kw) -> "BackendConfig":
-        return cls(kind=KIND_DECOUPLED_NEAR_MEMORY, rng_rate=rng_rate,
+    def decoupled_near_memory(cls, writeback_bytes_per_sample: float = 4.0, **kw) -> "BackendConfig":
+        return cls(kind=KIND_DECOUPLED_NEAR_MEMORY,
                    writeback_bytes_per_sample=writeback_bytes_per_sample, **kw)
 
     @classmethod
-    def decoupled_in_memory(cls, rng_rate: float = 1e9, parallelism: int = 1, **kw) -> "BackendConfig":
-        return cls(kind=KIND_DECOUPLED_IN_MEMORY, rng_rate=rng_rate,
-                   parallelism=parallelism, **kw)
+    def decoupled_in_memory(cls, parallelism: int = 1, **kw) -> "BackendConfig":
+        return cls(kind=KIND_DECOUPLED_IN_MEMORY, parallelism=parallelism, **kw)
 
     @classmethod
     def for_kind(cls, kind: str, base: "BackendConfig") -> "BackendConfig":
         """``base`` switched to backend ``kind``: ``base`` itself when the kind
-        matches, else the kind's defaults with ``base.rng_rate`` carried over
-        (coupled_pcim samples at the data rate, so it takes none), for
-        decoupled_in_memory ``base.parallelism`` and for von_neumann
-        ``base.shaping`` (its default pipeline when that is None)."""
+        matches, else the kind's defaults with ``base.parallelism`` carried over
+        to decoupled_in_memory and ``base.shaping`` to von_neumann (its default
+        pipeline when that is None).  No rate is carried: the entropy rate is
+        the architecture's (see ``raw_entropy_rate``)."""
         if kind == base.kind:
             return base
-        if kind == KIND_COUPLED_PCIM:
-            return cls.coupled_pcim()
         if kind == KIND_DECOUPLED_IN_MEMORY:
-            return cls.decoupled_in_memory(rng_rate=base.rng_rate, parallelism=base.parallelism)
+            return cls.decoupled_in_memory(parallelism=base.parallelism)
         if kind == KIND_VON_NEUMANN:
-            return cls.von_neumann(rng_rate=base.rng_rate, shaping=base.shaping)
-        return cls(kind=kind, rng_rate=base.rng_rate)
+            return cls.von_neumann(shaping=base.shaping)
+        return cls(kind=kind)
 
     # -- coupled device model ------------------------------------------------
 
@@ -324,13 +318,14 @@ class BackendConfig:
             return self.parallelism
         return 1
 
-    def raw_entropy_rate(self, beta_data: float) -> float:
-        """Draws/second of the entropy path before side traffic is folded in."""
+    def raw_entropy_rate(self, beta_data: float, beta_rand: float) -> float:
+        """Draws/second of the entropy path before side traffic is folded in: the
+        data rate when coupled, ``parallelism`` lanes of ``beta_rand`` in-memory, else ``beta_rand``."""
         if self.kind == KIND_COUPLED_PCIM:
             return beta_data
         if self.kind == KIND_DECOUPLED_IN_MEMORY:
-            return self.parallelism * self.rng_rate
-        return self.rng_rate
+            return self.parallelism * beta_rand
+        return beta_rand
 
 
 Address = Tuple[int, int]

@@ -13,11 +13,12 @@ Two composition modes:
 Backend cost translation: what one stochastic sample costs on each kind is
 defined once, by ``BackendConfig`` in ``probabilistic_memory``, which
 ``PMemArray`` reads too.  Per sample the simulator charges
-``raw_entropy_rate(beta_data)`` for the draw, ``side_bytes_per_sample`` of
-data-path traffic and ``shaping_ops_per_sample`` of compute, which
-``backend_effective_rates`` folds into the analytic model's rates.  Unlike
-``PMemArray``, the simulator does not charge a decoupled draw's parameter
-read (``reads_parameters_per_draw``).
+``raw_entropy_rate(beta_data, beta_rand)`` for the draw, from the arch's
+rates (``ArchParams.beta_rand`` is the one entropy rate),
+``side_bytes_per_sample`` of data-path traffic and ``shaping_ops_per_sample``
+of compute, which ``backend_effective_rates`` folds into the analytic
+model's rates.  Unlike ``PMemArray``, the simulator does not charge a
+decoupled draw's parameter read (``reads_parameters_per_draw``).
 
 One function, ``_evaluate``, defines the time terms over float64 columns:
 t_compute = (n_ops + shaping * draws) / pi, t_data = det / beta_data,
@@ -92,7 +93,7 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
     reproduces the serialized simulator exactly.
     """
     beta_data = config.arch.beta_data
-    raw = config.backend.raw_entropy_rate(beta_data)
+    raw = config.backend.raw_entropy_rate(beta_data, config.arch.beta_rand)
     extra = config.backend.side_bytes_per_sample / config.arch.bytes_per_element
     if extra == 0.0:
         return beta_data, raw
@@ -100,7 +101,6 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
 
 
 _RESULT_FIELDS = ("elapsed_time", "achieved_phi", "achieved_beta", "regime")
-_ABSENT = object()  # beta_rand missing from a grid, where a null is a bad value
 
 
 def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
@@ -116,7 +116,7 @@ def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
     det = np.array([float(total - s) for s in stochs])[:, None, None]
     pi, beta_data, extra, raw_rate, serialized = np.array([(
         cfg.arch.pi, cfg.arch.beta_data, cfg.backend.side_bytes_per_sample / cfg.arch.bytes_per_element,
-        cfg.backend.raw_entropy_rate(cfg.arch.beta_data), cfg.mode == MODE_SERIALIZED,
+        cfg.backend.raw_entropy_rate(cfg.arch.beta_data, cfg.arch.beta_rand), cfg.mode == MODE_SERIALIZED,
     ) for cfg in configs], dtype=np.float64).T[:, None, None, :]
 
     with np.errstate(over="ignore"):  # past the float range is inf, as for Python floats
@@ -189,24 +189,21 @@ class SweepTable:
 
 def _grid_configs(config: SimConfig, grid: Dict[str, Sequence]) -> List[SimConfig]:
     """Every (beta_rand, backend, mode) config of the grid, in row order.
-    Each arch is built once per beta_rand, each backend once per pair."""
-    configs = []
-    for beta_rand in grid.get("beta_rand", [_ABSENT]):
-        arch, base = config.arch, config.backend
-        if beta_rand is not _ABSENT:
-            require_finite("beta_rand", beta_rand, 0.0, math.inf, "()")  # float() takes True and "1e9"
-            arch = replace(arch, beta_rand=float(beta_rand))
-            base = replace(base, rng_rate=float(beta_rand))
-        for value in grid.get("backend", [base]):
-            if isinstance(value, BackendConfig):
-                backend = value
-            elif value in BACKEND_KINDS:
-                backend = BackendConfig.for_kind(value, base)
-            else:
-                raise DomainError(f"invalid backend grid value {value!r}")
-            configs += [SimConfig(arch=arch, backend=backend, mode=mode)
-                        for mode in grid.get("mode", [config.mode])]
-    return configs
+    Each arch and each backend is built once."""
+    archs = [config.arch] if "beta_rand" not in grid else []
+    for beta_rand in grid.get("beta_rand", []):
+        require_finite("beta_rand", beta_rand, 0.0, math.inf, "()")  # float() takes True and "1e9"
+        archs.append(replace(config.arch, beta_rand=float(beta_rand)))
+    backends = []
+    for value in grid.get("backend", [config.backend]):
+        if isinstance(value, BackendConfig):
+            backends.append(value)
+        elif value in BACKEND_KINDS:
+            backends.append(BackendConfig.for_kind(value, config.backend))
+        else:
+            raise DomainError(f"invalid backend grid value {value!r}")
+    return [SimConfig(arch=arch, backend=backend, mode=mode) for arch in archs
+            for backend in backends for mode in grid.get("mode", [config.mode])]
 
 
 def sweep(
@@ -218,7 +215,8 @@ def sweep(
     """Cartesian sweep over grid dimensions, deterministic row order.
 
     Grid keys: ``alpha``, ``ai`` (synthesize/override the workload),
-    ``beta_rand`` (retimes both the analytic rate and the backend RNG),
+    ``beta_rand`` (the arch's one entropy rate, which times every backend
+    but coupled_pcim),
     ``backend`` (kind names or configs), ``mode``.  Dimensions absent from
     the grid stay at the base config / workload values.  Rows are ordered
     by grid position (row-major over the canonical dimension order).  Every

@@ -43,10 +43,19 @@ class TestConfigDocument:
             parse_config({"bogus": 1})
         assert info.value.path == "bogus"
 
-    def test_unknown_nested_key_has_dotted_path(self):
+    # a backend has no entropy rate of its own: arch.beta_rand is the one
+    @pytest.mark.parametrize("key", ["rng_ratee", "rng_rate"])
+    def test_unknown_nested_key_has_dotted_path(self, key, tmp_path, capsys):
         with pytest.raises(ConfigError) as info:
-            parse_config({"backend": {"rng_ratee": 1e9}})
-        assert info.value.path == "backend.rng_ratee"
+            parse_config({"backend": {key: 1e9}})
+        assert info.value.path == f"backend.{key}"
+        cfg, grid, out = tmp_path / "c.json", tmp_path / "g.json", tmp_path / "o"
+        cfg.write_text(json.dumps({"backend": {key: 1e9}}))
+        grid.write_text(json.dumps({"alpha": [0.5]}))
+        for argv in (["simulate"], ["sweep", "--grid", str(grid)]):
+            assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 3
+            assert f"config error: backend.{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError) as info:
@@ -73,7 +82,7 @@ class TestConfigDocument:
         ("arch", {"bytes_per_element": None}),
         ("shaping", {"n_entries": "257"}),
         ("backend", {"kind": "decoupled_in_memory", "parallelism": "4"}),
-        ("backend", {"rng_rate": [1e9]}),
+        ("arch", {"beta_rand": [1e9]}),
         ("nonideality", {"rho": "0.1"}),
         ("nonideality", {"bias": "0.1"}),
         ("backend", {"kind": "decoupled_in_memory", "parallelism": 2.5}),
@@ -81,7 +90,7 @@ class TestConfigDocument:
         ("arch", {"bytes_per_element": 2.5}),
         ("backend", {"read_energy_pj": True}),
         ("arch", {"pi": True}),
-        ("backend", {"rng_rate": 1e999}),  # json writes Infinity, which json reads as inf
+        ("arch", {"beta_rand": 1e999}),  # json writes Infinity, which json reads as inf
         ("seed", True),
         ("shaping", {"method": "inverse_cdf_table", "n_entries": 2.5}),
         ("shaping", {"p": True}),
@@ -467,12 +476,38 @@ class TestSweep:
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"arch": {"beta_data": 25 * 10**9, "beta_rand": 10**9}}))
         out = tmp_path / "s.csv"
-        grid = self.grid(tmp_path, {"alpha": [0.5], "backend": ["coupled_pcim"]})
+        grid = self.grid(tmp_path, {"alpha": [0.5], "backend": ["coupled_pcim", "decoupled_in_memory"]})
         assert run_cli("sweep", "--grid", grid, "--config", str(config), "--out", str(out)) == 0
-        header, (row,) = data_rows(out.read_text())
-        cells = dict(zip(header.split(","), row.split(",")))
-        assert (cells["beta_rand"], cells["beta_data_eff"], cells["beta_rand_eff"]) == (
-            "1000000000", "25000000000", "25000000000")
+        header, rows = data_rows(out.read_text())
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert [(c["beta_rand"], c["beta_data_eff"], c["beta_rand_eff"]) for c in cells] == [
+            ("1000000000", "25000000000", "25000000000"),  # coupled samples at beta_data
+            ("1000000000", "25000000000", "1000000000"),  # one lane at beta_rand
+        ]
+
+    def test_one_entropy_rate(self, tmp_path):
+        # arch.beta_rand, set once, times the roofline, the simulator and the sweep
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"arch": {"beta_rand": 1e6}}))
+        roof, res, out = tmp_path / "r.csv", tmp_path / "res.json", tmp_path / "s.csv"
+        assert run_cli("roofline", "--alpha", "1", "--ai-min", "4", "--points", "2",
+                       "--config", str(config), "--out", str(roof)) == 0
+        _, rows = data_rows(roof.read_text())
+        assert rows[0] == "1.0,4.0,1000000.0,4000000.0,EntropyBound"
+        assert run_cli("simulate", "--workload", "mc", "--config", str(config), "--out", str(res)) == 0
+        result = json.loads(res.read_text())["result"]
+        # 1e6 draws for 4e6 operations, each draw at 1e6/s plus one element of transport
+        assert result["regime_observed"] == "EntropyBound"
+        assert result["achieved_phi"] == pytest.approx(4e6 / (1.0 + 1e6 / 25e9), rel=1e-9)
+        grid = self.grid(tmp_path, {"alpha": [1.0], "backend": ["decoupled_near_memory",
+                                                                "decoupled_in_memory"]})
+        assert run_cli("sweep", "--grid", grid, "--config", str(config), "--out", str(out)) == 0
+        header, rows = data_rows(out.read_text())
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert [(c["beta_rand"], c["beta_rand_eff"], c["regime"]) for c in cells] == [
+            ("1000000.0", repr(1 / (1 / 1e6 + 1 / 25e9)), "EntropyBound"),  # write-back folded in
+            ("1000000.0", "1000000.0", "EntropyBound"),
+        ]
 
     def test_grid_validation_exits_3(self, tmp_path, capsys):
         grid = self.grid(tmp_path, {"alpha": []})

@@ -114,7 +114,7 @@ SPECS = [
         "bytes_per_element": "count",
     }),
     ("BackendConfig", lambda **kw: replace(BackendConfig.von_neumann(), **kw), {
-        "rng_rate": "positive", "read_energy_pj": "positive", "write_energy_pj": "positive",
+        "read_energy_pj": "positive", "write_energy_pj": "positive",
         "sample_energy_pj": "positive", "latency_cycles": "count",
         "transport_bytes_per_sample": "nonnegative", "sigma0": "positive", "gamma": "nonnegative",
         "sigma_min_frac": "unit", "sigma_max_frac": "at_least_one",

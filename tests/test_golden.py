@@ -26,18 +26,19 @@ CRITERION_11_GRID = {
     "backend": ["von_neumann", "coupled_pcim", "decoupled_in_memory"],
     "mode": ["serialized", "overlapped"],
 }
-# retimed RNG under every backend, from a non-default base backend
+# the entropy rate retimed under every backend, from a non-default base backend
 BACKEND_GRID = {
     "beta_rand": [1e8, 3e9],
     "backend": list(BACKENDS),
     "mode": ["serialized", "overlapped"],
 }
 CONFIG = {
-    "backend": {"kind": "decoupled_in_memory", "rng_rate": 2e9, "parallelism": 16},
+    "arch": {"beta_rand": 2e9},
+    "backend": {"kind": "decoupled_in_memory", "parallelism": 16},
     "shaping": {"method": "clt_accumulate", "k": 6},
 }
 # lanes set on another kind carry over to decoupled_in_memory
-LANES_CONFIG = {"backend": {"kind": "von_neumann", "rng_rate": 4e9, "parallelism": 8}}
+LANES_CONFIG = {"arch": {"beta_rand": 4e9}, "backend": {"kind": "von_neumann", "parallelism": 8}}
 # a shaping section priced away from the default pipeline's 8 ops per draw
 SHAPING_CONFIG = {"backend": {"kind": "von_neumann"}, "shaping": {"method": "box_muller", "cost": 100}}
 # model-grid's shape: 41 alpha x 41 log-spaced ai (decimal literals, up to

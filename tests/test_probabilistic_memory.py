@@ -96,18 +96,18 @@ class TestBackendConfig:
         assert BackendConfig.coupled_pcim().shaping_ops_per_sample == 0
 
     @pytest.mark.parametrize("base", [
-        BackendConfig.von_neumann(rng_rate=3e9, transport_bytes_per_sample=2.0, parallelism=8),
+        BackendConfig.von_neumann(transport_bytes_per_sample=2.0, parallelism=8),
         BackendConfig.coupled_pcim(sigma0=0.2),
-        BackendConfig.decoupled_near_memory(rng_rate=5e8, writeback_bytes_per_sample=8.0),
-        BackendConfig.decoupled_in_memory(rng_rate=2e9, parallelism=16),
+        BackendConfig.decoupled_near_memory(writeback_bytes_per_sample=8.0),
+        BackendConfig.decoupled_in_memory(parallelism=16,
+                                          shaping=ShapingPipelineSpec(method="clt_accumulate", k=4)),
     ])
-    def test_for_kind_carries_rate_and_lanes(self, base):
+    def test_for_kind_carries_lanes_and_shaping(self, base):
         expected = {
-            "von_neumann": BackendConfig.von_neumann(rng_rate=base.rng_rate),
+            "von_neumann": BackendConfig.von_neumann(shaping=base.shaping),
             "coupled_pcim": BackendConfig.coupled_pcim(),
-            "decoupled_near_memory": BackendConfig.decoupled_near_memory(rng_rate=base.rng_rate),
-            "decoupled_in_memory": BackendConfig.decoupled_in_memory(
-                rng_rate=base.rng_rate, parallelism=base.parallelism),
+            "decoupled_near_memory": BackendConfig.decoupled_near_memory(),
+            "decoupled_in_memory": BackendConfig.decoupled_in_memory(parallelism=base.parallelism),
         }
         expected[base.kind] = base
         for kind in BACKEND_KINDS:

@@ -22,6 +22,7 @@ from entropy_roofline.probabilistic_memory import (
 from entropy_roofline.simulator import (
     MODE_OVERLAPPED,
     MODE_SERIALIZED,
+    MODES,
     SimConfig,
     backend_effective_rates,
     run,
@@ -60,21 +61,19 @@ class TestBackendEffectiveRates:
         assert br == ARCH.beta_data and bd == ARCH.beta_data
 
     def test_in_memory_scales_with_parallelism(self):
-        cfg = SimConfig(arch=ARCH, backend=BackendConfig.decoupled_in_memory(
-            rng_rate=1e9, parallelism=32))
+        cfg = SimConfig(arch=ARCH, backend=BackendConfig.decoupled_in_memory(parallelism=32))
         _, br = backend_effective_rates(cfg)
-        assert br == 32e9
+        assert br == 32 * ARCH.beta_rand == 32e9
 
     def test_unit_parallelism_equals_near_memory_without_writeback(self):
-        im = SimConfig(arch=ARCH, backend=BackendConfig.decoupled_in_memory(
-            rng_rate=1e9, parallelism=1))
+        im = SimConfig(arch=ARCH, backend=BackendConfig.decoupled_in_memory(parallelism=1))
         nm = SimConfig(arch=ARCH, backend=BackendConfig.decoupled_near_memory(
-            rng_rate=1e9, writeback_bytes_per_sample=0.0))
+            writeback_bytes_per_sample=0.0))
         assert backend_effective_rates(im) == backend_effective_rates(nm)
 
     def test_von_neumann_folds_transport(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann(
-            rng_rate=1e9, transport_bytes_per_sample=4.0))
+            transport_bytes_per_sample=4.0))
         _, br = backend_effective_rates(cfg)
         # one element of bus traffic per sample, composed serially
         assert br == pytest.approx(1.0 / (1.0 / 1e9 + 1.0 / ARCH.beta_data), rel=1e-12)
@@ -195,7 +194,7 @@ def reference_point(wl, cfg):
     t_compute = (wl.n_ops + backend.shaping_ops_per_sample * stoch) / arch.pi
     t_data = det / arch.beta_data
     t_transport = stoch * extra / arch.beta_data
-    t_entropy = stoch / backend.raw_entropy_rate(arch.beta_data)
+    t_entropy = stoch / backend.raw_entropy_rate(arch.beta_data, arch.beta_rand)
     if cfg.mode == MODE_SERIALIZED:
         data, entropy = t_data, t_entropy + t_transport
         t_access = t_data + t_transport + t_entropy
@@ -356,7 +355,7 @@ class TestSweep:
                             "backend": kinds, "mode": [MODE_SERIALIZED, MODE_OVERLAPPED]})
         assert len(table) == 3 * 2 * 3 * 4 * 2
         assert built["ArchParams"] == len(beta_rands)
-        assert built["BackendConfig"] <= len(beta_rands) * (1 + len(kinds))
+        assert built["BackendConfig"] <= 1 + len(kinds)
 
     def test_beta_rand_dimension_applies_to_both_sides(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann(
@@ -367,6 +366,43 @@ class TestSweep:
         assert r1 == pytest.approx(1e9)
         b0, b1 = table["achieved_beta"]
         assert b1 > b0
+
+
+class TestOneEntropyRate:
+    """``ArchParams.beta_rand`` is the one entropy rate: a sweep row is timed
+    at the ``beta_rand`` it prints, as ``run`` times that arch."""
+
+    @given(
+        rates=st.tuples(*[st.floats(1e-3, 1e15)] * 3),
+        base=st.sampled_from(BACKENDS),
+        mode=st.sampled_from(MODES),
+        alpha=st.floats(0.0, 1.0),
+        ai=st.floats(1e-3, 1e6),
+        beta_rands=st.none() | st.lists(st.floats(1e-3, 1e15), min_size=1, max_size=3),
+        kinds=st.none() | st.lists(st.sampled_from(BACKEND_KINDS), min_size=1, max_size=4),
+        modes=st.none() | st.lists(st.sampled_from(MODES), min_size=1, max_size=2),
+    )
+    def test_each_row_is_timed_at_its_beta_rand(self, rates, base, mode, alpha, ai,
+                                                 beta_rands, kinds, modes):
+        cfg = SimConfig(arch=ArchParams(*rates), backend=base, mode=mode)
+        grid = {"alpha": [alpha], "ai": [ai]}
+        for dim, values in (("beta_rand", beta_rands), ("backend", kinds), ("mode", modes)):
+            if values is not None:
+                grid[dim] = values
+        table = sweep(cfg, grid, base_accesses=1000)
+        stoch = round(alpha * 1000)
+        wl = WorkloadSpec(name="w", n_ops=max(1, round(ai * 1000)),
+                          det_accesses=1000 - stoch, stoch_accesses=stoch)
+        assert len(table) == math.prod(len(v) for v in grid.values())
+        for row in range(len(table)):
+            point = SimConfig(arch=replace(cfg.arch, beta_rand=table["beta_rand"][row]),
+                              backend=BackendConfig.for_kind(table["backend"][row], base),
+                              mode=table["mode"][row])
+            res = run(wl, point)
+            assert (table["elapsed_time"][row], table["regime"][row]) == (
+                res.elapsed_time, res.regime_observed)
+            assert (table["beta_data_eff"][row], table["beta_rand_eff"][row]) == \
+                backend_effective_rates(point)
 
 
 class TestReplayAgreement:
