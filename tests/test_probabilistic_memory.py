@@ -116,6 +116,21 @@ class TestBackendConfig:
         with pytest.raises(DomainError):
             BackendConfig.for_kind("quantum", base)
 
+    @pytest.mark.parametrize("kind, expected", [
+        ("von_neumann", 3e9),
+        ("coupled_pcim", 25e9),  # samples on the data path
+        ("decoupled_near_memory", 3e9),
+        ("decoupled_in_memory", 8 * 3e9),  # one beta_rand per lane
+    ])
+    def test_raw_entropy_rate_reads_the_arch_rate(self, kind, expected):
+        assert ALL_BACKENDS[kind].raw_entropy_rate(25e9, 3e9) == expected
+
+    # a backend has no entropy rate of its own: ArchParams.beta_rand is the one
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_constructors_take_no_rate(self, kind):
+        with pytest.raises(TypeError, match="rng_rate"):
+            getattr(BackendConfig, kind)(rng_rate=1e9)
+
 
 class TestWriteRead:
     def test_round_trip_distribution(self):
