@@ -53,7 +53,7 @@ import numpy as np
 
 from .distribution_shaping import ShapingPipelineSpec
 from .entropy_sources import EntropyStream
-from .errors import (AddressError, CellTypeError, DomainError, VarianceRangeError, parse_number,
+from .errors import (_FLOAT_MAX, AddressError, CellTypeError, DomainError, VarianceRangeError, parse_number,
                      require_finite, require_int)
 
 FAMILY_GAUSSIAN = "gaussian"
@@ -320,11 +320,13 @@ class BackendConfig:
 
     def raw_entropy_rate(self, beta_data: float, beta_rand: float) -> float:
         """Draws/second of the entropy path before side traffic is folded in: the
-        data rate when coupled, ``parallelism`` lanes of ``beta_rand`` in-memory, else ``beta_rand``."""
+        data rate when coupled, ``parallelism`` lanes of ``beta_rand`` in-memory, else ``beta_rand``.
+        An int product past the float range is inf, as a float product is."""
         if self.kind == KIND_COUPLED_PCIM:
             return beta_data
         if self.kind == KIND_DECOUPLED_IN_MEMORY:
-            return self.parallelism * beta_rand
+            rate = self.parallelism * beta_rand
+            return rate if rate <= _FLOAT_MAX else math.inf
         return beta_rand
 
 
@@ -578,10 +580,12 @@ def load_array_csv(path: str, backend: BackendConfig,
     Each physical line is one row of comma-separated fields, as
     ``save_array_csv`` writes it; fields are neither stripped nor unquoted,
     and empty lines are skipped.  A bad row, a gaussian outside a coupled
-    backend's variance window included, raises DomainError naming its line.
+    backend's variance window included, raises DomainError naming its line;
+    a byte the text encoding cannot decode is kept as a lone surrogate, so it
+    fails its own field's check.
     """
     entries = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         header = next(fh, None)
         fields = None if header is None else header.rstrip("\r\n").split(",")
         if fields is None or tuple(fields) != CELLS_CSV_FIELDS:

@@ -8,11 +8,15 @@ with header ``op,row,col,count`` (compute rows leave row/col empty).
 A trace repeats one access many times (a Monte Carlo trace is one
 ``sample,0,0,1`` line per draw), so every stage works on runs of equal lines,
 grouped and counted in C: a run is formatted, parsed and validated once, its
-count is added once, and its records share one frozen ``TraceRecord``.
+count is added once, and its records share one frozen ``TraceRecord``.  The
+reader splits lines one at a time only until a line repeats; the rest of that
+run is read ``_WRITE_RUN`` copies at a time, each block checked with one
+string compare, so a million-line run costs about a thousand reads.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from itertools import groupby, repeat
@@ -25,7 +29,7 @@ TRACE_OPS = ("compute", "read", "write", "sample")
 TRACE_CSV_HEADER = ("op", "row", "col", "count")
 _SPEC_FIELD = {"compute": "n_ops", "read": "det_accesses", "write": "det_accesses",
                "sample": "stoch_accesses"}  # the WorkloadSpec sum each op adds to
-_WRITE_RUN = 1024  # lines per write of a long run: 14 KiB for an mc sample line
+_WRITE_RUN = 1024  # lines per write, and per read, of a long run: 14 KiB for an mc sample line
 
 _T = TypeVar("_T")
 
@@ -194,6 +198,57 @@ def _runs(items: Iterable[_T]) -> Iterator[Tuple[_T, int]]:
         yield item, countOf(run, item)
 
 
+def _line_runs(fh: TextIO) -> Iterator[Tuple[str, int]]:
+    """``(line, k)`` for each run of ``k`` equal lines of ``fh``, a text file
+    opened with ``newline=""``: the runs that iterating ``fh`` gives.
+
+    The file splits the lines until one that ends in ``\\n`` repeats.  That
+    run's next lines are then read ``_WRITE_RUN`` copies at a time and each
+    read compared with one ``==``.  The read that differs gives up its whole
+    copies at the head; the text after them, completed to a line end with
+    ``readline``, is split by a ``StringIO``, and once that is used up the
+    file is read again, so every long run takes the block path.
+    """
+    lines: Iterator[str] = fh
+    last, k = None, 0
+    while lines is not None:
+        for line in lines:
+            if line != last:
+                if k:
+                    yield last, k
+                last, k = line, 1
+                continue
+            k += 1
+            if lines is fh and line.endswith("\n"):  # a line end is whole: blocks start on one
+                copies, rest = _block_copies(fh, line)
+                k += copies
+                if rest:
+                    lines = io.StringIO(rest if rest.endswith("\n") else rest + fh.readline(), newline="")
+                    break
+        else:
+            lines = None if lines is fh else fh
+    if k:
+        yield last, k
+
+
+def _block_copies(fh: TextIO, line: str) -> Tuple[int, str]:
+    """How many copies of ``line`` ``fh`` reads next, checked ``_WRITE_RUN``
+    at a time, and the text read after them."""
+    block = line * _WRITE_RUN
+    copies, text = 0, fh.read(len(block))
+    while text == block:
+        copies += _WRITE_RUN
+        text = fh.read(len(block))
+    lo, hi = 0, len(text) // len(line)  # whole copies at the head of text, by bisection
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if text.startswith(block[:mid * len(line)]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return copies + lo, text[lo * len(line):]
+
+
 def aggregate(records: Iterable[TraceRecord], name: str = "trace") -> WorkloadSpec:
     """Column sums of a record list as a WorkloadSpec."""
     totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
@@ -237,17 +292,21 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     ``save_trace`` writes it; fields are stripped, never unquoted, so a
     quoted field fails its own check on its own line.  Blank lines are
     skipped.  A run of equal lines, and the next lines whose fields equal
-    its, share one record.  The workload is named by the file's base name,
-    so one trace gives one workload however its path is spelled.
+    its, share one record.  Past a run's second line the file is compared
+    ``_WRITE_RUN`` copies of the line at a time (``_line_runs``), so a long
+    run costs a read per block, not per line.  The workload is named by the
+    file's base name, so one trace gives one workload however its path is
+    spelled.  A byte the text encoding cannot decode is kept as a lone
+    surrogate, so it fails its own field's check on its own line.
     """
     records: List[TraceRecord] = []
     totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         header = next(fh, "").rstrip("\r\n").split(",")  # readline() keeps an 8 KiB tell() snapshot
         if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
             raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
         line_no, last_row, last = 2, None, None
-        for line, k in _runs(fh):
+        for line, k in _line_runs(fh):
             row = line.rstrip("\r\n").split(",")
             if row != last_row:
                 if not line.strip():

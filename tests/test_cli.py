@@ -325,6 +325,17 @@ class TestSimulate:
         assert run_cli("simulate", "--trace", str(trace)) == 3
         assert f"trace error: line {line}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        (b"sample,0,\xff,1", "expected unsigned ASCII digits, got '\\udcff'"),
+        (b"sam\xffple,0,0,1", "unknown trace op 'sam\\udcffple'"),
+    ], ids=["count", "op"])
+    def test_undecodable_byte_exits_3(self, tmp_path, capsys, line, message):
+        """A byte that is not UTF-8 fails its own field's check on its line."""
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(b"op,row,col,count\r\nread,0,0,1\r\n" + line + b"\r\nread,0,0,1\r\n")
+        assert run_cli("simulate", "--trace", str(trace)) == 3
+        assert f"trace error: line 3: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--shape", "1,2"), ("--workload", "bnn")])
     def test_generator_flag_with_trace_exits_2(self, flag, value, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -484,6 +495,27 @@ class TestSweep:
             ("1000000000", "25000000000", "25000000000"),  # coupled samples at beta_data
             ("1000000000", "25000000000", "1000000000"),  # one lane at beta_rand
         ]
+
+    def test_int_rate_past_float_range_rows_equal_float_rows(self, tmp_path):
+        """parallelism times an int beta_rand past the float range times the
+        simulator as the float config's inf rate does."""
+        grid = self.grid(tmp_path, {"alpha": [0.5, 1.0], "mode": ["serialized", "overlapped"]})
+        res, out = tmp_path / "res.json", tmp_path / "s.csv"
+        rows = []
+        for rate in (10**308, 1e308):
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"arch": {"beta_rand": rate},
+                                          "backend": {"kind": "decoupled_in_memory", "parallelism": 2}}))
+            assert run_cli("simulate", "--workload", "mc", "--config", str(config), "--out", str(res)) == 0
+            result = json.loads(res.read_text())["result"]
+            assert run_cli("sweep", "--grid", grid, "--config", str(config), "--out", str(out)) == 0
+            header, lines = data_rows(out.read_text())
+            cells = [dict(zip(header.split(","), line.split(","))) for line in lines]
+            rows.append(([result[k] for k in ("elapsed_time", "achieved_phi", "regime_observed")],
+                         [(c["elapsed_time"], c["achieved_phi"], c["regime"], c["beta_rand_eff"])
+                          for c in cells]))
+        assert rows[0] == rows[1]
+        assert {c[3] for c in rows[0][1]} == {"inf"}
 
     def test_one_entropy_rate(self, tmp_path):
         # arch.beta_rand, set once, times the roofline, the simulator and the sweep

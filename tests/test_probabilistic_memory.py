@@ -883,6 +883,17 @@ class TestCsvRoundTrip:
             load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
         assert str(info.value) == f"line 4 of {str(path)!r}: {message}"
 
+    @pytest.mark.parametrize("line, message", [
+        (b"0,1,point_mass,1.\xff,0.0", "expected a number, got '1.\\udcff'"),
+        (b"0,1,gauss\xffian,1.0,0.5", "unknown distribution family 'gauss\\udcffian'"),
+    ], ids=["number", "family"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "cells.csv"
+        path.write_bytes(b"addr_row,addr_col,family,mu,sigma_or_p\n0,0,point_mass,1.0,0.0\n\n" + line + b"\n")
+        with pytest.raises(DomainError) as info:
+            load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
+        assert str(info.value) == f"line 4 of {str(path)!r}: {message}"
+
     def test_empty_lines_skipped(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("addr_row,addr_col,family,mu,sigma_or_p\r\n\r\n0,1,point_mass,2.0,0.0\n\n",

@@ -65,6 +65,20 @@ class TestBackendEffectiveRates:
         _, br = backend_effective_rates(cfg)
         assert br == 32 * ARCH.beta_rand == 32e9
 
+    def test_int_rate_stays_int_in_range_and_is_inf_past_it(self):
+        """parallelism times an int beta_rand is that int while a float can
+        hold it; past the float range it is inf, as the float product is."""
+        lanes = BackendConfig.decoupled_in_memory(parallelism=2)
+        in_range = SimConfig(arch=replace(ARCH, beta_rand=10**9), backend=lanes)
+        assert backend_effective_rates(in_range)[1] == 2 * 10**9
+        assert type(backend_effective_rates(in_range)[1]) is int
+        results = []
+        for rate in (10**308, 1e308):
+            cfg = SimConfig(arch=replace(ARCH, beta_rand=rate), backend=lanes)
+            assert backend_effective_rates(cfg)[1] == math.inf
+            results.append(run(mc_estimator(1000, 4), cfg))
+        assert results[0] == results[1]
+
     def test_unit_parallelism_equals_near_memory_without_writeback(self):
         im = SimConfig(arch=ARCH, backend=BackendConfig.decoupled_in_memory(parallelism=1))
         nm = SimConfig(arch=ARCH, backend=BackendConfig.decoupled_near_memory(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropy_roofline import workload
 from entropy_roofline.errors import (
     DegenerateWorkloadError,
     DomainError,
@@ -23,6 +24,8 @@ from entropy_roofline.workload import (
     TRACE_OPS,
     TraceRecord,
     WorkloadSpec,
+    _line_runs,
+    _runs,
     aggregate,
     bnn_layer,
     bnn_trace,
@@ -404,6 +407,27 @@ class _Writes:
         self.calls.append(text)
 
 
+class _CountingText(io.StringIO):
+    """A text stream, as ``open(..., newline="")`` gives, that counts the
+    lines taken one at a time and keeps what each ``read`` returned."""
+
+    def __init__(self, text):
+        super().__init__(text, newline="")
+        self.line_calls, self.reads = 0, []
+
+    def __next__(self):
+        self.line_calls += 1
+        return super().__next__()
+
+    def readline(self, size=-1):
+        self.line_calls += 1
+        return super().readline(size)
+
+    def read(self, size=-1):
+        self.reads.append(super().read(size))
+        return self.reads[-1]
+
+
 def _spell(value):
     """``value`` as one unquoted CSV field: mostly plain, else padded."""
     return st.sampled_from([value] * 8 + [f" {value}", f"{value}  ", f"\t{value} "])
@@ -464,6 +488,77 @@ class TestRunLengthTraceIO:
         with open(trace_file, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         assert _outcome(load_trace, trace_file) == _outcome(_line_by_line_load_trace, trace_file)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @settings(max_examples=40)
+    @given(text=_trace_text())
+    def test_load_matches_line_by_line_parser_at_small_blocks(self, trace_file, block, text):
+        """Runs of a few lines cross many of the reader's block edges."""
+        with open(trace_file, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workload, "_WRITE_RUN", block)
+            assert _outcome(load_trace, trace_file) == _outcome(_line_by_line_load_trace, trace_file)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("edge", [
+        "sample,0,0,1\r\nread,0,0,1\r\n",  # a CRLF pair
+        "sample,0,0,1\rread,0,0,1\r\n",  # a lone CR
+        "sample,0,0,1\r",  # a lone CR at the end of the file
+        "\r\n\nread,0,0,1\n",  # blank lines
+        "sample,0,0,x\r\n",  # a malformed line
+        "sample,0,0,1",  # no final line end
+        "sample,0,0,1\r\n" * 3 + "sample,0,0,1\n" * 3,  # a run of the other line end
+    ], ids=["crlf", "lone-cr", "final-cr", "blank", "malformed", "no-line-end", "other-end"])
+    def test_edge_on_every_block_offset(self, tmp_path, block, edge):
+        """``edge`` after each count of copies of a line falls at every offset
+        from the reader's block edges, for each line end: the reader gives the
+        file's own runs of lines, and the parse the line-by-line parser's."""
+        path = str(tmp_path / "t.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workload, "_WRITE_RUN", block)
+            for end in ("\n", "\r\n", "\r"):
+                for copies in range(1, 3 * block + 4):
+                    with open(path, "w", newline="") as fh:
+                        fh.write("op,row,col,count\r\n" + ("sample,0,0,1" + end) * copies + edge
+                                 + "sample,0,0,1\n" * 2 * block)
+                    with open(path, newline="") as fh, open(path, newline="") as lines:
+                        assert list(_line_runs(fh)) == list(_runs(lines))
+                    assert _outcome(load_trace, path) == _outcome(_line_by_line_load_trace, path)
+
+    def test_read_ends_between_cr_and_lf(self):
+        """A block read that stops inside a CRLF pair: the pair is still one
+        line, unlike the copies of its LF-ended neighbour."""
+        line = "sample,0,0,1\n"
+        stream = _CountingText(line * (_WRITE_RUN + 1) + "sample,0,0,1\r\nread,0,0,1\r\n")
+        assert list(_line_runs(stream)) == [
+            (line, _WRITE_RUN + 1), ("sample,0,0,1\r\n", 1), ("read,0,0,1\r\n", 1)]
+        assert any(text.endswith("sample,0,0,1\r") for text in stream.reads)
+
+    def test_every_long_run_takes_the_block_path(self):
+        """Three long runs split by distinct lines: the lines taken one at a
+        time stay far fewer than the 300,000 lines of the runs."""
+        runs = []
+        for i in range(3):
+            runs += [(f"sample,{i},0,1\r\n", 100_000), (f"read,{i},0,1\r\n", 1)]
+        stream = _CountingText("".join(line * k for line, k in runs))
+        assert list(_line_runs(stream)) == runs
+        assert stream.line_calls <= 3 * _WRITE_RUN
+
+    def test_reader_memory_is_bounded(self, tmp_path):
+        """Reading a 14 MB, 1,000,000-line mc trace holds a block or two of
+        text at a time, never the file."""
+        path = tmp_path / "mc.csv"
+        save_trace(mc_trace(1_000_000, 4), str(path))
+        with open(path, newline="") as fh:
+            tracemalloc.start()
+            try:
+                runs = list(_line_runs(fh))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert [k for _, k in runs] == [1, 1, 1_000_000, 1]
+        assert peak < 2**20
 
     def test_quoted_field_may_not_span_lines(self, tmp_path):
         """Line numbers are physical lines.  The line-by-line parser read a
