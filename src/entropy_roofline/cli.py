@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -164,30 +164,38 @@ def load_config(path: Optional[str]) -> ConfigDocument:
 # ------------------------------------------------------------------------
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _csv_text(schema: str, columns: Dict[str, List[str]]) -> str:
-    """CSV of columns of formatted cells, one column per field."""
+def _csv_blocks(schema: str, columns: Dict[str, np.ndarray], shape: Sequence[int]) -> Iterator[str]:
+    """CSV of columns stored at shapes that broadcast to ``shape``, one field each: the
+    header, then one text per slab of the first axis.  A column that does not vary along
+    that axis is formatted once, every other column once per slab."""
     major_minor = ".".join(__version__.split(".")[:2])
-    lines = [f"# entropy-roofline v{major_minor} schema={schema}", ",".join(columns)]
-    lines += map(",".join, zip(*columns.values()))
-    return "\n".join(lines) + "\n"
+    yield f"# entropy-roofline v{major_minor} schema={schema}\n" + ",".join(columns) + "\n"
+
+    def slab_cells(values: np.ndarray) -> List[str]:
+        return np.broadcast_to(_cells(values), (1, *shape[1:])).ravel().tolist()
+
+    fixed = {name: slab_cells(values) for name, values in columns.items() if len(values) == 1}
+    for i in range(shape[0]):
+        cells = [fixed[name] if name in fixed else slab_cells(values[i:i + 1]) for name, values in columns.items()]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _cells(values: np.ndarray, shape: Sequence[int]) -> List[str]:
-    """``values`` broadcast to ``shape`` as CSV cells, a number by its repr and a label as it
+def _cells(values: np.ndarray) -> np.ndarray:
+    """``values`` as CSV cells at their own shape, a number by its repr and a label as it
     is: each distinct float formatted once, each other stored value once (``1 == 1.0``)."""
     flat, inverse = values.ravel(), slice(None)
     if values.dtype.kind == "f":  # keyed on the bits, as -0.0 == 0.0 and NaN != NaN
         flat, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     text = [v if isinstance(v, str) else repr(v) for v in flat.view(values.dtype).tolist()]
-    return np.broadcast_to(np.array(text, dtype=object)[inverse].reshape(values.shape), shape).ravel().tolist()
+    return np.array(text, dtype=object)[inverse].reshape(values.shape)
 
 
 def _json_text(payload: Dict) -> str:
@@ -273,11 +281,12 @@ def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         curves = [roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points) for alpha in alphas]
     except DomainError as exc:
         parser.error(f"{_ROOFLINE_FLAGS[exc.name]}: {exc}")
-    # a row per curve; alpha and beta_eff stay as given, so an int beta_eff keeps its repr
-    columns = {name: _cells(np.stack([getattr(c, name) for c in curves]) if name in ("ai", "phi", "regime")
-                            else np.array([[getattr(c, name)] for c in curves], dtype=object),
-                            (len(curves), args.points)) for name in ("alpha", "ai", "beta_eff", "phi", "regime")}
-    _emit(_csv_text("roofline", columns), args.out)
+    # a row per curve; alpha and beta_eff stay as given, so an int beta_eff keeps its repr.
+    # Every curve has the same ai grid, so ai is one row, formatted once
+    columns = {"alpha": np.array([[c.alpha] for c in curves], dtype=object), "ai": curves[0].ai[None, :],
+               "beta_eff": np.array([[c.beta_eff] for c in curves], dtype=object),
+               "phi": np.stack([c.phi for c in curves]), "regime": np.stack([c.regime for c in curves])}
+    _emit(_csv_blocks("roofline", columns, (len(curves), args.points)), args.out)
     return EXIT_OK
 
 
@@ -305,7 +314,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "seed": seed,
         "result": result.to_dict(),
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 
@@ -326,7 +335,7 @@ def cmd_fidelity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "seed": seed,
         "report": report.to_dict(),
     }
-    _emit(_json_text(payload), args.out)
+    _emit([_json_text(payload)], args.out)
     return EXIT_OK
 
 
@@ -359,8 +368,7 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         table = run_sweep(sim_config, grid, workload=workload)
     except DomainError as exc:
         raise ConfigError("<grid>", str(exc)) from exc
-    columns = {name: _cells(values, table.shape) for name, values in table.columns.items()}
-    _emit(_csv_text("sweep", columns), args.out)
+    _emit(_csv_blocks("sweep", table.columns, table.shape), args.out)
     return EXIT_OK
 
 

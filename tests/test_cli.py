@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ from entropy_roofline.workload import _WRITE_RUN, load_trace
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def cells_shapes(monkeypatch):
+    """The stored shape of each column ``cli._cells`` formats, in call order."""
+    shapes = []
+    original = cli._cells
+
+    def counting(values):
+        shapes.append(values.shape)
+        return original(values)
+
+    monkeypatch.setattr(cli, "_cells", counting)
+    return shapes
 
 
 def data_rows(text):
@@ -217,18 +232,11 @@ class TestRoofline:
             assert together[2].split(",")[2] == "25000000000"
             assert together[-1].split(",")[2] == "1000000000"
 
-    def test_cells_called_once_per_column(self, tmp_path, monkeypatch):
-        calls = []
-        original = cli._cells
-
-        def counting(values, shape):
-            calls.append(shape)
-            return original(values, shape)
-
-        monkeypatch.setattr(cli, "_cells", counting)
+    def test_ai_formatted_once_other_columns_once_per_curve(self, tmp_path, cells_shapes):
         assert run_cli("roofline", "--alpha", "0,0.5,1", "--points", "4",
                        "--out", str(tmp_path / "r.csv")) == 0
-        assert calls == [(3, 4)] * 5
+        # ai, then alpha, beta_eff, phi and regime of each curve
+        assert cells_shapes == [(1, 4)] + [(1, 1), (1, 1), (1, 4), (1, 4)] * 3
 
 
 # float64 values whose reprs a per-value cache could confuse: signed zeros,
@@ -238,44 +246,83 @@ _AWKWARD_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585
                    1.0, 0.1, 1e300] + [struct.unpack("<d", struct.pack("<Q", b))[0] for b in _NAN_BITS]
 
 
+# one stored shape per kind of SweepTable column (varying over alpha, ai,
+# configs or all three) and per kind of roofline column (over curves, points or both)
+_STORED_AXES = {3: [(0,), (1,), (2,), (0, 1, 2)], 2: [(0,), (1,), (0, 1)]}
+_OBJECT_POOL = [1, 1.0, True, 0, -0.0, 0.0, 25 * 10**9, 2.5e10, math.nan,
+                RegimeLabel.DATA_BOUND, RegimeLabel.COMPUTE_BOUND, "coupled_pcim", "serialized"]
+_FLOAT_POOLS = st.builds(lambda floats, awkward: [-0.0, 0.0] + floats + awkward,
+                         st.lists(st.floats(), max_size=3), st.lists(st.sampled_from(_AWKWARD_FLOATS), max_size=8))
+_OBJECT_POOLS = st.lists(st.sampled_from(_OBJECT_POOL + _AWKWARD_FLOATS), min_size=1, max_size=8)
+_SHAPES = st.one_of(st.tuples(*[st.integers(1, 6)] * 3), st.tuples(*[st.integers(1, 6)] * 2))
+
+
 @st.composite
-def _sweep_column(draw, pools):
-    """A column at one of the shapes ``SweepTable`` stores (varying over
-    alpha, ai, configs or all three), the row shape it is broadcast to, and
-    values drawn from a small pool, so duplicates are the rule."""
-    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
-    axes = draw(st.sampled_from([(0,), (1,), (2,), (0, 1, 2)]))
+def _sweep_column(draw, pools, dtype, shapes=_SHAPES):
+    """A ``dtype`` column at one of the shapes ``SweepTable`` or ``roofline``
+    stores for a row shape from ``shapes``, its values drawn from a small
+    pool, so duplicates are the rule."""
+    shape = draw(shapes)
+    axes = draw(st.sampled_from(_STORED_AXES[len(shape)]))
     stored = tuple(n if axis in axes else 1 for axis, n in enumerate(shape))
-    pool = draw(pools)
-    values = draw(st.lists(st.sampled_from(pool), min_size=math.prod(stored), max_size=math.prod(stored)))
-    return values, stored, shape
+    values = draw(st.lists(st.sampled_from(draw(pools)), min_size=math.prod(stored), max_size=math.prod(stored)))
+    array = np.empty(len(values), dtype=dtype)
+    array[:] = values
+    return array.reshape(stored)
+
+
+@st.composite
+def _csv_columns(draw):
+    """Float and object columns at stored shapes that broadcast to one row
+    shape, whose first axis is 1 or more."""
+    shape = draw(st.tuples(st.sampled_from([1, 2, 3]), *[st.integers(1, 4)] * draw(st.sampled_from([1, 2]))))
+    columns = {}
+    for i in range(draw(st.integers(1, 5))):
+        pools, dtype = draw(st.sampled_from([(_FLOAT_POOLS, np.float64), (_OBJECT_POOLS, object)]))
+        columns[f"c{i}"] = draw(_sweep_column(pools, dtype, st.just(shape)))
+    return columns, shape
+
+
+def _whole_csv_text(schema, columns, shape):
+    """The CSV as one text, every column's cells first, then every row: the
+    formatter ``_csv_blocks`` replaced, kept as its oracle."""
+    def cells(values):
+        flat, inverse = values.ravel(), slice(None)
+        if values.dtype.kind == "f":
+            flat, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        text = [v if isinstance(v, str) else repr(v) for v in flat.view(values.dtype).tolist()]
+        return np.broadcast_to(np.array(text, dtype=object)[inverse].reshape(values.shape), shape).ravel().tolist()
+
+    major_minor = ".".join(entropy_roofline.__version__.split(".")[:2])
+    lines = [f"# entropy-roofline v{major_minor} schema={schema}", ",".join(columns)]
+    lines += map(",".join, zip(*(cells(values) for values in columns.values())))
+    return "\n".join(lines) + "\n"
 
 
 class TestCells:
-    @given(_sweep_column(st.builds(lambda floats, awkward: [-0.0, 0.0] + floats + awkward,
-                                   st.lists(st.floats(), max_size=3),
-                                   st.lists(st.sampled_from(_AWKWARD_FLOATS), max_size=8))))
-    def test_floats_format_as_their_reprs(self, column):
-        values, stored, shape = column
-        array = np.array(values, dtype=np.float64).reshape(stored)
-        assert cli._cells(array, shape) == [repr(v) for v in np.broadcast_to(array, shape).ravel().tolist()]
+    @given(_sweep_column(_FLOAT_POOLS, np.float64))
+    def test_floats_format_as_their_reprs(self, array):
+        cells = cli._cells(array)
+        assert cells.shape == array.shape
+        assert cells.ravel().tolist() == [repr(v) for v in array.ravel().tolist()]
 
-    @given(_sweep_column(st.lists(st.sampled_from([
-        1, 1.0, True, 0, -0.0, 0.0, 25 * 10**9, 2.5e10, math.nan,
-        RegimeLabel.DATA_BOUND, RegimeLabel.COMPUTE_BOUND, "coupled_pcim", "serialized",
-    ]), min_size=1, max_size=8)))
-    def test_objects_format_one_by_one(self, column):
-        values, stored, shape = column
-        array = np.empty(len(values), dtype=object)
-        array[:] = values
-        array = array.reshape(stored)
-        expected = [v if isinstance(v, str) else repr(v) for v in np.broadcast_to(array, shape).ravel().tolist()]
-        assert cli._cells(array, shape) == expected
+    @given(_sweep_column(st.lists(st.sampled_from(_OBJECT_POOL), min_size=1, max_size=8), object))
+    def test_objects_format_one_by_one(self, array):
+        cells = cli._cells(array)
+        assert cells.shape == array.shape
+        assert cells.ravel().tolist() == [v if isinstance(v, str) else repr(v) for v in array.ravel().tolist()]
 
     def test_nan_payloads_and_signed_zeros(self):
         array = np.array(_AWKWARD_FLOATS * 3)
-        assert cli._cells(array, array.shape) == [repr(v) for v in array.tolist()]
-        assert cli._cells(np.array([-0.0, 0.0, -0.0]), (3,)) == ["-0.0", "0.0", "-0.0"]
+        assert cli._cells(array).tolist() == [repr(v) for v in array.tolist()]
+        assert cli._cells(np.array([-0.0, 0.0, -0.0])).tolist() == ["-0.0", "0.0", "-0.0"]
+
+    @given(_csv_columns())
+    def test_blocks_join_to_the_whole_text(self, table):
+        columns, shape = table
+        blocks = list(cli._csv_blocks("sweep", columns, shape))
+        assert len(blocks) == 1 + shape[0]
+        assert "".join(blocks) == _whole_csv_text("sweep", columns, shape)
 
 
 class TestSimulate:
@@ -541,6 +588,14 @@ class TestSweep:
             ("1000000.0", "1000000.0", "EntropyBound"),
         ]
 
+    def test_varying_columns_formatted_once_per_alpha_slab(self, tmp_path, cells_shapes):
+        grid = self.grid(tmp_path, {"alpha": [0.0, 0.5, 1.0], "ai": [1.0, 10.0],
+                                    "backend": ["von_neumann", "coupled_pcim"],
+                                    "mode": ["serialized", "overlapped"]})
+        assert run_cli("sweep", "--grid", grid, "--out", str(tmp_path / "s.csv")) == 0
+        # ai and the five config columns, then alpha and the four result columns of each slab
+        assert cells_shapes == [(1, 2, 1)] + [(1, 1, 4)] * 5 + ([(1, 1, 1)] + [(1, 2, 4)] * 4) * 3
+
     def test_grid_validation_exits_3(self, tmp_path, capsys):
         grid = self.grid(tmp_path, {"alpha": []})
         assert run_cli("sweep", "--grid", grid) == 3
@@ -587,6 +642,45 @@ class TestSweep:
             run_cli("sweep", "--grid", grid, "--workload", "bnn", "--shape", "0,4,1")
         assert info.value.code == 2
         assert "--shape:" in capsys.readouterr().err
+
+
+class TestSlabbedCsv:
+    """``sweep`` writes its CSV an alpha slab at a time and ``roofline`` a
+    curve at a time, so neither holds the whole text."""
+
+    @staticmethod
+    def argv(command, tmp_path, n_alpha, n_ai):
+        alphas = [i / (n_alpha - 1) for i in range(n_alpha)]
+        if command == "roofline":
+            return ["roofline", "--alpha", ",".join(map(repr, alphas)), "--points", str(n_ai)]
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"alpha": alphas, "ai": [10 ** (i / 200) for i in range(n_ai)]}))
+        return ["sweep", "--grid", str(grid)]
+
+    @pytest.mark.parametrize("command", ["sweep", "roofline"])
+    def test_stdout_equals_out_file(self, command, tmp_path, capsysbinary):
+        argv = self.argv(command, tmp_path, 4, 9)
+        out = tmp_path / "o.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        capsysbinary.readouterr()
+        assert run_cli(*argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        assert len(out.read_bytes().splitlines()) == 2 + 4 * 9
+
+    @pytest.mark.parametrize("command, n_alpha, n_ai, limit_mib", [
+        ("sweep", 100, 1000, 16),  # holding the whole text would take ~70 MiB
+        ("roofline", 6, 10_000, 12),  # and ~23 MiB
+    ])
+    def test_peak_memory_is_a_slab_not_the_text(self, command, n_alpha, n_ai, limit_mib, tmp_path):
+        argv = self.argv(command, tmp_path, n_alpha, n_ai)
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "--out", str(out)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
 
 class TestSeedEnvVar:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from entropy_roofline.errors import DomainError
 from entropy_roofline.perf_model import (
@@ -252,6 +254,17 @@ class TestRooflineCurve:
         for ai, phi, regime in zip(curve.ai.tolist(), phis, curve.regime):
             assert phi == min(a.pi, ai * curve.beta_eff)
             assert regime is classify_regime(ai, 0.3, a)
+
+    @given(st.tuples(*[st.floats(1e-3, 1e12)] * 3), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+           st.floats(1e-6, 1e6), st.floats(1.0, 1e8, exclude_min=True), st.integers(2, 64))
+    def test_ai_grid_is_the_same_at_every_alpha(self, rates, alphas, ai_min, span, n_points):
+        """ai depends on the range and the point count alone, so the CLI
+        formats one ai row for all of a roofline's curves."""
+        ai_max = ai_min * span
+        assume(ai_max > ai_min)
+        a = arch(*rates)
+        grids = [roofline_curve(a, alpha, ai_min, ai_max, n_points).ai for alpha in alphas]
+        assert {grid.tobytes() for grid in grids} == {grids[0].tobytes()}
 
     def test_invalid_ranges(self):
         a = arch()
