@@ -48,6 +48,7 @@ from .workload import (
 )
 
 SEED_ENV_VAR = "ENTROPY_ROOFLINE_SEED"
+_CSV_BLOCK_ROWS = 16384  # rows per CSV block: a few MiB of cells and text, a 10k-point curve whole
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,19 +174,28 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _csv_blocks(schema: str, columns: Dict[str, np.ndarray], shape: Sequence[int]) -> Iterator[str]:
-    """CSV of columns stored at shapes that broadcast to ``shape``, one field each: the
-    header, then one text per slab of the first axis.  A column that does not vary along
-    that axis is formatted once, every other column once per slab."""
+    """CSV of columns stored at shapes of ``shape``'s ndim that broadcast to it: the header, then
+    a text per ``_row_blocks`` block, formatting a column again only when the part it covers changes."""
     major_minor = ".".join(__version__.split(".")[:2])
     yield f"# entropy-roofline v{major_minor} schema={schema}\n" + ",".join(columns) + "\n"
-
-    def slab_cells(values: np.ndarray) -> List[str]:
-        return np.broadcast_to(_cells(values), (1, *shape[1:])).ravel().tolist()
-
-    fixed = {name: slab_cells(values) for name, values in columns.items() if len(values) == 1}
-    for i in range(shape[0]):
-        cells = [fixed[name] if name in fixed else slab_cells(values[i:i + 1]) for name, values in columns.items()]
+    formatted: Dict[str, tuple] = {}  # name: (the part of the column, its cells)
+    for block in _row_blocks(shape, _CSV_BLOCK_ROWS):
+        for name, values in columns.items():
+            part = tuple(span if n > 1 else (0, 1) for span, n in zip(block, values.shape))
+            if formatted.get(name, (None,))[0] != part:
+                formatted[name] = part, _cells(values[tuple(slice(*span) for span in part)])
+        cells = [np.broadcast_to(formatted[name][1], [b - a for a, b in block]).ravel().tolist() for name in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _row_blocks(shape: Sequence[int], rows: int) -> List[tuple]:
+    """``(start, stop)`` per axis of each block of a row-order cut of ``shape`` into at most
+    ``rows`` rows: whole slabs of the first axis while one fits, else each slab cut so."""
+    inner = int(np.prod(shape[1:]))
+    if inner > rows:
+        return [((i, i + 1), *rest) for i in range(shape[0]) for rest in _row_blocks(shape[1:], rows)]
+    step = rows // inner
+    return [((i, min(i + step, shape[0])), *((0, n) for n in shape[1:])) for i in range(0, shape[0], step)]
 
 
 def _cells(values: np.ndarray) -> np.ndarray:
@@ -281,8 +291,7 @@ def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         curves = [roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points) for alpha in alphas]
     except DomainError as exc:
         parser.error(f"{_ROOFLINE_FLAGS[exc.name]}: {exc}")
-    # a row per curve; alpha and beta_eff stay as given, so an int beta_eff keeps its repr.
-    # Every curve has the same ai grid, so ai is one row, formatted once
+    # a row per curve, ai one row as every curve has the same; an int beta_eff keeps its repr
     columns = {"alpha": np.array([[c.alpha] for c in curves], dtype=object), "ai": curves[0].ai[None, :],
                "beta_eff": np.array([[c.beta_eff] for c in curves], dtype=object),
                "phi": np.stack([c.phi for c in curves]), "regime": np.stack([c.regime for c in curves])}

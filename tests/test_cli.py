@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -232,11 +233,19 @@ class TestRoofline:
             assert together[2].split(",")[2] == "25000000000"
             assert together[-1].split(",")[2] == "1000000000"
 
-    def test_ai_formatted_once_other_columns_once_per_curve(self, tmp_path, cells_shapes):
+    @pytest.mark.parametrize("block_rows, expected", [
+        # one block: alpha, ai, beta_eff, phi and regime, each once
+        (cli._CSV_BLOCK_ROWS, [(3, 1), (1, 4), (3, 1), (3, 4), (3, 4)]),
+        # a curve a block: ai once, every other column once per curve
+        (4, [(1, 1), (1, 4), (1, 1), (1, 4), (1, 4)] + [(1, 1), (1, 1), (1, 4), (1, 4)] * 2),
+        # half a curve a block: alpha and beta_eff once per curve, ai, phi and regime per block
+        (2, ([(1, 1), (1, 2), (1, 1), (1, 2), (1, 2)] + [(1, 2)] * 3) * 3),
+    ])
+    def test_ai_formatted_once_per_part_of_the_grid(self, tmp_path, cells_shapes, monkeypatch, block_rows, expected):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
         assert run_cli("roofline", "--alpha", "0,0.5,1", "--points", "4",
                        "--out", str(tmp_path / "r.csv")) == 0
-        # ai, then alpha, beta_eff, phi and regime of each curve
-        assert cells_shapes == [(1, 4)] + [(1, 1), (1, 1), (1, 4), (1, 4)] * 3
+        assert cells_shapes == expected
 
 
 # float64 values whose reprs a per-value cache could confuse: signed zeros,
@@ -317,12 +326,30 @@ class TestCells:
         assert cli._cells(array).tolist() == [repr(v) for v in array.tolist()]
         assert cli._cells(np.array([-0.0, 0.0, -0.0])).tolist() == ["-0.0", "0.0", "-0.0"]
 
-    @given(_csv_columns())
-    def test_blocks_join_to_the_whole_text(self, table):
+    @given(_csv_columns(), st.integers(1, 40))
+    def test_blocks_join_to_the_whole_text(self, table, block_rows):
         columns, shape = table
-        blocks = list(cli._csv_blocks("sweep", columns, shape))
-        assert len(blocks) == 1 + shape[0]
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+            blocks = list(cli._csv_blocks("sweep", columns, shape))
+        assert all(0 < block.count("\n") <= block_rows for block in blocks[1:])
         assert "".join(blocks) == _whole_csv_text("sweep", columns, shape)
+
+
+class TestRowBlocks:
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 50))
+    def test_blocks_cut_the_rows_in_order(self, shape, rows):
+        grid = np.arange(math.prod(shape)).reshape(shape)
+        parts = [grid[tuple(slice(*span) for span in block)] for block in cli._row_blocks(shape, rows)]
+        assert all(0 < part.size <= rows for part in parts)
+        assert np.concatenate([part.ravel() for part in parts]).tolist() == grid.ravel().tolist()
+
+    @pytest.mark.parametrize("shape, rows, expected", [
+        ((5, 3), 7, [((0, 2), (0, 3)), ((2, 4), (0, 3)), ((4, 5), (0, 3))]),
+        ((2, 5), 3, [((0, 1), (0, 3)), ((0, 1), (3, 5)), ((1, 2), (0, 3)), ((1, 2), (3, 5))]),
+        ((100_000, 1, 1), 8192, [((i, min(i + 8192, 100_000)), (0, 1), (0, 1)) for i in range(0, 100_000, 8192)]),
+    ])
+    def test_whole_slabs_while_they_fit(self, shape, rows, expected):
+        assert list(cli._row_blocks(shape, rows)) == expected
 
 
 class TestSimulate:
@@ -588,13 +615,27 @@ class TestSweep:
             ("1000000.0", "1000000.0", "EntropyBound"),
         ]
 
-    def test_varying_columns_formatted_once_per_alpha_slab(self, tmp_path, cells_shapes):
+    @pytest.mark.parametrize("block_rows, expected", [
+        # one block: alpha, ai, the five config columns and the four result columns, each once
+        (cli._CSV_BLOCK_ROWS, [(3, 1, 1), (1, 2, 1)] + [(1, 1, 4)] * 5 + [(3, 2, 4)] * 4),
+        # an alpha slab a block: ai and the config columns once, alpha and the results per slab
+        (8, [(1, 1, 1), (1, 2, 1)] + [(1, 1, 4)] * 5 + [(1, 2, 4)] * 4 + ([(1, 1, 1)] + [(1, 2, 4)] * 4) * 2),
+    ])
+    def test_columns_formatted_once_per_part_of_the_grid(self, tmp_path, cells_shapes, monkeypatch,
+                                                         block_rows, expected):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
         grid = self.grid(tmp_path, {"alpha": [0.0, 0.5, 1.0], "ai": [1.0, 10.0],
                                     "backend": ["von_neumann", "coupled_pcim"],
                                     "mode": ["serialized", "overlapped"]})
         assert run_cli("sweep", "--grid", grid, "--out", str(tmp_path / "s.csv")) == 0
-        # ai and the five config columns, then alpha and the four result columns of each slab
-        assert cells_shapes == [(1, 2, 1)] + [(1, 1, 4)] * 5 + ([(1, 1, 1)] + [(1, 2, 4)] * 4) * 3
+        assert cells_shapes == expected
+
+    def test_many_short_alpha_slabs_share_a_block(self, tmp_path, cells_shapes):
+        # a block per alpha would format every column 2,000 times
+        grid = self.grid(tmp_path, {"alpha": [i / 1999 for i in range(2000)]})
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--grid", grid, "--out", str(out)) == 0
+        assert len(cells_shapes) == len(out.read_text().splitlines()[1].split(",")) == 11
 
     def test_grid_validation_exits_3(self, tmp_path, capsys):
         grid = self.grid(tmp_path, {"alpha": []})
@@ -644,21 +685,22 @@ class TestSweep:
         assert "--shape:" in capsys.readouterr().err
 
 
-class TestSlabbedCsv:
-    """``sweep`` writes its CSV an alpha slab at a time and ``roofline`` a
-    curve at a time, so neither holds the whole text."""
+class TestBlockedCsv:
+    """``sweep`` and ``roofline`` write their CSVs a block of at most
+    ``_CSV_BLOCK_ROWS`` rows at a time, so neither holds the whole text."""
 
     @staticmethod
     def argv(command, tmp_path, n_alpha, n_ai):
-        alphas = [i / (n_alpha - 1) for i in range(n_alpha)]
+        alphas = [i / max(1, n_alpha - 1) for i in range(n_alpha)]
         if command == "roofline":
             return ["roofline", "--alpha", ",".join(map(repr, alphas)), "--points", str(n_ai)]
         grid = tmp_path / "g.json"
-        grid.write_text(json.dumps({"alpha": alphas, "ai": [10 ** (i / 200) for i in range(n_ai)]}))
+        grid.write_text(json.dumps({"alpha": alphas, "ai": [10 ** (6 * i / n_ai) for i in range(n_ai)]}))
         return ["sweep", "--grid", str(grid)]
 
     @pytest.mark.parametrize("command", ["sweep", "roofline"])
-    def test_stdout_equals_out_file(self, command, tmp_path, capsysbinary):
+    def test_stdout_equals_out_file(self, command, tmp_path, capsysbinary, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 5)  # each of the 4 slabs of 9 rows in two blocks
         argv = self.argv(command, tmp_path, 4, 9)
         out = tmp_path / "o.csv"
         assert run_cli(*argv, "--out", str(out)) == 0
@@ -669,9 +711,10 @@ class TestSlabbedCsv:
 
     @pytest.mark.parametrize("command, n_alpha, n_ai, limit_mib", [
         ("sweep", 100, 1000, 16),  # holding the whole text would take ~70 MiB
-        ("roofline", 6, 10_000, 12),  # and ~23 MiB
+        ("sweep", 1, 100_000, 24),  # ~77 MiB: one alpha slab, cut by ai
+        ("roofline", 6, 10_000, 12),  # ~23 MiB
     ])
-    def test_peak_memory_is_a_slab_not_the_text(self, command, n_alpha, n_ai, limit_mib, tmp_path):
+    def test_peak_memory_is_a_block_not_the_text(self, command, n_alpha, n_ai, limit_mib, tmp_path):
         argv = self.argv(command, tmp_path, n_alpha, n_ai)
         out = tmp_path / "o.csv"
         tracemalloc.start()
