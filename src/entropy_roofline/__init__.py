@@ -16,7 +16,6 @@ from .errors import (  # noqa: F401
 from .perf_model import (  # noqa: F401
     ArchParams,
     RegimeLabel,
-    RooflineCurve,
     bandwidth_compression,
     classify_regime,
     crossover_alpha,

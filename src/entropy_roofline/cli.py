@@ -288,14 +288,10 @@ def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
                  if getattr(args, name) is not None}
     try:  # the library checks every flag value; a rejected one names its flag
         arch = replace(config.arch, **overrides)
-        curves = [roofline_curve(arch, alpha, args.ai_min, args.ai_max, args.points) for alpha in alphas]
+        table = roofline_curve(arch, alphas, args.ai_min, args.ai_max, args.points)
     except DomainError as exc:
         parser.error(f"{_ROOFLINE_FLAGS[exc.name]}: {exc}")
-    # a row per curve, ai one row as every curve has the same; an int beta_eff keeps its repr
-    columns = {"alpha": np.array([[c.alpha] for c in curves], dtype=object), "ai": curves[0].ai[None, :],
-               "beta_eff": np.array([[c.beta_eff] for c in curves], dtype=object),
-               "phi": np.stack([c.phi for c in curves]), "regime": np.stack([c.regime for c in curves])}
-    _emit(_csv_blocks("roofline", columns, (len(curves), args.points)), args.out)
+    _emit(_csv_blocks("roofline", table.columns, table.shape), args.out)
     return EXIT_OK
 
 
@@ -308,6 +304,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             if value is not None:
                 parser.error(f"{flag}: cannot be combined with --trace")
         _, workload = load_trace(args.trace)
+        if workload.total_accesses == 0:  # the file is at fault, not a flag: exit 3, as for a bad line
+            raise ConfigError(args.trace, "the trace has no read, write or sample lines to simulate")
 
     backend = config.backend
     if args.backend is not None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,18 +96,20 @@ class ArchParams:
 
 
 @dataclass(frozen=True, eq=False)
-class RooflineCurve:
-    """A roofline sampled at one ``alpha``: one ``ai``, ``phi`` and ``regime``
-    (RegimeLabel) per point; ``phi`` is float64, or objects for an int ``pi``."""
+class SweepTable:
+    """A grid's rows as columns named and ordered like its CSV's fields, each
+    stored at the shape it varies over, 1 on every other axis: ``table[name]``
+    broadcasts it to ``shape``, in row order.  ``roofline_curve`` returns one
+    over alpha x ai, the simulator's ``sweep`` one over alpha x ai x config."""
 
-    alpha: float
-    beta_eff: float
-    ai: np.ndarray
-    phi: np.ndarray
-    regime: np.ndarray
+    columns: Dict[str, np.ndarray]
+    shape: Tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.ai)
+        return math.prod(self.shape)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return np.broadcast_to(self.columns[name], self.shape).ravel()
 
 
 def _check_alpha(alpha: float) -> None:
@@ -187,27 +189,34 @@ def bandwidth_compression(alpha: float, arch: ArchParams) -> float:
 
 def roofline_curve(
     arch: ArchParams,
-    alpha: float,
+    alphas: Sequence[float],
     ai_min: float,
     ai_max: float,
     n_points: int,
-) -> RooflineCurve:
-    """Sample the throughput roofline on a log-spaced AI grid as columns; the
-    arguments are checked once per curve.  Each ``ai`` is a Python ``**``,
-    whose last ulp ``np.power`` does not always match."""
+) -> SweepTable:
+    """Sample the throughput roofline at every alpha on one log-spaced AI grid,
+    as a table of shape (alphas, points): ``alpha`` and ``beta_eff`` as given
+    or returned, one per alpha, ``ai`` one per point, each a Python ``**``,
+    whose last ulp ``np.power`` does not always match, and ``phi`` and
+    ``regime`` (RegimeLabel) at every point; ``phi`` is float64, or objects
+    for an int ``pi``.  ``ai_min``, ``ai_max`` and ``n_points`` are checked
+    first, then each alpha in order, then whether ``ai_max / ai_min`` overflows."""
     require_finite("ai_min", ai_min, 0.0, math.inf, "()")
     require_finite("ai_max", ai_max, ai_min, math.inf, "()")
     require_int("n_points", n_points, 2)
-    beta_eff = effective_beta(alpha, arch)
+    beta_effs = [effective_beta(alpha, arch) for alpha in alphas]
     ratio = ai_max / ai_min
     if ratio == math.inf:
         raise DomainError(f"ai_max / ai_min overflows: {ai_max!r} / {ai_min!r}", "ai_max")
-    ai = np.array([ai_min * ratio ** (i / (n_points - 1)) for i in range(n_points)])
-    t_data, t_entropy = (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
+    ai = np.array([[ai_min * ratio ** (i / (n_points - 1)) for i in range(n_points)]])
+    alpha = np.array(alphas, dtype=float)[:, None]
     with np.errstate(over="ignore"):  # past the float range is inf, as for Python floats
-        roof = ai * beta_eff
+        t_data, t_entropy = (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
+        roof = ai * np.array(beta_effs, dtype=float)[:, None]
         code = _regime_codes(ai / arch.pi, t_data + t_entropy, t_data, t_entropy)
     # phi is pi itself where compute binds, so a pi given as an int stays one
     pi = arch.pi if isinstance(arch.pi, float) else np.array(arch.pi, dtype=object)
-    return RooflineCurve(alpha=alpha, beta_eff=beta_eff, ai=ai, phi=np.where(code == 0, pi, roof),
-                         regime=_REGIMES[code])
+    columns = {"alpha": np.array(alphas, dtype=object)[:, None], "ai": ai,
+               "beta_eff": np.array(beta_effs, dtype=object)[:, None],
+               "phi": np.where(code == 0, pi, roof), "regime": _REGIMES[code]}
+    return SweepTable(columns=columns, shape=(len(beta_effs), n_points))

@@ -222,29 +222,22 @@ class BackendConfig:
     # -- constructors per kind ---------------------------------------------
 
     @classmethod
-    def von_neumann(cls, transport_bytes_per_sample: float = 4.0,
-                    shaping: Optional[ShapingPipelineSpec] = None, **kw) -> "BackendConfig":
+    def von_neumann(cls, shaping: Optional[ShapingPipelineSpec] = None, **kw) -> "BackendConfig":
         if shaping is None:
             shaping = ShapingPipelineSpec(method="box_muller")
-        return cls(kind=KIND_VON_NEUMANN, transport_bytes_per_sample=transport_bytes_per_sample,
-                   shaping=shaping, **kw)
+        return cls(kind=KIND_VON_NEUMANN, shaping=shaping, **kw)
 
     @classmethod
-    def coupled_pcim(cls, sigma0: float = 0.1, gamma: float = 0.0,
-                     sigma_min_frac: float = 0.5, sigma_max_frac: float = 2.0,
-                     write_based_sampling: bool = False, **kw) -> "BackendConfig":
-        return cls(kind=KIND_COUPLED_PCIM, sigma0=sigma0, gamma=gamma,
-                   sigma_min_frac=sigma_min_frac, sigma_max_frac=sigma_max_frac,
-                   write_based_sampling=write_based_sampling, **kw)
+    def coupled_pcim(cls, **kw) -> "BackendConfig":
+        return cls(kind=KIND_COUPLED_PCIM, **kw)
 
     @classmethod
-    def decoupled_near_memory(cls, writeback_bytes_per_sample: float = 4.0, **kw) -> "BackendConfig":
-        return cls(kind=KIND_DECOUPLED_NEAR_MEMORY,
-                   writeback_bytes_per_sample=writeback_bytes_per_sample, **kw)
+    def decoupled_near_memory(cls, **kw) -> "BackendConfig":
+        return cls(kind=KIND_DECOUPLED_NEAR_MEMORY, **kw)
 
     @classmethod
-    def decoupled_in_memory(cls, parallelism: int = 1, **kw) -> "BackendConfig":
-        return cls(kind=KIND_DECOUPLED_IN_MEMORY, parallelism=parallelism, **kw)
+    def decoupled_in_memory(cls, **kw) -> "BackendConfig":
+        return cls(kind=KIND_DECOUPLED_IN_MEMORY, **kw)
 
     @classmethod
     def for_kind(cls, kind: str, base: "BackendConfig") -> "BackendConfig":

@@ -45,7 +45,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateWorkloadError, DomainError, require_finite, require_int
-from .perf_model import _REGIMES, ArchParams, RegimeLabel, _check_ai, _check_alpha, _regime_codes
+from .perf_model import (_REGIMES, ArchParams, RegimeLabel, SweepTable, _check_ai, _check_alpha,
+                         _regime_codes)
 from .probabilistic_memory import BACKEND_KINDS, BackendConfig, CostReport
 from .workload import WorkloadSpec
 
@@ -169,22 +170,6 @@ def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
 # ------------------------------------------------------------------------
 # Parameter sweeps
 # ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SweepTable:
-    """A sweep's rows as columns named and ordered like the ``sweep`` CSV's
-    fields, each stored at the shape it varies over (alpha, ai, config or all
-    three): ``table[name]`` broadcasts it to ``shape``, in row order."""
-
-    columns: Dict[str, np.ndarray]
-    shape: Tuple[int, int, int]
-
-    def __len__(self) -> int:
-        return math.prod(self.shape)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return np.broadcast_to(self.columns[name], self.shape).ravel()
 
 
 def _grid_configs(config: SimConfig, grid: Dict[str, Sequence]) -> List[SimConfig]:

@@ -410,6 +410,16 @@ class TestSimulate:
         assert run_cli("simulate", "--trace", str(trace)) == 3
         assert f"trace error: line 3: {message}" in capsys.readouterr().err
 
+    def test_trace_without_accesses_exits_3(self, tmp_path, capsys):
+        """A trace with no read, write or sample line is a bad trace file,
+        header only or compute only, not a flag error."""
+        for name, body in (("empty.csv", ""), ("compute.csv", "compute,,,5\r\n")):
+            trace, out = tmp_path / name, tmp_path / "res.json"
+            trace.write_text("op,row,col,count\r\n" + body, newline="")
+            assert run_cli("simulate", "--trace", str(trace), "--out", str(out)) == 3
+            assert f"config error: {trace}: the trace has no read, write or sample lines" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--shape", "1,2"), ("--workload", "bnn")])
     def test_generator_flag_with_trace_exits_2(self, flag, value, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -800,6 +810,7 @@ class TestPatchableNames:
         ("run_sim", ["simulate", "--workload", "mc"]),
         ("run_sweep", ["sweep", "--grid", "{grid}"]),
         ("roofline_curve", ["roofline", "--alpha", "0.5", "--points", "4"]),
+        ("roofline_curve", ["roofline", "--alpha", "0,0.5,1", "--points", "4"]),  # one call for every alpha
     ])
     def test_called_once_through_module_globals(self, name, command, tmp_path, monkeypatch):
         trace, grid = tmp_path / "t.csv", tmp_path / "g.json"

@@ -222,19 +222,30 @@ class TestCrossoverAlpha:
             assert abs(star - oracle) <= 1e-9
 
 
+def curve(a, alpha, ai_min, ai_max, n_points):
+    """Row 0 of a one-alpha roofline table: its beta_eff and its ai, phi and regime rows."""
+    table = roofline_curve(a, [alpha], ai_min, ai_max, n_points)
+    return table["beta_eff"][0], table["ai"], table["phi"], table["regime"]
+
+
+def exact(values):
+    """Each value's type and repr, in row order: equal for equal bits, NaN aside."""
+    return [(type(v), repr(v)) for v in values.tolist()]
+
+
 class TestRooflineCurve:
     def test_alpha_zero_is_classical_roofline(self):
         a = arch(pi=1e4, beta_data=100.0, beta_rand=1.0)
-        curve = roofline_curve(a, 0.0, 0.01, 100.0, 32)
-        assert len(curve) == 32
-        assert curve.beta_eff == a.beta_data
-        for ai, phi in zip(curve.ai.tolist(), curve.phi.tolist()):
+        beta_eff, ais, phis, _ = curve(a, 0.0, 0.01, 100.0, 32)
+        assert len(ais) == 32
+        assert beta_eff == a.beta_data
+        for ai, phi in zip(ais.tolist(), phis.tolist()):
             assert phi == min(a.pi, ai * a.beta_data)
 
     def test_alpha_one_slope_is_beta_rand(self):
         a = arch(pi=1e4, beta_data=100.0, beta_rand=1.0)
-        curve = roofline_curve(a, 1.0, 0.01, 10.0, 16)
-        for ai, phi in zip(curve.ai.tolist(), curve.phi.tolist()):
+        _, ais, phis, _ = curve(a, 1.0, 0.01, 10.0, 16)
+        for ai, phi in zip(ais.tolist(), phis.tolist()):
             assert phi == min(a.pi, ai * 1.0)
 
     def test_plateau_position(self):
@@ -242,46 +253,64 @@ class TestRooflineCurve:
         a = arch(pi=1e4, beta_data=100.0, beta_rand=1.0)
         beta = effective_beta(0.5, a)
         assert a.pi / beta == pytest.approx(5050.0, rel=1e-12)
-        curve = roofline_curve(a, 0.5, 5050.0, 50_500.0, 8)
-        assert all(phi == pytest.approx(1e4, rel=1e-12) for phi in curve.phi.tolist())
-        assert curve.regime[0] is RegimeLabel.COMPUTE_BOUND
+        _, _, phis, regimes = curve(a, 0.5, 5050.0, 50_500.0, 8)
+        assert all(phi == pytest.approx(1e4, rel=1e-12) for phi in phis.tolist())
+        assert regimes[0] is RegimeLabel.COMPUTE_BOUND
 
     def test_phi_non_decreasing_and_consistent(self):
         a = arch(pi=1e6, beta_data=2500.0, beta_rand=10.0)
-        curve = roofline_curve(a, 0.3, 0.01, 1e5, 200)
-        phis = curve.phi.tolist()
+        beta_eff, ais, phis, regimes = curve(a, 0.3, 0.01, 1e5, 200)
+        phis = phis.tolist()
         assert all(b >= a_ for a_, b in zip(phis, phis[1:]))
-        for ai, phi, regime in zip(curve.ai.tolist(), phis, curve.regime):
-            assert phi == min(a.pi, ai * curve.beta_eff)
+        for ai, phi, regime in zip(ais.tolist(), phis, regimes):
+            assert phi == min(a.pi, ai * beta_eff)
             assert regime is classify_regime(ai, 0.3, a)
 
     @given(st.tuples(*[st.floats(1e-3, 1e12)] * 3), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
            st.floats(1e-6, 1e6), st.floats(1.0, 1e8, exclude_min=True), st.integers(2, 64))
-    def test_ai_grid_is_the_same_at_every_alpha(self, rates, alphas, ai_min, span, n_points):
-        """ai depends on the range and the point count alone, so the CLI
-        formats one ai row for all of a roofline's curves."""
+    def test_alphas_together_equal_alphas_apart(self, rates, alphas, ai_min, span, n_points):
+        """One ai row serves every alpha, and row i of a table over several
+        alphas is the one-alpha table at alphas[i], bit for bit."""
         ai_max = ai_min * span
         assume(ai_max > ai_min)
         a = arch(*rates)
-        grids = [roofline_curve(a, alpha, ai_min, ai_max, n_points).ai for alpha in alphas]
-        assert {grid.tobytes() for grid in grids} == {grids[0].tobytes()}
+        table = roofline_curve(a, alphas, ai_min, ai_max, n_points)
+        assert table.shape == (len(alphas), n_points) and len(table) == len(alphas) * n_points
+        assert table.columns["ai"].shape == (1, n_points)
+        for i, alpha in enumerate(alphas):
+            apart = roofline_curve(a, [alpha], ai_min, ai_max, n_points)
+            for name in table.columns:
+                row = table[name].reshape(table.shape)[i]
+                assert row.dtype == apart[name].dtype and exact(row) == exact(apart[name])
 
     def test_invalid_ranges(self):
         a = arch()
         with pytest.raises(DomainError):
-            roofline_curve(a, 0.0, 1.0, 1.0, 10)
+            roofline_curve(a, [0.0], 1.0, 1.0, 10)
         with pytest.raises(DomainError):
-            roofline_curve(a, 0.0, -1.0, 1.0, 10)
+            roofline_curve(a, [0.0], -1.0, 1.0, 10)
         with pytest.raises(DomainError):
-            roofline_curve(a, 0.0, 0.1, 1.0, 1)
+            roofline_curve(a, [0.0], 0.1, 1.0, 1)
         for ai_min, ai_max, n_points in ((0.1, math.inf, 10), (math.nan, 1.0, 10),
                                          (0.1, 1.0, 2.5), (0.1, 1.0, True)):
             with pytest.raises(DomainError):
-                roofline_curve(a, 0.0, ai_min, ai_max, n_points)
+                roofline_curve(a, [0.0], ai_min, ai_max, n_points)
         # a finite range whose ratio overflows would make every ai but the first inf
         with pytest.raises(DomainError) as info:
-            roofline_curve(a, 0.0, 1e-300, 1e300, 3)
+            roofline_curve(a, [0.0], 1e-300, 1e300, 3)
         assert info.value.name == "ai_max"
+
+    @pytest.mark.parametrize("alphas, ai_min, ai_max, n_points, name", [
+        ([0.5, 2.0], 0.0, 1.0, 1, "ai_min"),  # the range first
+        ([0.5, 2.0], 0.1, 0.01, 1, "ai_max"),
+        ([0.5, 2.0], 0.1, 1.0, 1, "n_points"),
+        ([0.5, math.nan], 1e-300, 1e300, 3, "alpha"),  # then each alpha, before the ratio
+        ([0.5, 1.0], 1e-300, 1e300, 3, "ai_max"),
+    ])
+    def test_checks_keep_their_order(self, alphas, ai_min, ai_max, n_points, name):
+        with pytest.raises(DomainError) as info:
+            roofline_curve(arch(), alphas, ai_min, ai_max, n_points)
+        assert info.value.name == name
 
 
 class TestBandwidthCompression:
