@@ -32,7 +32,6 @@ from .entropy_sources import (  # noqa: F401
     apply_nonidealities,
     create_source,
     mismatch_array,
-    next_raw,
     pelgrom_sigma,
     thermal_sigma,
 )
@@ -42,7 +41,6 @@ from .distribution_shaping import (  # noqa: F401
     bernoulli_from_uniform,
     box_muller,
     clt_accumulate,
-    inverse_cdf_sample,
     reparameterize,
     run_pipeline,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .distribution_shaping import ShapingPipelineSpec
-from .entropy_sources import NonidealitySpec
+from .entropy_sources import NonidealitySpec, SourceSpec
 from .errors import (
     ConfigError,
     DomainError,
@@ -32,7 +32,7 @@ from .errors import (
     parse_number,
     require_int,
 )
-from .fidelity import FidelityConfig, fidelity_report
+from .fidelity import N_MAX, N_MIN, UNIFORM_TARGET, FidelityConfig, fidelity_report
 from .perf_model import ArchParams, roofline_curve
 from .probabilistic_memory import BACKEND_KINDS, BackendConfig, DistributionSpec
 from .simulator import MODES, SimConfig, sweep as run_sweep, run as run_sim
@@ -224,12 +224,12 @@ def _resolve_seed(flag_seed: Optional[int], config_seed: int) -> int:
     return config_seed
 
 
-def _integer(signed: bool = False) -> Callable[[str], int]:
-    """argparse ``type=`` for an integer flag: ``parse_number``, whose
+def _number(kind: type = int, signed: bool = False) -> Callable[[str], object]:
+    """argparse ``type=`` for a numeric flag: ``parse_number``, whose
     DomainError argparse reports after the flag's name, exiting 2."""
-    def convert(text: str) -> int:
+    def convert(text: str):
         try:
-            return parse_number(text, signed=signed)
+            return parse_number(text, kind, signed)
         except DomainError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return convert
@@ -239,8 +239,8 @@ def _parse_floats(parser: argparse.ArgumentParser, flag: str, text: str) -> List
     if not text.strip():
         parser.error(f"{flag}: needs at least one value")
     try:  # an empty item is as wrong as any other non-number
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
+        return list(map(_number(float), text.split(",")))
+    except argparse.ArgumentTypeError:
         parser.error(f"{flag}: expected a comma-separated list of numbers, got {text!r}")
 
 
@@ -326,18 +326,21 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_fidelity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if not (1_000 <= args.samples <= 100_000_000):
-        parser.error(f"--samples: must lie in [1e3, 1e8], got {args.samples!r}")
+    if not (N_MIN <= args.samples <= N_MAX):
+        parser.error(f"--samples: must lie in [{N_MIN}, {N_MAX}], got {args.samples!r}")
     config = load_config(args.config)
     seed = _resolve_seed(args.seed, config.seed)
     fid_config = FidelityConfig(seed=seed, nonideality=config.nonideality)
     if args.target == "normal":
-        target = DistributionSpec.gaussian(0.0, 1.0)
-    else:
-        target = "uniform"
-    report = fidelity_report(config.backend.shaping, args.samples, target, fid_config)
+        pipeline = config.backend.shaping.method
+        report = fidelity_report(config.backend.shaping, args.samples, DistributionSpec.gaussian(0.0, 1.0),
+                                 fid_config)
+    else:  # the raw words before any shaping: the one uniform stream the package makes
+        pipeline = None
+        source = SourceSpec.pseudo_uniform(seed=seed, nonideality=config.nonideality)
+        report = fidelity_report(source, args.samples, UNIFORM_TARGET, fid_config)
     payload = {
-        "pipeline": config.backend.shaping.method,
+        "pipeline": pipeline,
         "target": args.target,
         "seed": seed,
         "report": report.to_dict(),
@@ -394,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roofline", help="emit a roofline curve CSV")
     p.add_argument("--alpha", default="0", help="comma-separated stochastic fractions in [0,1]")
-    p.add_argument("--ai-min", type=float, default=0.01)
-    p.add_argument("--ai-max", type=float, default=1e4)
-    p.add_argument("--points", type=_integer(), default=64)
+    p.add_argument("--ai-min", type=_number(float), default=0.01)
+    p.add_argument("--ai-max", type=_number(float), default=1e4)
+    p.add_argument("--points", type=_number(), default=64)
     p.add_argument("--config", default=None, help="JSON config path")
-    p.add_argument("--pi", type=float, default=None, help="compute rate override, ops/s")
-    p.add_argument("--beta-data", type=float, default=None, help="data rate override, elements/s")
-    p.add_argument("--beta-rand", type=float, default=None, help="entropy rate override, samples/s")
+    p.add_argument("--pi", type=_number(float), default=None, help="compute rate override, ops/s")
+    p.add_argument("--beta-data", type=_number(float), default=None, help="data rate override, elements/s")
+    p.add_argument("--beta-rand", type=_number(float), default=None, help="entropy rate override, samples/s")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_roofline)
 
@@ -412,15 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="trace CSV instead of a generator")
     p.add_argument("--backend", choices=BACKEND_KINDS, default=None)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", type=_integer(signed=True), default=None)
+    p.add_argument("--seed", type=_number(signed=True), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fidelity", help="statistical battery over the configured pipeline")
     p.add_argument("--config", default=None)
-    p.add_argument("--samples", type=_integer(), default=100_000)
+    p.add_argument("--samples", type=_number(), default=100_000)
     p.add_argument("--target", choices=("normal", "uniform"), default="normal")
-    p.add_argument("--seed", type=_integer(signed=True), default=None)
+    p.add_argument("--seed", type=_number(signed=True), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fidelity)
 
@@ -433,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="simulate a parameter grid, emit a CSV table")
     p.add_argument("--config", default=None)
     p.add_argument("--grid", required=True, help="JSON grid document")
-    p.add_argument("--jobs", type=_integer(), default=1,
+    p.add_argument("--jobs", type=_number(), default=1,
                    help="accepted for compatibility; the grid is evaluated in one process")
     p.add_argument("--workload", choices=sorted(_WORKLOAD_DEFAULT_SHAPE), default=None)
     p.add_argument("--shape", default=None)
-    p.add_argument("--seed", type=_integer(signed=True), default=None)
+    p.add_argument("--seed", type=_number(signed=True), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -3,7 +3,8 @@
 Covers the three shaping classes a sampler pipeline can use: arithmetic
 transforms (Box-Muller), lookup tables (piecewise-linear inverse CDF), and
 accumulation (central-limit sums), plus Bernoulli thresholding and the
-reparameterization map ``x = mu + sigma * eps`` used by decoupled backends.
+reparameterization map ``x = mu + sigma * eps`` (``PMemArray`` computes that
+map inline, on every backend kind).
 
 Each pipeline carries a per-output-sample operation cost consumed by the
 cost accounting; the defaults are documented knobs, not measurements.
@@ -211,11 +212,6 @@ class InverseCdfTable:
         if np.isscalar(u):
             return float(out)
         return out
-
-
-def inverse_cdf_sample(u: ArrayLike, table: InverseCdfTable):
-    """Draw from ``table`` by inverting a uniform."""
-    return table.sample(u)
 
 
 # ------------------------------------------------------------------------

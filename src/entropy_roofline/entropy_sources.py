@@ -20,7 +20,9 @@ Source kinds:
 
 Ideal draws are i.i.d.; non-idealities are layered on top as an AR(1)
 correlation filter, an additive bias, and a linear drift of the mean
-(expressed per million samples).
+(expressed per million samples).  That layer is what ``fidelity`` judges;
+no array draws it: ``EntropyStream`` is always ideal, and ``mismatch_array``
+rejects a spec that carries one.
 """
 
 from __future__ import annotations
@@ -198,49 +200,20 @@ class SourceSpec:
     # -- conveniences -----------------------------------------------------
 
     @classmethod
-    def pseudo_uniform(cls, seed: int = 0, stream_id: int = 0, **kw) -> "SourceSpec":
-        return cls(kind=KIND_PSEUDO_UNIFORM, seed=seed, stream_id=stream_id, **kw)
+    def pseudo_uniform(cls, **kw) -> "SourceSpec":
+        return cls(kind=KIND_PSEUDO_UNIFORM, **kw)
 
     @classmethod
-    def thermal_gaussian(
-        cls,
-        sigma: Optional[float] = None,
-        temperature: Optional[float] = None,
-        capacitance: Optional[float] = None,
-        seed: int = 0,
-        stream_id: int = 0,
-        **kw,
-    ) -> "SourceSpec":
-        return cls(
-            kind=KIND_THERMAL_GAUSSIAN,
-            sigma=sigma,
-            temperature=temperature,
-            capacitance=capacitance,
-            seed=seed,
-            stream_id=stream_id,
-            **kw,
-        )
+    def thermal_gaussian(cls, **kw) -> "SourceSpec":
+        return cls(kind=KIND_THERMAL_GAUSSIAN, **kw)
+
+    @classmethod  # area_wl stays positional; its default is the field's, read in the class body
+    def mismatch_static(cls, sigma0: float, area_wl: float = area_wl, **kw) -> "SourceSpec":
+        return cls(kind=KIND_MISMATCH_STATIC, sigma0=sigma0, area_wl=area_wl, **kw)
 
     @classmethod
-    def mismatch_static(
-        cls, sigma0: float, area_wl: float = 1.0, seed: int = 0, stream_id: int = 0, **kw
-    ) -> "SourceSpec":
-        return cls(
-            kind=KIND_MISMATCH_STATIC,
-            sigma0=sigma0,
-            area_wl=area_wl,
-            seed=seed,
-            stream_id=stream_id,
-            **kw,
-        )
-
-    @classmethod
-    def stochastic_switch(
-        cls, p: float, seed: int = 0, stream_id: int = 0, **kw
-    ) -> "SourceSpec":
-        return cls(
-            kind=KIND_STOCHASTIC_SWITCH, p=p, seed=seed, stream_id=stream_id, **kw
-        )
+    def stochastic_switch(cls, p: float, **kw) -> "SourceSpec":
+        return cls(kind=KIND_STOCHASTIC_SWITCH, p=p, **kw)
 
 
 # ------------------------------------------------------------------------
@@ -278,7 +251,8 @@ class NonidealityState:
 def _apply_nonidealities_block(
     x: np.ndarray, state: NonidealityState, spec: NonidealitySpec
 ) -> np.ndarray:
-    """Vectorized AR(1) + bias + drift over a contiguous block."""
+    """Vectorized AR(1) + bias + drift over a contiguous block; an identity
+    spec returns float64 ``x`` itself, still advancing ``state``."""
     n = x.shape[0]
     t0 = state.t
     if spec.rho != 0.0:
@@ -288,10 +262,9 @@ def _apply_nonidealities_block(
 
         c = math.sqrt(1.0 - spec.rho * spec.rho)
         y, zf = lfilter([c], [1.0, -spec.rho], x, zi=[spec.rho * state.prev])
-        state.prev = float(y[-1])
     else:
-        y = x.astype(np.float64, copy=True)
-        state.prev = float(y[-1]) if n else state.prev
+        y = x.astype(np.float64, copy=False)
+    state.prev = float(y[-1]) if n else state.prev
     state.t = t0 + n
     if spec.bias != 0.0 or spec.drift != 0.0:
         t = np.arange(t0, t0 + n, dtype=np.float64)
@@ -342,25 +315,12 @@ class SourceHandle:
         require_int("n", n, 0)
         x = self._ideal_block(self._index, n)
         self._index += n
-        if self.spec.nonideality.is_identity:
-            self._ni_state.prev = float(x[-1]) if n else self._ni_state.prev
-            self._ni_state.t += n
-            return x
         return _apply_nonidealities_block(x, self._ni_state, self.spec.nonideality)
-
-    @property
-    def samples_emitted(self) -> int:
-        return self._index
 
 
 def create_source(spec: SourceSpec) -> SourceHandle:
     """Instantiate a deterministic stream for ``spec``."""
     return SourceHandle(spec)
-
-
-def next_raw(source: SourceHandle) -> float:
-    """One sample from the source (kind-specific unit)."""
-    return float(source.draw(1)[0])
 
 
 class EntropyStream:
@@ -453,13 +413,13 @@ def mismatch_array(spec: SourceSpec, rows: int, cols: int) -> MismatchArray:
     Offsets are i.i.d. Gaussian with sigma = sigma0 / sqrt(area_wl); the
     same spec always yields the same array (cells are re-derivable from
     their linear index).  Spatial correlation is out of scope: cells are
-    independent.
+    independent, so a spec with a non-ideality is rejected.
     """
     if spec.kind != KIND_MISMATCH_STATIC:
         raise DomainError(f"mismatch_array needs a mismatch_static spec, got {spec.kind!r}")
+    if not spec.nonideality.is_identity:
+        raise DomainError(f"mismatch_array draws independent cells, got {spec.nonideality!r}")
     require_int("rows", rows, 1)
     require_int("cols", cols, 1)
-    key = derive_stream_key(spec.seed, spec.stream_id)
-    sigma = pelgrom_sigma(spec.sigma0, spec.area_wl)
-    flat = sigma * _normal_block(key, 0, rows * cols)
+    flat = create_source(spec).draw(rows * cols)
     return MismatchArray(rows=rows, cols=cols, offsets=flat.reshape(rows, cols))

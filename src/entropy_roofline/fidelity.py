@@ -50,6 +50,10 @@ _MCV_Z = 2.576
 # sorted samples before calling it not monotone
 _CDF_ROUNDING_ULPS = 64
 
+# The sample counts a report accepts, for the library and the CLI alike
+N_MIN = 1_000
+N_MAX = 100_000_000
+
 # A target is a DistributionSpec, or this string for raw uniform streams.
 UNIFORM_TARGET = "uniform"
 Target = Union[DistributionSpec, str]
@@ -243,8 +247,6 @@ class FidelityConfig:
     significance: float = 0.01
     max_lag: int = 8
     symbol_bits: int = 8
-    n_min: int = 1000
-    n_max: int = 100_000_000
     seed: int = 0
     stream_id: int = 0
     nonideality: NonidealitySpec = field(default_factory=NonidealitySpec)
@@ -253,8 +255,6 @@ class FidelityConfig:
         require_finite("significance", self.significance, 0.0, 1.0, "()")
         require_int("max_lag", self.max_lag, 1)
         require_int("symbol_bits", self.symbol_bits, 1)
-        require_int("n_min", self.n_min, 1)
-        require_int("n_max", self.n_max, self.n_min)
         require_int("seed", self.seed)
         require_int("stream_id", self.stream_id)
 
@@ -286,10 +286,7 @@ def _pipeline_samples(spec: ShapingPipelineSpec, n: int, config: FidelityConfig)
         SourceSpec.pseudo_uniform(seed=config.seed, stream_id=config.stream_id)
     )
     u = source.draw(uniforms_needed(spec, n))
-    shaped = run_pipeline(spec, u)[:n]
-    if config.nonideality.is_identity:
-        return shaped
-    return _apply_nonidealities_block(shaped, NonidealityState(), config.nonideality)
+    return _apply_nonidealities_block(run_pipeline(spec, u)[:n], NonidealityState(), config.nonideality)
 
 
 def fidelity_report(
@@ -303,10 +300,8 @@ def fidelity_report(
     ``target`` is a DistributionSpec, or the string "uniform" for raw
     uniform streams.  Deterministic given the config seed.
     """
-    if not (config.n_min <= n <= config.n_max):
-        raise DomainError(
-            f"n must lie in [{config.n_min}, {config.n_max}], got {n}"
-        )
+    if not (N_MIN <= n <= N_MAX):
+        raise DomainError(f"n must lie in [{N_MIN}, {N_MAX}], got {n}")
     # loaded before any sample array exists, so its memory does not add to their peak
     import scipy.special  # noqa: F401
 

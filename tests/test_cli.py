@@ -19,6 +19,7 @@ import entropy_roofline
 from entropy_roofline import cli
 from entropy_roofline.cli import SEED_ENV_VAR, main, parse_config
 from entropy_roofline.errors import ConfigError
+from entropy_roofline.fidelity import N_MAX, N_MIN
 from entropy_roofline.perf_model import RegimeLabel
 from entropy_roofline.workload import _WRITE_RUN, load_trace
 
@@ -482,17 +483,28 @@ class TestFidelity:
         assert abs(doc["report"]["mean"] - 0.1) < 0.013
         assert doc["report"]["ks_pass"] is False
 
-    def test_sample_bounds_exit_2(self):
+    @pytest.mark.parametrize("samples", [10, N_MIN - 1, N_MAX + 1])  # the library's bounds
+    def test_sample_bounds_exit_2(self, samples, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
-            run_cli("fidelity", "--samples", "10")
+            run_cli("fidelity", "--samples", str(samples), "--out", str(tmp_path / "f.json"))
         assert info.value.code == 2
+        assert f"error: --samples: must lie in [{N_MIN}, {N_MAX}], got {samples}" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
 
     def test_uniform_target(self, tmp_path):
+        """A uniform target judges the raw words, before any shaping: they pass,
+        and the shaping section does not change a byte."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"shaping": {"method": "bernoulli_threshold"}}))
-        out = tmp_path / "f.json"
-        assert run_cli("fidelity", "--config", str(cfg), "--samples", "10000",
-                       "--target", "uniform", "--out", str(out)) == 0
+        shaped, default = tmp_path / "shaped.json", tmp_path / "default.json"
+        assert run_cli("fidelity", "--config", str(cfg), "--samples", "10000", "--seed", "3",
+                       "--target", "uniform", "--out", str(shaped)) == 0
+        assert run_cli("fidelity", "--samples", "10000", "--seed", "3",
+                       "--target", "uniform", "--out", str(default)) == 0
+        assert shaped.read_bytes() == default.read_bytes()
+        doc = json.loads(default.read_text())
+        assert doc["pipeline"] is None
+        assert doc["report"]["ks_pass"] is True
 
 
 class TestGenTrace:
@@ -797,6 +809,44 @@ class TestIntegerFlags:
             run_cli(command, f"{flag}=-3", *grid)
         assert info.value.code == 2
         assert f"error: argument {flag}: expected unsigned ASCII digits, got '-3'" in capsys.readouterr().err
+
+
+class TestFloatFlags:
+    """The float flags and each ``--alpha`` item read a float as a cells CSV
+    does: ASCII, with no underscore or surrounding space."""
+
+    @pytest.mark.parametrize("flag", ["--ai-min", "--ai-max", "--pi", "--beta-data", "--beta-rand", "--alpha"])
+    # float() takes all but the first two; 1_0e13 would run at 1e14
+    @pytest.mark.parametrize("value", ["not-a-number", "1.0.0", "1_0", "1_0e13", "\u0660", "\u0661e3",
+                                       " 1e3", "1e3 ", "\t1"])
+    def test_bad_float_flag_exits_2(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("roofline", f"{flag}={value}", "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        if flag == "--alpha":
+            assert "error: --alpha: expected a comma-separated list of numbers" in err
+        else:
+            assert f"error: argument {flag}: expected a number, got " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0.5,\u0660", "0, 0.5", "0.5 ,1", "0.5,1_0"])
+    def test_every_alpha_item_is_checked(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("roofline", "--alpha", value, "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        assert "error: --alpha: expected a comma-separated list of numbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_plain_float_forms_run(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli("roofline", "--alpha=-0.0,+.5,1E0", "--ai-min", "1E-2", "--ai-max", "+1e3",
+                       "--pi", "1e13", "--beta-data", "25e9", "--beta-rand", "1.e9", "--points", "2",
+                       "--out", str(out)) == 0
+        _, rows = data_rows(out.read_text())
+        assert [row.split(",")[:2] for row in rows] == [
+            ["-0.0", "0.01"], ["-0.0", "1000.0"], ["0.5", "0.01"], ["0.5", "1000.0"],
+            ["1.0", "0.01"], ["1.0", "1000.0"]]
 
 
 class TestPatchableNames:

@@ -1,21 +1,26 @@
 """Tests for the counter-based streams and hardware source models."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from entropy_roofline.entropy_sources import (
     BOLTZMANN_K,
+    KIND_MISMATCH_STATIC,
+    KIND_PSEUDO_UNIFORM,
+    KIND_STOCHASTIC_SWITCH,
+    KIND_THERMAL_GAUSSIAN,
     EntropyStream,
     NonidealitySpec,
     NonidealityState,
     SourceSpec,
     apply_nonidealities,
     create_source,
+    _apply_nonidealities_block,
     derive_stream_key,
     mismatch_array,
-    next_raw,
     pelgrom_sigma,
     raw_u64,
     thermal_sigma,
@@ -92,12 +97,6 @@ class TestDeterminismAndSplitting:
         parts = np.concatenate([other.draw(1), other.draw(49), other.draw(51)])
         assert np.array_equal(one, parts)
 
-    def test_next_raw_single_sample(self):
-        spec = SourceSpec.pseudo_uniform(seed=3)
-        src = create_source(spec)
-        first = next_raw(src)
-        assert first == create_source(spec).draw(1)[0]
-
     def test_interleaved_construction_does_not_perturb_streams(self):
         spec = SourceSpec.thermal_gaussian(sigma=1.0, seed=55)
         reference = create_source(spec).draw(32)
@@ -145,6 +144,18 @@ class TestSourceKinds:
         with pytest.raises(DomainError):
             SourceSpec.mismatch_static(sigma0=0.01, area_wl=0.0)
 
+    @pytest.mark.parametrize("make, args, kw, fields", [
+        (SourceSpec.pseudo_uniform, (), {}, {"kind": KIND_PSEUDO_UNIFORM}),
+        # a thermal spec builds only with a sigma, or a temperature and capacitance
+        (SourceSpec.thermal_gaussian, (), {"sigma": 1.0}, {"kind": KIND_THERMAL_GAUSSIAN, "sigma": 1.0}),
+        (SourceSpec.mismatch_static, (0.01,), {}, {"kind": KIND_MISMATCH_STATIC, "sigma0": 0.01}),
+        (SourceSpec.stochastic_switch, (0.3,), {}, {"kind": KIND_STOCHASTIC_SWITCH, "p": 0.3}),
+    ])
+    def test_constructor_takes_the_dataclass_defaults(self, make, args, kw, fields):
+        """Given only its required arguments, a per-kind constructor builds the
+        bare dataclass of its kind."""
+        assert make(*args, **kw) == SourceSpec(**fields)
+
 
 class TestScalingLaws:
     def test_pelgrom_values(self):
@@ -191,6 +202,19 @@ class TestNonidealities:
         spec = NonidealitySpec()
         state = NonidealityState()
         assert apply_nonidealities(1.25, state, spec) == 1.25
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_identity_returns_its_input_and_advances(self, n):
+        x = np.arange(n, dtype=np.float64)
+        state = NonidealityState(prev=-1.0, t=7)
+        assert _apply_nonidealities_block(x, state, NonidealitySpec()) is x
+        assert (state.prev, state.t) == (x[-1] if n else -1.0, 7 + n)
+
+    def test_empty_draw_with_rho_changes_nothing(self):
+        spec = SourceSpec.thermal_gaussian(sigma=1.0, seed=25, nonideality=NonidealitySpec(rho=0.5))
+        src = create_source(spec)
+        assert src.draw(0).shape == (0,)
+        assert np.array_equal(src.draw(8), create_source(spec).draw(8))
 
     def test_rho_validation(self):
         with pytest.raises(DomainError):
@@ -253,6 +277,18 @@ class TestMismatchArrays:
     def test_requires_mismatch_kind(self):
         with pytest.raises(DomainError):
             mismatch_array(SourceSpec.pseudo_uniform(), 4, 4)
+
+    @pytest.mark.parametrize("nonideality", [
+        NonidealitySpec(bias=1.0, rho=0.5), NonidealitySpec(bias=1.0), NonidealitySpec(rho=0.5),
+        NonidealitySpec(drift=1e-3),
+    ])
+    def test_nonideality_rejected(self, nonideality):
+        """Cells are independent, so no correlation, bias or drift applies to
+        them; an ideal spec draws the stream's first rows * cols values."""
+        spec = SourceSpec.mismatch_static(10e-3, 2.0, seed=37)
+        with pytest.raises(DomainError, match="independent cells"):
+            mismatch_array(replace(spec, nonideality=nonideality), 4, 4)
+        assert np.array_equal(mismatch_array(spec, 4, 4).offsets.ravel(), create_source(spec).draw(16))
 
     def test_same_seed_identical(self):
         spec = SourceSpec.mismatch_static(sigma0=10e-3, area_wl=2.0, seed=31)

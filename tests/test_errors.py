@@ -130,8 +130,8 @@ SPECS = [
         "n_entries": "count", "k": "count", "p": "unit", "cost": "count",
     }),
     ("FidelityConfig", FidelityConfig, {
-        "significance": "unit", "max_lag": "count", "symbol_bits": "count", "n_min": "count",
-        "n_max": "count", "seed": "integer", "stream_id": "integer",
+        "significance": "unit", "max_lag": "count", "symbol_bits": "count",
+        "seed": "integer", "stream_id": "integer",
     }),
     ("EntropyStream", EntropyStream, {"seed": "integer", "stream_id": "integer"}),
 ]

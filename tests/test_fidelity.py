@@ -14,6 +14,8 @@ from entropy_roofline.distribution_shaping import SHAPING_METHODS, ShapingPipeli
 from entropy_roofline.entropy_sources import NonidealitySpec, SourceHandle, SourceSpec, create_source
 from entropy_roofline.errors import DomainError
 from entropy_roofline.fidelity import (
+    N_MAX,
+    N_MIN,
     FidelityConfig,
     _pipeline_samples,
     autocorrelation,
@@ -296,10 +298,11 @@ class TestFidelityReport:
         assert report.autocorr is None
         assert report.min_entropy_per_sample == 0.0
 
-    def test_sample_count_bounds(self):
+    @pytest.mark.parametrize("n", [10, N_MIN - 1, N_MAX + 1])  # N_MAX + 1 fails before any draw
+    def test_sample_count_bounds(self, n):
         spec = ShapingPipelineSpec(method="box_muller")
-        with pytest.raises(DomainError):
-            fidelity_report(spec, 10, DistributionSpec.gaussian(0.0, 1.0))
+        with pytest.raises(DomainError, match=rf"n must lie in \[{N_MIN}, {N_MAX}\], got {n}"):
+            fidelity_report(spec, n, DistributionSpec.gaussian(0.0, 1.0))
 
     def test_bernoulli_stream_entropy(self):
         spec = SourceSpec.stochastic_switch(p=0.5, seed=18)

@@ -93,7 +93,7 @@ CASES["simulate-trace-mc-default"] = ["simulate", "--trace", "{mc_trace}"]
 
 EXPECTED = {
     "fidelity-normal": "ea141c6920c89927e641a957dcac5143dc196afcc47bc26c5cef75e02191d629",
-    "fidelity-uniform": "6c3b8c7761dfcf9b02bc0e88b67766b1f137aa3442905db1407c1eb1354def14",
+    "fidelity-uniform": "800ae134d3609e5aefe4b87553375095cfea270dfa9b3a7644cb581f30331163",
     "gen-trace-bnn": "bb0b792b46f2a9d93f2db784a73f1fe8805e9d451c4f4da6055fce567fe7371c",
     "gen-trace-conv": "96d68df7c16ff7b4a79722a839820c54febe39a1842229fba444a09c9c8b3572",
     "gen-trace-conv-stoch": "d52b122229772a6dff9974bce486f6164f23677996722cfeeae70f8449736476",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from entropy_roofline.errors import DomainError
@@ -282,6 +282,33 @@ class TestRooflineCurve:
             for name in table.columns:
                 row = table[name].reshape(table.shape)[i]
                 assert row.dtype == apart[name].dtype and exact(row) == exact(apart[name])
+
+    @given(st.tuples(*[st.floats(1e-3, 1e15)] * 3), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           st.floats(1e-6, 1e6), st.floats(1.0, 1e8, exclude_min=True), st.integers(2, 16),
+           st.none() | st.integers(-64, 64))
+    # a ridge tie: the label calls compute while 6.071428571428571 * beta_eff rounds under pi
+    @example((68.0, 4.0, 14.0), [0.9], 6.071428571428571, 2.0, 2, None)
+    def test_rows_equal_the_scalar_model(self, rates, alphas, ai_min, span, n_points, ridge_ulps):
+        """Every row equals ``system_throughput`` and ``classify_regime`` at its
+        (alpha, ai), bit for bit, but for one tie rule.  A row's label compares
+        times and ``system_throughput`` compares rates, and at the ridge the two
+        can round apart: a ComputeBound row keeps ``pi``, where ``min(pi, ai *
+        beta_eff)`` gives an ``ai * beta_eff`` under ``pi`` by at most two ulps.
+        ``ridge_ulps`` puts ``ai_min`` that many ulps from the first alpha's ridge."""
+        a = arch(*rates)
+        if ridge_ulps is not None:
+            t_access = (1.0 - alphas[0]) / a.beta_data + alphas[0] / a.beta_rand
+            ai_min = a.pi * t_access * (1.0 + ridge_ulps * np.finfo(float).eps)
+            span = 1.0 + 64 * np.finfo(float).eps
+        ai_max = ai_min * span
+        assume(0.0 < ai_min < ai_max < math.inf)
+        table = roofline_curve(a, alphas, ai_min, ai_max, n_points)
+        for alpha, ai, phi, regime in zip(*(table[name].tolist() for name in ("alpha", "ai", "phi", "regime"))):
+            assert regime is classify_regime(ai, alpha, a)
+            expected = system_throughput(ai, alpha, a)
+            if phi != expected:
+                assert regime is RegimeLabel.COMPUTE_BOUND and phi == a.pi
+                assert 0.0 < a.pi - expected <= 2 * math.ulp(a.pi)
 
     def test_invalid_ranges(self):
         a = arch()

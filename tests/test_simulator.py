@@ -419,6 +419,101 @@ class TestOneEntropyRate:
                 backend_effective_rates(point)
 
 
+EPS = np.finfo(float).eps
+
+
+class TestAgreementToTheUlp:
+    """Serialized ``run`` and ``sweep`` against the closed form at
+    ``backend_effective_rates``, with shaping counted as operations: ``ai +
+    shaping * alpha`` operations per access, so ``system_throughput`` is every
+    operation over ``elapsed_time``.
+
+    Throughput agrees within 8 eps, relative.  The label equals
+    ``classify_regime`` wherever the terms it compares, compute against access
+    and then entropy against data, differ by more than 8 eps.  The closed form
+    takes alpha as one rounded float, so its data term ``(1 - alpha) /
+    beta_data`` may be off by up to ``stoch / beta_data * eps / 2`` of the
+    workload's time, and both bounds allow that much more.  Near alpha = 1
+    that is far more than 8 eps: the second example below is 54 eps apart in
+    throughput.  ``near_tie`` puts the compute rate that many eps from where
+    compute ties access."""
+
+    @staticmethod
+    def check(wl, cfg, elapsed, regime):
+        bd, br = backend_effective_rates(cfg)
+        k = cfg.backend.shaping_ops_per_sample
+        ai, alpha = wl.ai() + k * wl.alpha(), wl.alpha()
+        closed = ArchParams(pi=cfg.arch.pi, beta_data=bd, beta_rand=br)
+        slack = wl.stoch_accesses / bd * EPS / 2
+        phi = system_throughput(ai, alpha, closed)
+        assert abs((wl.n_ops + k * wl.stoch_accesses) / elapsed - phi) <= (8 * EPS + slack / elapsed) * phi
+
+        *_, terms = reference_point(wl, cfg)
+        compute = RegimeLabel.COMPUTE_BOUND
+        t_compute, t_data, t_entropy = (terms[name] for name in (
+            compute, RegimeLabel.DATA_BOUND, RegimeLabel.ENTROPY_BOUND))
+
+        def apart(x, y):
+            return abs(x - y) > 8 * EPS * max(x, y) + slack
+
+        label = classify_regime(ai, alpha, closed)
+        if apart(t_compute, t_data + t_entropy):
+            assert (label is compute) == (regime is compute)
+        if apart(t_entropy, t_data) and compute not in (label, regime):
+            assert label is regime
+
+    @staticmethod
+    def near_tie(wl, cfg, ulps):
+        """``cfg`` with ``pi`` ``ulps`` eps from where compute ties access."""
+        *_, terms = reference_point(wl, cfg)
+        ops = wl.n_ops + cfg.backend.shaping_ops_per_sample * wl.stoch_accesses
+        t_access = terms[RegimeLabel.DATA_BOUND] + terms[RegimeLabel.ENTROPY_BOUND]
+        return replace(cfg, arch=replace(cfg.arch, pi=ops / t_access * (1.0 + ulps * EPS)))
+
+    @given(
+        rates=st.tuples(st.floats(1e9, 1e14), st.floats(1e8, 1e12), st.floats(1e6, 1e10)),
+        backend=st.sampled_from(BACKENDS), cost=st.integers(0, 20),
+        n_ops=st.integers(1, 10**12), det=st.integers(0, 10**9), stoch=st.integers(0, 10**9),
+        near_tie=st.none() | st.integers(-32, 32),
+    )
+    # compute and access 0.9 eps apart: the two evaluators' labels differ
+    @example(rates=(1.33e12, 4.67e10, 1.41e8), backend=BACKENDS[2], cost=5, n_ops=142583096,
+             det=2916339, stoch=1221753, near_tie=1)
+    # alpha near 1: entropy and data 105 eps apart, inside the 265 eps that
+    # alpha's rounding moves the closed form's data term; the labels differ
+    @example(rates=(1e14, 2.6e8, 4303135608.203577), backend=BACKENDS[3], cost=0, n_ops=1,
+             det=1414, stoch=748878, near_tie=None)
+    def test_run(self, rates, backend, cost, n_ops, det, stoch, near_tie):
+        assume(det + stoch > 0)
+        wl = WorkloadSpec(name="w", n_ops=n_ops, det_accesses=det, stoch_accesses=stoch)
+        cfg = SimConfig(arch=ArchParams(*rates), backend=replace(
+            backend, shaping=ShapingPipelineSpec(method="box_muller", cost=cost)))
+        if near_tie is not None:
+            cfg = self.near_tie(wl, cfg, near_tie)
+        res = run(wl, cfg)
+        self.check(wl, cfg, res.elapsed_time, res.regime_observed)
+
+    @given(
+        rates=st.tuples(st.floats(1e9, 1e14), st.floats(1e8, 1e12), st.floats(1e6, 1e10)),
+        base=st.sampled_from(BACKENDS), cost=st.integers(0, 20),
+        alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        ais=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=4),
+        kinds=st.lists(st.sampled_from(BACKEND_KINDS), min_size=1, max_size=4),
+    )
+    def test_sweep(self, rates, base, cost, alphas, ais, kinds):
+        base = replace(base, shaping=ShapingPipelineSpec(method="box_muller", cost=cost))
+        cfg = SimConfig(arch=ArchParams(*rates), backend=base)
+        table = sweep(cfg, {"alpha": alphas, "ai": ais, "backend": kinds}, base_accesses=10**6)
+        assert set(table["mode"]) == {MODE_SERIALIZED}
+        rows = ((alpha, ai, kind) for alpha in alphas for ai in ais for kind in kinds)
+        for row, (alpha, ai, kind) in enumerate(rows):
+            stoch = round(alpha * 10**6)
+            wl = WorkloadSpec(name="w", n_ops=max(1, round(ai * 10**6)),
+                              det_accesses=10**6 - stoch, stoch_accesses=stoch)
+            point = replace(cfg, backend=BackendConfig.for_kind(kind, base))
+            self.check(wl, point, table["elapsed_time"][row], table["regime"][row])
+
+
 class TestReplayAgreement:
     """``simulator.run`` on (m, n) counts against m reads and n gaussian draws
     replayed on a ``PMemArray``.
