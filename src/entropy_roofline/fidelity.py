@@ -6,10 +6,14 @@ and a most-common-value min-entropy estimate, composed into a
 FidelityReport.  All estimators are deterministic functions of the sample
 vector; degenerate inputs produce flagged None fields, never silent NaNs.
 
-A report makes one probability integral transform: it sorts the sample
-once, evaluates the target CDF once on the sorted values, and feeds those
-values to both the KS statistic and the symbol quantizer.  It stays equal,
-field for field, to composing the public estimators.
+A report holds one float64 array per sample and nothing else: it draws
+and shapes into that array a block of ``_BLOCK`` samples at a time (the
+streams are counter-based, so blocks equal one long draw), takes moments
+and autocorrelation over it, sorts it in place and overwrites it with the
+target CDF, block by block, for the KS statistic and the symbol counts.
+Every sum is numpy's own pairwise tree (``np.add.reduce``), rebuilt one
+block at a time by ``_tree_sum``, so a report stays equal, field for
+field, to composing the public estimators on the whole array.
 """
 
 from __future__ import annotations
@@ -54,6 +58,14 @@ _CDF_ROUNDING_ULPS = 64
 N_MIN = 1_000
 N_MAX = 100_000_000
 
+# Symbols a report counts in a table of 2**symbol_bits int64 entries
+# (512 KiB at the largest)
+_MAX_SYMBOL_BITS = 16
+
+# Samples per block of every draw, shaping step and sum: the scratch a
+# report needs besides its sample array
+_BLOCK = 2**16
+
 # A target is a DistributionSpec, or this string for raw uniform streams.
 UNIFORM_TARGET = "uniform"
 Target = Union[DistributionSpec, str]
@@ -95,32 +107,62 @@ def target_cdf(target: Target) -> Optional[Callable]:
 # ------------------------------------------------------------------------
 
 
+def _tree_sum(leaf: Callable, lo: int, hi: int):
+    """``np.add.reduce`` of a length ``hi - lo`` array whose pieces
+    ``leaf(lo', hi')`` sums, at most ``_BLOCK`` elements each.
+
+    numpy sums a contiguous float64 array by a fixed pairwise tree: above
+    128 elements it splits at ``n2 = n // 2`` rounded down to a multiple of
+    8 and adds the two halves' sums.  This rebuilds the splits above
+    ``_BLOCK``, and each leaf's own ``np.add.reduce`` does the rest, so the
+    sum is numpy's to the last bit.  A leaf keeps numpy's identity, +0.0,
+    as the whole-array reduce adds it once: a zero sum is +0.0 either way.
+    ``leaf`` may return several sums at once (an array); they add
+    elementwise.  A module-level recursion, so no closure refers to itself
+    and keeps the caller's arrays alive until ``gc`` runs.
+    """
+    n = hi - lo
+    if n <= _BLOCK:
+        return leaf(lo, hi)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _tree_sum(leaf, lo, lo + n2) + _tree_sum(leaf, lo + n2, hi)
+
+
 def moments(samples: np.ndarray):
     """(mean, variance, skewness, excess_kurtosis).
 
     Mean and variance are the standard unbiased estimators; skewness and
-    kurtosis are standardized central moments, taken from one array of
-    squared deviations (no per-element pow).  Every sum is a numpy pairwise
-    reduction, not a BLAS dot, so the result does not depend on the BLAS
-    thread count.  Zero-variance input flags skew/kurtosis as None; kurtosis
-    also needs n >= 4.
+    kurtosis are standardized central moments.  The deviations, their
+    powers and the three sums of them are taken a block at a time in one
+    pass (``_tree_sum``), each sum numpy's pairwise ``np.add.reduce`` of
+    the whole column, never a BLAS dot, so the result does not depend on
+    the BLAS thread count.  Zero-variance input flags skew/kurtosis as
+    None; kurtosis also needs n >= 4.
     """
     x = np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise DomainError(f"moments need n >= 2, got {n}")
     mean = float(x.mean())
-    d = x - mean
-    d2 = d * d
-    ss = np.add.reduce(d2)
+    d = np.empty(min(n, _BLOCK))
+    d2 = np.empty_like(d)
+
+    def central(lo, hi):
+        dk = np.subtract(x[lo:hi], mean, out=d[:hi - lo])
+        d2k = np.multiply(dk, dk, out=d2[:hi - lo])
+        ss = np.add.reduce(d2k)
+        dk *= d2k
+        d2k *= d2k
+        return np.array([ss, np.add.reduce(dk), np.add.reduce(d2k)])
+
+    ss, s3, s4 = _tree_sum(central, 0, n)
     variance = float(ss / (n - 1))
     if variance == 0.0:
         return mean, 0.0, None, None
     m2 = ss / n
-    d *= d2
-    skew = float(d.mean() / m2**1.5)
-    d2 *= d2
-    kurt = float(d2.mean() / m2**2 - 3.0) if n >= 4 else None
+    skew = float((s3 / n) / m2**1.5)
+    kurt = float((s4 / n) / m2**2 - 3.0) if n >= 4 else None
     return mean, variance, skew, kurt
 
 
@@ -137,64 +179,90 @@ def ks_test(samples: np.ndarray, cdf: Callable, significance: float = 0.01):
     D = sup_i max(|i/n - F(x_(i))|, |F(x_(i)) - (i-1)/n|) over the sorted
     sample; passes when D is below the asymptotic critical value.  A CDF
     that steps down between sorted samples by more than rounding raises
-    DomainError.
+    DomainError.  Works on a sorted copy of ``samples``.
     """
-    return _ks_sorted_cdf(_sorted_cdf(samples, cdf), significance)
+    f = np.sort(np.asarray(samples, dtype=np.float64))
+    _cdf_in_place(f, cdf)
+    return _ks_sorted_cdf(f, significance)
 
 
-def _sorted_cdf(samples: np.ndarray, cdf: Callable) -> np.ndarray:
-    """F(x_(i)), the target CDF at the sorted sample."""
-    return np.asarray(cdf(np.sort(np.asarray(samples, dtype=np.float64))), dtype=np.float64)
+def _cdf_in_place(x: np.ndarray, cdf: Callable) -> None:
+    """Overwrite ``x`` with ``cdf(x)``, a block at a time."""
+    for lo in range(0, x.shape[0], _BLOCK):
+        x[lo:lo + _BLOCK] = cdf(x[lo:lo + _BLOCK])
 
 
 def _ks_sorted_cdf(f: np.ndarray, significance: float):
-    """``ks_test`` given F(x_(i)), the target CDF at the sorted sample."""
+    """``ks_test`` given F(x_(i)), the target CDF at the sorted sample.
+    Each block gives its two maxima; a max is exact in any order."""
     n = f.shape[0]
     if n < 10:
         raise DomainError(f"ks_test needs n >= 10, got {n}")
     crit = ks_critical_value(n, significance)
-    # A step down of a few ulps is rounding, not a decreasing CDF: ndtr
-    # drops by up to 12 ulps between nearby inputs around x = -1.4.
-    down = np.flatnonzero(f[1:] < f[:-1])
-    if down.size and np.any(
-        f[down + 1] < f[down] - _CDF_ROUNDING_ULPS * np.abs(np.spacing(f[down]))
-    ):
-        raise DomainError("target CDF is not monotone on the sample range")
-    # i/n - F, then F - (i-1)/n, in one scratch array at a time
-    t = np.arange(1, n + 1, dtype=np.float64)
-    t /= n
-    t -= f
-    d_plus = t.max()
-    del t
-    t = np.arange(n, dtype=np.float64)
-    t /= n
-    np.subtract(f, t, out=t)
-    d_minus = t.max()
-    d = float(max(d_plus, d_minus))
+    d_plus, d_minus = [], []
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        # A step down of a few ulps is rounding, not a decreasing CDF: ndtr
+        # drops by up to 12 ulps between nearby inputs around x = -1.4.
+        # The pairs include the one across the block's start.
+        g = f[max(lo - 1, 0):hi]
+        down = np.flatnonzero(g[1:] < g[:-1])
+        if down.size and np.any(
+            g[down + 1] < g[down] - _CDF_ROUNDING_ULPS * np.abs(np.spacing(g[down]))
+        ):
+            raise DomainError("target CDF is not monotone on the sample range")
+        # i/n - F, then F - (i-1)/n, in one scratch array at a time
+        t = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        t /= n
+        t -= f[lo:hi]
+        d_plus.append(t.max())
+        t = np.arange(lo, hi, dtype=np.float64)
+        t /= n
+        np.subtract(f[lo:hi], t, out=t)
+        d_minus.append(t.max())
+    d = float(max(np.max(d_plus), np.max(d_minus)))
     return d, d < crit
 
 
 def autocorrelation(samples: np.ndarray, max_lag: int) -> Optional[np.ndarray]:
     """rho(1..max_lag); None (flagged undefined) on a zero-variance stream.
 
-    rho(l) = sum (x_t - m)(x_{t+l} - m) / sum (x_t - m)^2, each sum a numpy
-    pairwise reduction over one product buffer reused across the lags.
+    rho(l) = sum (x_t - m)(x_{t+l} - m) / sum (x_t - m)^2.  Each sum is
+    numpy's pairwise ``np.add.reduce`` of the whole product column, taken a
+    block at a time (``_tree_sum``) from deviations made per block in one
+    scratch buffer.
     """
     x = np.asarray(samples, dtype=np.float64)
     n = x.shape[0]
     require_int("max_lag", max_lag, 1)
     if n <= 4 * max_lag:
         raise DomainError(f"need n > 4*max_lag, got n={n} max_lag={max_lag}")
-    d = x - x.mean()
-    buf = d * d
-    denom = float(np.add.reduce(buf))
+    mean = x.mean()
+    d = np.empty(min(n, _BLOCK) + max_lag)
+    prod = np.empty(min(n, _BLOCK))
+
+    def lag_sum(lag):
+        def leaf(lo, hi):
+            dk = np.subtract(x[lo:hi + lag], mean, out=d[:hi + lag - lo])
+            return np.add.reduce(np.multiply(dk[:hi - lo], dk[lag:], out=prod[:hi - lo]))
+
+        return _tree_sum(leaf, 0, n - lag)
+
+    denom = float(lag_sum(0))
     if denom == 0.0:
         return None
     rho = np.empty(max_lag)
-    for l in range(1, max_lag + 1):
-        m = n - l
-        rho[l - 1] = float(np.add.reduce(np.multiply(d[:m], d[l:], out=buf[:m])) / denom)
+    for lag in range(1, max_lag + 1):
+        rho[lag - 1] = float(lag_sum(lag) / denom)
     return rho
+
+
+def _mcv_min_entropy(max_count: int, n: int) -> float:
+    """-log2 of a 99% upper bound on the most common value's probability,
+    from its count among ``n`` symbols."""
+    p_hat = max_count / n
+    p_up = min(1.0, p_hat + _MCV_Z * math.sqrt(p_hat * (1.0 - p_hat) / n))
+    return -math.log2(p_up)
 
 
 def min_entropy(symbols: np.ndarray) -> float:
@@ -208,9 +276,7 @@ def min_entropy(symbols: np.ndarray) -> float:
     if n < 1000:
         raise DomainError(f"min_entropy needs n >= 1000, got {n}")
     _, counts = np.unique(s, return_counts=True)
-    p_hat = counts.max() / n
-    p_up = min(1.0, p_hat + _MCV_Z * math.sqrt(p_hat * (1.0 - p_hat) / n))
-    return -math.log2(p_up)
+    return _mcv_min_entropy(int(counts.max()), n)
 
 
 def symbolize(samples: np.ndarray, target: Target, symbol_bits: int = 8) -> np.ndarray:
@@ -244,6 +310,10 @@ def _quantize(u: np.ndarray, symbol_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FidelityConfig:
+    """Battery settings.  ``seed``, ``stream_id`` and ``nonideality`` make
+    a pipeline subject's stream; a source subject has its own, and a report
+    rejects a value set here that differs from the source's."""
+
     significance: float = 0.01
     max_lag: int = 8
     symbol_bits: int = 8
@@ -255,6 +325,9 @@ class FidelityConfig:
         require_finite("significance", self.significance, 0.0, 1.0, "()")
         require_int("max_lag", self.max_lag, 1)
         require_int("symbol_bits", self.symbol_bits, 1)
+        if self.symbol_bits > _MAX_SYMBOL_BITS:
+            raise DomainError(f"symbol_bits must be an integer in [1, {_MAX_SYMBOL_BITS}],"
+                              f" got {self.symbol_bits!r}", "symbol_bits")
         require_int("seed", self.seed)
         require_int("stream_id", self.stream_id)
 
@@ -281,12 +354,40 @@ class FidelityReport:
 Subject = Union[SourceSpec, SourceHandle, ShapingPipelineSpec]
 
 
+def _filled(n: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """One array of ``n`` samples, ``draw(k)`` giving the next ``k``."""
+    out = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        out[lo:hi] = draw(hi - lo)
+    return out
+
+
 def _pipeline_samples(spec: ShapingPipelineSpec, n: int, config: FidelityConfig) -> np.ndarray:
     source = create_source(
         SourceSpec.pseudo_uniform(seed=config.seed, stream_id=config.stream_id)
     )
-    u = source.draw(uniforms_needed(spec, n))
-    return _apply_nonidealities_block(run_pipeline(spec, u)[:n], NonidealityState(), config.nonideality)
+    state = NonidealityState()
+
+    def draw(k):
+        y = run_pipeline(spec, source.draw(uniforms_needed(spec, k)))[:k]
+        return _apply_nonidealities_block(y, state, config.nonideality)
+
+    return _filled(n, draw)
+
+
+def _check_source_config(subject: Union[SourceSpec, SourceHandle], config: FidelityConfig) -> None:
+    """A config field set away from its default must be the source's own."""
+    default = FidelityConfig()
+    for name in ("seed", "stream_id", "nonideality"):
+        value = getattr(config, name)
+        if value == getattr(default, name):
+            continue
+        own = getattr(subject if isinstance(subject, SourceSpec) else subject.spec, name)
+        if value != own:
+            raise DomainError(
+                f"config {name} {value!r} differs from the source's {own!r};"
+                f" a source subject draws its own stream", name)
 
 
 def fidelity_report(
@@ -310,10 +411,10 @@ def fidelity_report(
         samples = _pipeline_samples(subject, n, config)
         if subject.method == METHOD_INVERSE_CDF:
             tail = InverseCdfTable.for_family(subject.family, subject.n_entries).tail_truncation
-    elif isinstance(subject, SourceSpec):
-        samples = create_source(subject).draw(n)
-    elif isinstance(subject, SourceHandle):
-        samples = subject.draw(n)
+    elif isinstance(subject, (SourceSpec, SourceHandle)):
+        _check_source_config(subject, config)
+        handle = create_source(subject) if isinstance(subject, SourceSpec) else subject
+        samples = _filled(n, handle.draw)
     else:
         raise DomainError(f"cannot build samples from {type(subject).__name__}")
 
@@ -322,23 +423,25 @@ def fidelity_report(
 
     mean, variance, skew, kurt = moments(samples)
     degenerate = variance == 0.0
+    rho = autocorrelation(samples, config.max_lag)
 
-    # One CDF pass over the sorted sample serves KS and the symbols;
-    # min-entropy counts symbols, so their order does not matter.
+    # Nothing below needs the sample's order: it becomes, in place, the
+    # target CDF at the sorted sample, which serves KS and the symbol counts.
     cdf = target_cdf(target)
     ks_d = ks_crit = ks_ok = None
     if cdf is None:
-        symbols = symbolize(samples, target, config.symbol_bits)
+        h_min = min_entropy(symbolize(samples, target, config.symbol_bits))
     else:
-        f = _sorted_cdf(samples, cdf)
+        samples.sort()
+        _cdf_in_place(samples, cdf)
         if not degenerate:
-            ks_d, ks_ok = _ks_sorted_cdf(f, config.significance)
+            ks_d, ks_ok = _ks_sorted_cdf(samples, config.significance)
             ks_crit = ks_critical_value(n, config.significance)
-        symbols = _quantize(f, config.symbol_bits)
-        del f  # one array per sample fewer for the estimators below
-
-    rho = autocorrelation(samples, config.max_lag)
-    h_min = min_entropy(symbols)
+        counts = np.zeros(1 << config.symbol_bits, dtype=np.int64)
+        for lo in range(0, n, _BLOCK):
+            counts += np.bincount(_quantize(samples[lo:lo + _BLOCK], config.symbol_bits),
+                                  minlength=counts.shape[0])
+        h_min = _mcv_min_entropy(int(counts.max()), n)
 
     return FidelityReport(
         n=n,

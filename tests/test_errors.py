@@ -150,6 +150,16 @@ def test_every_numeric_field_checks_its_domain(make, field, value, rejected):
         make(**{field: value})
 
 
+@pytest.mark.parametrize("bits", [17, 64])
+def test_symbol_bits_at_most_16(bits):
+    """A report counts 2**symbol_bits symbols in one table; past 16 bits
+    (512 KiB) the config is out of its domain."""
+    with pytest.raises(DomainError, match=r"symbol_bits must be an integer in \[1, 16\]") as info:
+        FidelityConfig(symbol_bits=bits)
+    assert info.value.name == "symbol_bits"
+    assert FidelityConfig(symbol_bits=16).symbol_bits == 16
+
+
 def test_numeric_checks_live_only_in_errors():
     """Numbers are checked by ``require_int`` and ``require_finite`` alone;
     a hand-written finiteness, ABC or bool test elsewhere is a copy."""

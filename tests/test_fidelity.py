@@ -1,5 +1,6 @@
 """Tests for the statistical fidelity battery."""
 
+import gc
 import math
 import os
 import subprocess
@@ -8,16 +9,32 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import entropy_roofline
-from entropy_roofline.distribution_shaping import SHAPING_METHODS, ShapingPipelineSpec
-from entropy_roofline.entropy_sources import NonidealitySpec, SourceHandle, SourceSpec, create_source
+from entropy_roofline.distribution_shaping import (
+    SHAPING_METHODS,
+    ShapingPipelineSpec,
+    run_pipeline,
+    uniforms_needed,
+)
+from entropy_roofline.entropy_sources import (
+    NonidealitySpec,
+    NonidealityState,
+    SourceHandle,
+    SourceSpec,
+    _apply_nonidealities_block,
+    create_source,
+)
 from entropy_roofline.errors import DomainError
 from entropy_roofline.fidelity import (
+    _BLOCK,
     N_MAX,
     N_MIN,
     FidelityConfig,
     _pipeline_samples,
+    _tree_sum,
     autocorrelation,
     fidelity_report,
     ks_critical_value,
@@ -37,13 +54,80 @@ def normals(n, seed=0):
 
 
 class _FixedSamples(SourceHandle):
-    """A source handle that draws a given sample."""
+    """A source handle that draws a given sample, in order."""
 
     def __init__(self, x):
         self._x = x
 
     def draw(self, n):
-        return self._x[:n]
+        head, self._x = self._x[:n], self._x[n:]
+        return head
+
+
+# Lengths a tree sum meets: short leaves, numpy's 8- and 128-element
+# steps, and a few blocks with the block edges either side
+_LENGTHS = st.one_of(
+    st.integers(1, 8),
+    st.integers(1, 128),
+    st.builds(lambda k, e: max(1, k * _BLOCK + e), st.integers(1, 3), st.integers(-1, 1)),
+    st.integers(1, 3 * _BLOCK + 7),
+)
+
+
+class TestTreeSum:
+    """``_tree_sum`` over leaves of a column is ``np.add.reduce`` of it."""
+
+    @staticmethod
+    def tree(x):
+        return _tree_sum(lambda lo, hi: np.add.reduce(x[lo:hi]), 0, x.shape[0])
+
+    @given(n=_LENGTHS, seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["normal", "wide", "cancel", "zeros", "negative-zeros"]))
+    def test_equals_add_reduce(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            x = rng.standard_normal(n)
+        elif kind == "wide":  # magnitudes over 40 decades, so the order of adds shows
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        elif kind == "cancel":
+            x = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]
+            x[1::2] *= -1.0
+        elif kind == "zeros":
+            x = rng.choice([0.0, -0.0], n)
+        else:  # numpy's reduce adds its +0.0 identity: the sum is +0.0
+            x = np.full(n, -0.0)
+        assert self.tree(x).tobytes() == np.add.reduce(x).tobytes()
+
+
+def _whole_array_moments(x):
+    """Reference: ``moments`` as whole-array numpy reductions."""
+    n = x.shape[0]
+    mean = float(x.mean())
+    d = x - mean
+    d2 = d * d
+    ss = np.add.reduce(d2)
+    m2 = ss / n
+    return mean, float(ss / (n - 1)), float((d * d2).mean() / m2**1.5), float((d2 * d2).mean() / m2**2 - 3.0)
+
+
+def _whole_array_autocorrelation(x, max_lag):
+    """Reference: ``autocorrelation`` as whole-array numpy reductions."""
+    d = x - x.mean()
+    denom = float(np.add.reduce(d * d))
+    return [float(np.add.reduce(d[:-lag] * d[lag:]) / denom) for lag in range(1, max_lag + 1)]
+
+
+@pytest.mark.parametrize("n", [1_000, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("shape", ["normal", "lognormal", "offset"])
+def test_block_sums_equal_whole_array_sums(n, shape):
+    """Taken a block at a time, every sum is the whole-array reduction's."""
+    x = normals(n, seed=n)
+    if shape == "lognormal":
+        x = np.exp(2.0 * x)
+    elif shape == "offset":
+        x = 1e6 + x
+    assert moments(x) == _whole_array_moments(x)
+    assert autocorrelation(x, 8).tolist() == _whole_array_autocorrelation(x, 8)
 
 
 class TestMoments:
@@ -128,6 +212,13 @@ class TestKsTest:
         x = normals(1_000, seed=4)
         with pytest.raises(DomainError, match="not monotone"):
             ks_test(x, lambda v: 1.0 - normal_cdf(v), 0.01)
+
+    def test_step_down_at_a_block_edge_rejected(self):
+        # monotone within each block of the CDF pass, down across the edge
+        x = np.sort(normals(2 * _BLOCK, seed=4))
+        edge = x[_BLOCK]
+        with pytest.raises(DomainError, match="not monotone"):
+            ks_test(x, lambda v: normal_cdf(v) - 0.1 * (v >= edge), 0.01)
 
     def test_rounding_step_down_accepted(self):
         # ndtr is not monotone in the last ulps: find two adjacent doubles
@@ -318,15 +409,19 @@ CONTINUOUS_METHODS = [m for m in SHAPING_METHODS if m != "bernoulli_threshold"]
 class TestReportEqualsEstimators:
     """A report is the public estimators composed, to the last bit."""
 
+    @pytest.mark.parametrize("n", [20_000, 3 * _BLOCK + 5], ids=["one-block", "four-blocks"])
     @pytest.mark.parametrize("target", [DistributionSpec.gaussian(0.0, 1.0), "uniform"],
                              ids=["gaussian", "uniform"])
     @pytest.mark.parametrize("nonideality", [NonidealitySpec(), NONIDEAL], ids=["ideal", "nonideal"])
     @pytest.mark.parametrize("subject", CONTINUOUS_METHODS + ["source"])
-    def test_fields_equal_composition(self, subject, nonideality, target):
-        n = 20_000
+    def test_fields_equal_composition(self, subject, nonideality, target, n):
         config = FidelityConfig(seed=21, nonideality=nonideality)
         if subject == "source":
             spec = SourceSpec.thermal_gaussian(sigma=1.0, seed=21)
+            if nonideality != spec.nonideality:  # the config's would be ignored
+                with pytest.raises(DomainError, match="nonideality"):
+                    fidelity_report(spec, n, target, config)
+                return
             x = create_source(spec).draw(n)
         else:
             spec = ShapingPipelineSpec(method=subject)
@@ -344,20 +439,78 @@ class TestReportEqualsEstimators:
         assert report.autocorr == rho.tolist()
         assert report.min_entropy_per_sample == h_min
 
+    @pytest.mark.parametrize("method", CONTINUOUS_METHODS + ["bernoulli_threshold"])
+    def test_blocks_equal_one_draw(self, method):
+        """Drawn and shaped a block at a time, a pipeline's sample is the
+        one long draw shaped at once, non-idealities and all."""
+        spec = ShapingPipelineSpec(method=method)
+        n = 2 * _BLOCK + 3
+        config = FidelityConfig(seed=5, nonideality=NonidealitySpec(rho=0.3, bias=0.1, drift=2.0))
+        u = create_source(SourceSpec.pseudo_uniform(seed=5)).draw(uniforms_needed(spec, n))
+        whole = _apply_nonidealities_block(run_pipeline(spec, u)[:n], NonidealityState(), config.nonideality)
+        assert _pipeline_samples(spec, n, config).tobytes() == whole.tobytes()
 
-def test_report_memory_budget():
-    """The battery keeps a few arrays per sample alive, at most 40 B/sample."""
-    spec = ShapingPipelineSpec("box_muller")
-    target = DistributionSpec.gaussian(0.0, 1.0)
+
+class TestSourceConfig:
+    """A source subject draws its own stream; a config that says otherwise
+    is an error, not ignored."""
+
+    SPEC = SourceSpec.pseudo_uniform(seed=3, stream_id=2, nonideality=NonidealitySpec(bias=0.5))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 99), ("stream_id", 7), ("nonideality", NonidealitySpec(rho=0.2)),
+    ])
+    @pytest.mark.parametrize("handle", [False, True], ids=["spec", "handle"])
+    def test_disagreeing_field_rejected(self, field, value, handle):
+        subject = create_source(self.SPEC) if handle else self.SPEC
+        with pytest.raises(DomainError, match=field) as info:
+            fidelity_report(subject, 10_000, "uniform", FidelityConfig(**{field: value}))
+        assert info.value.name == field
+
+    @pytest.mark.parametrize("config", [
+        FidelityConfig(),
+        FidelityConfig(seed=3, stream_id=2, nonideality=NonidealitySpec(bias=0.5)),
+        FidelityConfig(seed=3),
+    ], ids=["defaults", "all-agree", "seed-agrees"])
+    def test_default_or_agreeing_fields_accepted(self, config):
+        report = fidelity_report(self.SPEC, 10_000, "uniform", config)
+        assert report == fidelity_report(self.SPEC, 10_000, "uniform")
+
+
+@pytest.mark.parametrize("subject, target", [
+    (ShapingPipelineSpec("box_muller"), DistributionSpec.gaussian(0.0, 1.0)),
+    (SourceSpec.pseudo_uniform(seed=1), "uniform"),
+], ids=["box_muller", "uniform"])
+def test_report_memory_budget(subject, target):
+    """The battery keeps one float64 array per sample and block-sized
+    scratch: at most 12 B/sample at 1e6 samples."""
     n = 1_000_000
-    fidelity_report(spec, 1_000, target)  # first-call imports and caches
+    fidelity_report(subject, 1_000, target)  # first-call imports and caches
     tracemalloc.start()
     try:
-        fidelity_report(spec, n, target)
+        fidelity_report(subject, n, target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 40.0
+    assert peak / n <= 12.0
+
+
+def test_report_leaves_nothing_alive():
+    """With the cycle collector off, a report frees all it allocated: no
+    reference cycle (a closure that calls itself) holds the sample."""
+    spec = ShapingPipelineSpec("box_muller")
+    target = DistributionSpec.gaussian(0.0, 1.0)
+    fidelity_report(spec, 1_000, target)  # first-call imports and caches
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fidelity_report(spec, 1_000_000, target)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before <= 2**20
 
 
 @pytest.mark.parametrize("target", ["normal", "uniform"])
