@@ -331,14 +331,19 @@ def cmd_fidelity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     config = load_config(args.config)
     seed = _resolve_seed(args.seed, config.seed)
     fid_config = FidelityConfig(seed=seed, nonideality=config.nonideality)
-    if args.target == "normal":
-        pipeline = config.backend.shaping.method
-        report = fidelity_report(config.backend.shaping, args.samples, DistributionSpec.gaussian(0.0, 1.0),
-                                 fid_config)
-    else:  # the raw words before any shaping: the one uniform stream the package makes
-        pipeline = None
-        source = SourceSpec.pseudo_uniform(seed=seed, nonideality=config.nonideality)
-        report = fidelity_report(source, args.samples, UNIFORM_TARGET, fid_config)
+    try:
+        if args.target == "normal":
+            pipeline = config.backend.shaping.method
+            report = fidelity_report(config.backend.shaping, args.samples, DistributionSpec.gaussian(0.0, 1.0),
+                                     fid_config)
+        else:  # the raw words before any shaping: the one uniform stream the package makes
+            pipeline = None
+            source = SourceSpec.pseudo_uniform(seed=seed, nonideality=config.nonideality)
+            report = fidelity_report(source, args.samples, UNIFORM_TARGET, fid_config)
+    except DomainError as exc:  # the config's nonideality is at fault: exit 3
+        if exc.name != "nonideality":
+            raise
+        raise ConfigError("nonideality", str(exc)) from exc
     payload = {
         "pipeline": pipeline,
         "target": args.target,

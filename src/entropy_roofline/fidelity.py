@@ -399,7 +399,8 @@ def fidelity_report(
     """Run the full battery over ``n`` samples of a source or pipeline.
 
     ``target`` is a DistributionSpec, or the string "uniform" for raw
-    uniform streams.  Deterministic given the config seed.
+    uniform streams.  Deterministic given the config seed.  Samples whose
+    moments pass the float range raise DomainError naming ``nonideality``.
     """
     if not (N_MIN <= n <= N_MAX):
         raise DomainError(f"n must lie in [{N_MIN}, {N_MAX}], got {n}")
@@ -407,21 +408,32 @@ def fidelity_report(
     import scipy.special  # noqa: F401
 
     tail = None
-    if isinstance(subject, ShapingPipelineSpec):
-        samples = _pipeline_samples(subject, n, config)
-        if subject.method == METHOD_INVERSE_CDF:
-            tail = InverseCdfTable.for_family(subject.family, subject.n_entries).tail_truncation
-    elif isinstance(subject, (SourceSpec, SourceHandle)):
-        _check_source_config(subject, config)
-        handle = create_source(subject) if isinstance(subject, SourceSpec) else subject
-        samples = _filled(n, handle.draw)
-    else:
-        raise DomainError(f"cannot build samples from {type(subject).__name__}")
+    # A non-ideality can carry samples past the float range; their moments
+    # then are inf or NaN, which the check below turns into an error, so the
+    # overflow needs no warning on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(subject, ShapingPipelineSpec):
+            samples = _pipeline_samples(subject, n, config)
+            if subject.method == METHOD_INVERSE_CDF:
+                tail = InverseCdfTable.for_family(subject.family, subject.n_entries).tail_truncation
+        elif isinstance(subject, (SourceSpec, SourceHandle)):
+            _check_source_config(subject, config)
+            handle = create_source(subject) if isinstance(subject, SourceSpec) else subject
+            samples = _filled(n, handle.draw)
+        else:
+            raise DomainError(f"cannot build samples from {type(subject).__name__}")
 
-    if isinstance(target, str) and target != UNIFORM_TARGET:
-        raise DomainError(f"unknown target {target!r}")
+        if isinstance(target, str) and target != UNIFORM_TARGET:
+            raise DomainError(f"unknown target {target!r}")
 
-    mean, variance, skew, kurt = moments(samples)
+        mean, variance, skew, kurt = moments(samples)
+    try:  # finite moments mean finite samples, and every later sum is bounded by them
+        for name, value in zip(("mean", "variance", "skewness", "excess_kurtosis"), (mean, variance, skew, kurt)):
+            if value is not None:
+                require_finite(name, value)
+    except DomainError as exc:
+        raise DomainError(f"{exc}: the nonideality, or the source's scale, carries the samples past the"
+                          " float range", "nonideality") from None
     degenerate = variance == 0.0
     rho = autocorrelation(samples, config.max_lag)
 
@@ -430,7 +442,12 @@ def fidelity_report(
     cdf = target_cdf(target)
     ks_d = ks_crit = ks_ok = None
     if cdf is None:
-        h_min = min_entropy(symbolize(samples, target, config.symbol_bits))
+        # each block's symbols counted, then the counts merged: a symbol may
+        # be negative or large, so there is no table to count them in
+        symbols, counts = zip(*(np.unique(symbolize(samples[lo:lo + _BLOCK], target, config.symbol_bits),
+                                          return_counts=True) for lo in range(0, n, _BLOCK)))
+        _, which = np.unique(np.concatenate(symbols), return_inverse=True)
+        h_min = _mcv_min_entropy(int(np.bincount(which, np.concatenate(counts)).max()), n)
     else:
         samples.sort()
         _cdf_in_place(samples, cdf)

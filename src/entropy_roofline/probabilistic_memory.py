@@ -33,6 +33,9 @@ endurance.  Arrays are single-writer: mutation requires exclusive access.
 Cells are stored as a structure of arrays: a family code and the ``mu``,
 ``sigma`` and ``p`` fields of the cell's DistributionSpec, each a rows x cols
 numpy array, so a spec read back is equal to the one written on every field.
+A cell is checked once, when WRITE, SET_VARIANCE or ``load_array_csv`` stores
+it; a spec read back (READ_DISTRIBUTION, SAMPLE, ``cell``) is built from the
+stored fields and not checked again.
 ``batch_sample`` is one vectorized pass over those arrays, bit-identical to
 sequential SAMPLE calls: the same values, the same CostReport fields, endurance
 map and stream position, with all the batch's entropy words drawn as one
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -117,6 +121,13 @@ class DistributionSpec:
             object.__setattr__(self, "sigma", 0.0)
 
     @classmethod
+    def _trusted(cls, family: str, mu: float, sigma: float, p: float) -> "DistributionSpec":
+        """A spec of fields already checked and canonical (a stored cell's), skipping ``__post_init__``."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(family=family, mu=mu, sigma=sigma, p=p)
+        return spec
+
+    @classmethod
     def gaussian(cls, mu: float, sigma: float) -> "DistributionSpec":
         return cls(family=FAMILY_GAUSSIAN, mu=mu, sigma=sigma)
 
@@ -154,13 +165,6 @@ class DistributionSpec:
 # A cell is written either as a raw number (deterministic value) or as a
 # DistributionSpec; raw numbers canonicalize to point masses.
 CellState = Union[float, int, DistributionSpec]
-
-
-def _canonical(state: CellState) -> DistributionSpec:
-    if isinstance(state, DistributionSpec):
-        return state
-    require_finite("value", state)  # a bool is no cell value
-    return DistributionSpec.point_mass(float(state))
 
 
 @dataclass
@@ -372,23 +376,24 @@ class PMemArray:
         try:
             if not set(map(len, addrs)) <= {2}:
                 raise ValueError("not every address is a pair")
-            # operator.index, as in _check_addr: a float raises, never truncates
-            rc = np.fromiter(map(operator.index, chain.from_iterable(addrs)), np.intp, 2 * len(addrs))
+            # struct's "q" takes what operator.index does (_check_addr): a float raises, never truncates
+            rc = np.frombuffer(struct.pack(f"{2 * len(addrs)}q", *chain.from_iterable(addrs)), np.int64)
             return np.ravel_multi_index((rc[0::2], rc[1::2]), (self.rows, self.cols))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, struct.error):
             for addr in addrs:  # the scalar check names the first bad address
                 self._check_addr(addr)
             raise
 
     def _spec(self, r: int, c: int) -> DistributionSpec:
-        return DistributionSpec(_FAMILIES[self._family.item(r, c)], self._mu.item(r, c),
-                                self._sigma.item(r, c), self._p.item(r, c))
+        return DistributionSpec._trusted(_FAMILIES[self._family.item(r, c)], self._mu.item(r, c),
+                                         self._sigma.item(r, c), self._p.item(r, c))
 
-    def _store(self, r: int, c: int, spec: DistributionSpec) -> None:
-        self._family[r, c] = _FAMILIES.index(spec.family)
-        self._mu[r, c] = spec.mu
-        self._sigma[r, c] = spec.sigma
-        self._p[r, c] = spec.p
+    def _store(self, r: int, c: int, family: str, mu: float, sigma: float, p: float) -> None:
+        """Store a cell's fields; every caller has checked them and made them canonical."""
+        self._family[r, c] = _FAMILIES.index(family)
+        self._mu[r, c] = mu
+        self._sigma[r, c] = sigma
+        self._p[r, c] = p
 
     def _charge_deterministic_access(self) -> None:
         self._cost.bytes_moved += self.bytes_per_element
@@ -413,13 +418,17 @@ class PMemArray:
         outside a coupled backend's variance window raises VarianceRangeError
         and changes nothing."""
         r, c = self._check_addr(addr)
-        spec = _canonical(state)
-        if spec.family == FAMILY_GAUSSIAN:
-            self.backend.check_sigma(spec.mu, spec.sigma)
-        self._store(r, c, spec)
+        if isinstance(state, DistributionSpec):
+            family, mu, sigma, p = state.family, state.mu, state.sigma, state.p
+            if family == FAMILY_GAUSSIAN:
+                self.backend.check_sigma(mu, sigma)
+        else:
+            require_finite("value", state)  # a bool is no cell value
+            family, mu, sigma, p = FAMILY_POINT_MASS, float(state), DistributionSpec.sigma, DistributionSpec.p
+        self._store(r, c, family, mu, sigma, p)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
-        self._cost.bytes_moved += spec.parameter_elements * self.bytes_per_element
+        self._cost.bytes_moved += (2 if family == FAMILY_GAUSSIAN else 1) * self.bytes_per_element
         self._cost.energy_pj += self.backend.write_energy_pj
 
     def read(self, addr: Address) -> float:
@@ -471,9 +480,10 @@ class PMemArray:
         if self._family[r, c] == _BERNOULLI:
             raise CellTypeError("set_variance needs a gaussian cell, got bernoulli")
         mu = self._mu.item(r, c)
-        spec = DistributionSpec.gaussian(mu, sigma_new)  # DomainError unless finite and >= 0
+        require_finite("sigma", sigma_new, 0.0)  # as DistributionSpec.gaussian checks it
         self.backend.check_sigma(mu, sigma_new)  # 0 too: a coupled window starts above 0
-        self._store(r, c, spec)
+        sigma = sigma_new or DistributionSpec.sigma  # a gaussian of sigma 0 is a point mass of sigma +0.0
+        self._store(r, c, FAMILY_GAUSSIAN if sigma else FAMILY_POINT_MASS, mu, sigma, DistributionSpec.p)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
         self._cost.bytes_moved += self.bytes_per_element
@@ -606,5 +616,5 @@ def load_array_csv(path: str, backend: BackendConfig,
     cols = max(c for _, c, _ in entries) + 1
     array = PMemArray(rows, cols, backend, bytes_per_element, bits_per_raw_sample)
     for r, c, spec in entries:
-        array._store(*array._check_addr((r, c)), spec)
+        array._store(*array._check_addr((r, c)), spec.family, spec.mu, spec.sigma, spec.p)
     return array

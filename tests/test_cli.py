@@ -506,6 +506,19 @@ class TestFidelity:
         assert doc["pipeline"] is None
         assert doc["report"]["ks_pass"] is True
 
+    @pytest.mark.parametrize("target", ["normal", "uniform"])
+    def test_nonideality_past_the_float_range_exits_3(self, target, tmp_path, capsys):
+        """Samples carried past the float range are a config error, not a
+        report of inf and NaN fields."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"nonideality": {"bias": 1.79e308, "drift": 1e308}}))
+        out = tmp_path / "f.json"
+        assert run_cli("fidelity", "--config", str(cfg), "--samples", "20000", "--target", target,
+                       "--out", str(out)) == 3
+        assert ("config error: nonideality: mean must be a finite number in (-inf, inf), got inf: the nonideality"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestGenTrace:
     def test_bnn_aggregate(self, tmp_path):

@@ -451,6 +451,53 @@ class TestReportEqualsEstimators:
         assert _pipeline_samples(spec, n, config).tobytes() == whole.tobytes()
 
 
+class TestNonFiniteSamples:
+    """A non-ideality that carries samples, or their moments, past the float
+    range is an error naming it: no report of inf and NaN fields, and no
+    RuntimeWarning on the way (the suite turns warnings into errors)."""
+
+    @pytest.mark.parametrize("nonideality", [
+        NonidealitySpec(bias=1.79e308, drift=1e308),  # samples overflow to inf
+        NonidealitySpec(bias=1.79e308, drift=-1e308),  # inf, then NaN
+        NonidealitySpec(bias=1e200),  # finite samples, overflowing moments
+    ], ids=["inf", "nan", "moments"])
+    @pytest.mark.parametrize("subject", ["source", "pipeline"])
+    def test_rejected_naming_the_nonideality(self, subject, nonideality):
+        if subject == "source":
+            args = (SourceSpec.pseudo_uniform(nonideality=nonideality), 20_000, "uniform")
+        else:
+            args = (ShapingPipelineSpec("box_muller"), 20_000, DistributionSpec.gaussian(0.0, 1.0),
+                    FidelityConfig(nonideality=nonideality))
+        with pytest.raises(DomainError, match="carries the samples past the float range") as info:
+            fidelity_report(*args)
+        assert info.value.name == "nonideality"
+
+    def test_large_finite_bias_still_reports(self):
+        report = fidelity_report(SourceSpec.pseudo_uniform(nonideality=NonidealitySpec(bias=1e3, drift=1e6)),
+                                 20_000, "uniform")
+        assert report.mean == pytest.approx(1e3 + 1e4, rel=1e-3)
+        assert report.ks_pass is False
+
+
+class TestDiscreteTargetSymbols:
+    """Bernoulli and point-mass targets count symbols a block at a time and
+    get the min-entropy of the whole stream's symbols."""
+
+    @pytest.mark.parametrize("nonideality", [
+        NonidealitySpec(),
+        NonidealitySpec(bias=-3.5, drift=4e7),  # negative and large symbols, most of them distinct
+        NonidealitySpec(rho=0.3, bias=0.6),
+    ], ids=["ideal", "drift", "ar1"])
+    @pytest.mark.parametrize("target", [DistributionSpec.bernoulli(0.3), DistributionSpec.point_mass(0.0)],
+                             ids=["bernoulli", "point_mass"])
+    @pytest.mark.parametrize("n", [20_000, 3 * _BLOCK + 5], ids=["one-block", "four-blocks"])
+    def test_min_entropy_equals_whole_stream(self, n, target, nonideality):
+        spec = SourceSpec.stochastic_switch(p=0.3, seed=4, nonideality=nonideality)
+        x = create_source(spec).draw(n)
+        report = fidelity_report(spec, n, target)
+        assert report.min_entropy_per_sample == min_entropy(symbolize(x, target))
+
+
 class TestSourceConfig:
     """A source subject draws its own stream; a config that says otherwise
     is an error, not ignored."""
@@ -480,7 +527,9 @@ class TestSourceConfig:
 @pytest.mark.parametrize("subject, target", [
     (ShapingPipelineSpec("box_muller"), DistributionSpec.gaussian(0.0, 1.0)),
     (SourceSpec.pseudo_uniform(seed=1), "uniform"),
-], ids=["box_muller", "uniform"])
+    (SourceSpec.stochastic_switch(p=0.3, seed=1), DistributionSpec.bernoulli(0.3)),
+    (SourceSpec.thermal_gaussian(sigma=0.0, seed=1), DistributionSpec.point_mass(0.0)),
+], ids=["box_muller", "uniform", "bernoulli", "point_mass"])
 def test_report_memory_budget(subject, target):
     """The battery keeps one float64 array per sample and block-sized
     scratch: at most 12 B/sample at 1e6 samples."""

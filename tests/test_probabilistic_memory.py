@@ -16,6 +16,7 @@ from entropy_roofline.errors import (
     AddressError,
     CellTypeError,
     DomainError,
+    EntropyRooflineError,
     VarianceRangeError,
 )
 from entropy_roofline.fidelity import ks_test, normal_cdf
@@ -900,3 +901,226 @@ class TestCsvRoundTrip:
                         newline="")
         loaded = load_array_csv(str(path), ALL_BACKENDS["von_neumann"])
         assert (loaded.rows, loaded.cols) == (1, 2) and loaded.cell((0, 1)).mu == 2.0
+
+
+# ------------------------------------------------------------------------
+# A cell is checked once, when written: what the scalar primitives hand back
+# equals a spec built with validation, and every rejection is the one the
+# validated path makes.
+# ------------------------------------------------------------------------
+
+_WINDOW = st.floats(*BackendConfig.coupled_pcim().variance_window(0.0))  # gamma 0: one window at every mu
+
+# Every number type a cell takes, and specs of every family with their edge parameters
+_written_states = st.one_of(
+    st.integers(-5, 5),
+    _finite,
+    st.just(-0.0),
+    st.builds(np.float64, _finite),
+    st.builds(np.float32, st.floats(-1e6, 1e6, width=32)),
+    st.builds(DistributionSpec.gaussian, _finite, st.one_of(st.just(0.0), _WINDOW, st.floats(0.0, 5.0))),
+    st.builds(lambda mu, sigma, p: DistributionSpec("gaussian", mu, sigma, p),  # a non-default p
+              _finite, st.one_of(st.just(0.0), _WINDOW), st.floats(0.0, 1.0)),
+    st.builds(DistributionSpec.bernoulli, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+    st.builds(DistributionSpec.point_mass, st.one_of(_finite, st.integers(-5, 5))),  # an int field reads back a float
+)
+_new_sigmas = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(0, 3), _WINDOW, st.floats(0.0, 5.0),
+                        st.builds(np.float64, _WINDOW))
+
+
+def _reference_write(backend, state):
+    """The spec a cell holds after ``write(state)``, built with validation
+    from the canonical fields the array stores (float64 each)."""
+    if not isinstance(state, DistributionSpec):
+        return DistributionSpec("point_mass", float(state))
+    spec = DistributionSpec(state.family, float(state.mu), float(state.sigma), float(state.p))
+    if spec.family == "gaussian":
+        backend.check_sigma(spec.mu, spec.sigma)
+    return spec
+
+
+def _reference_set_variance(backend, cell, sigma):
+    """The spec a cell holds after ``set_variance(sigma)``, with the checks
+    in the order SET_VARIANCE makes them."""
+    if cell.family == "bernoulli":
+        raise CellTypeError("set_variance needs a gaussian cell, got bernoulli")
+    DistributionSpec("gaussian", cell.mu, sigma)  # DomainError unless finite and >= 0
+    backend.check_sigma(cell.mu, sigma)
+    return DistributionSpec("gaussian", cell.mu, float(sigma))
+
+
+def _assert_same_spec(got, want):
+    """Equal field by field in value and type, and in repr (which tells -0.0 from 0.0)."""
+    assert type(got) is DistributionSpec
+    for f in fields(DistributionSpec):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert (type(g), g) == (type(w), w), f.name
+    assert repr(got) == repr(want)
+
+
+def _state(arr):
+    return arr.cost_report(), arr.endurance_map, [arr.cell(divmod(k, arr.cols)) for k in range(arr.rows * arr.cols)]
+
+
+def _assert_untouched(arr, before):
+    """No counter, endurance count or cell moved since ``before = _state(arr)``."""
+    cost, wear, cells = _state(arr)
+    assert cost == before[0] and np.array_equal(wear, before[1]) and cells == before[2]
+
+
+class TestScalarPrimitivesMatchAValidatedReference:
+    @given(data=st.data())
+    def test_cells_read_back_as_validated_specs(self, data):
+        backend = ALL_BACKENDS[data.draw(st.sampled_from(BACKEND_KINDS))]
+        arr = PMemArray(2, 2, backend)
+        held = {divmod(k, 2): DistributionSpec("point_mass", 0.0) for k in range(4)}
+        for _ in range(data.draw(st.integers(1, 8))):
+            addr = data.draw(st.sampled_from(sorted(held)))
+            if data.draw(st.booleans()):
+                state = data.draw(_written_states)
+                op, reference = (lambda: arr.write(addr, state)), (lambda: _reference_write(backend, state))
+            else:
+                sigma = data.draw(_new_sigmas)
+                op = lambda: arr.set_variance(addr, sigma)
+                reference = lambda: _reference_set_variance(backend, held[addr], sigma)
+            try:
+                held[addr] = reference()
+            except EntropyRooflineError as exc:
+                before = _state(arr)
+                with pytest.raises(type(exc)) as info:
+                    op()
+                assert str(info.value) == str(exc)
+                _assert_untouched(arr, before)
+            else:
+                op()
+            for a, want in held.items():
+                _assert_same_spec(arr.cell(a), want)
+                _assert_same_spec(arr.read_distribution(a), want)
+
+
+class TestRejectionsChargeNothing:
+    """Each rejection keeps its exception type, message and check order."""
+
+    GAUSSIAN = DistributionSpec.gaussian(0.0, 0.1)
+    CASES = [
+        # (backend, the cell at (0, 0), primitive, address, value, error, message)
+        ("decoupled_in_memory", GAUSSIAN, "write", (0, 0), True, DomainError,
+         "value must be a finite number in (-inf, inf), got True"),
+        ("decoupled_in_memory", GAUSSIAN, "write", (0, 0), False, DomainError,
+         "value must be a finite number in (-inf, inf), got False"),
+        ("decoupled_in_memory", GAUSSIAN, "write", (0, 0), math.nan, DomainError,
+         "value must be a finite number in (-inf, inf), got nan"),
+        ("von_neumann", GAUSSIAN, "set_variance", (0, 0), math.nan, DomainError,
+         "sigma must be a finite number in [0.0, inf), got nan"),
+        ("von_neumann", GAUSSIAN, "set_variance", (0, 0), math.inf, DomainError,
+         "sigma must be a finite number in [0.0, inf), got inf"),
+        ("von_neumann", GAUSSIAN, "set_variance", (0, 0), -0.5, DomainError,
+         "sigma must be a finite number in [0.0, inf), got -0.5"),
+        ("von_neumann", GAUSSIAN, "set_variance", (0, 0), True, DomainError,
+         "sigma must be a finite number in [0.0, inf), got True"),
+        # the cell's family is asked before the sigma
+        ("decoupled_near_memory", DistributionSpec.bernoulli(0.3), "set_variance", (0, 0), 0.1, CellTypeError,
+         "set_variance needs a gaussian cell, got bernoulli"),
+        ("decoupled_near_memory", DistributionSpec.bernoulli(0.3), "set_variance", (0, 0), math.nan,
+         CellTypeError, "set_variance needs a gaussian cell, got bernoulli"),
+        # finiteness before the coupled window, which starts above 0
+        ("coupled_pcim", GAUSSIAN, "set_variance", (0, 0), 0.3, VarianceRangeError,
+         "sigma=0.3 outside achievable range [0.05, 0.2]"),
+        ("coupled_pcim", GAUSSIAN, "set_variance", (0, 0), 0, VarianceRangeError,
+         "sigma=0 outside achievable range [0.05, 0.2]"),
+        ("coupled_pcim", GAUSSIAN, "set_variance", (0, 0), -math.inf, DomainError,
+         "sigma must be a finite number in [0.0, inf), got -inf"),
+        ("coupled_pcim", GAUSSIAN, "write", (0, 0), DistributionSpec.gaussian(1.0, 0.3), VarianceRangeError,
+         "sigma=0.3 outside achievable range [0.05, 0.2]"),
+        # the address before the value
+        ("coupled_pcim", GAUSSIAN, "write", (9, 9), True, AddressError,
+         "address (9, 9) out of bounds for 2x2 array"),
+        ("coupled_pcim", GAUSSIAN, "write", (0.5, 0), DistributionSpec.gaussian(1.0, 0.3), AddressError,
+         "address (0.5, 0) is not a pair of integers"),
+        ("coupled_pcim", GAUSSIAN, "set_variance", (0, 2), math.nan, AddressError,
+         "address (0, 2) out of bounds for 2x2 array"),
+        ("decoupled_near_memory", DistributionSpec.bernoulli(0.3), "set_variance", (0,), -1.0, AddressError,
+         "address (0,) is not a pair of integers"),
+    ]
+
+    @pytest.mark.parametrize("kind, cell, primitive, addr, value, error, message", CASES)
+    def test_rejection(self, kind, cell, primitive, addr, value, error, message):
+        arr = PMemArray(2, 2, ALL_BACKENDS[kind])
+        arr.write((0, 0), cell)
+        before = _state(arr)
+        with pytest.raises(error) as info:
+            getattr(arr, primitive)(addr, value)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        _assert_untouched(arr, before)
+
+
+class TestBatchAddressesMatchCheckAddr:
+    """``batch_sample`` takes exactly the addresses ``_check_addr`` takes,
+    and refuses a batch naming its first address ``_check_addr`` refuses."""
+
+    INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+    ACCEPTED = ([(t(1), t(0)) for t in INTS] + [(1, t(1)) for t in INTS]
+                + [(True, 0), (0, True), (np.array(1), 0), (0, np.array(1, dtype=np.uint8))])
+
+    @staticmethod
+    def twins():
+        arrays = []
+        for _ in range(2):
+            arr = PMemArray(2, 2, BackendConfig.coupled_pcim(write_based_sampling=True))
+            for k, state in enumerate([DistributionSpec.gaussian(0.5, 0.1), DistributionSpec.bernoulli(0.3),
+                                       DistributionSpec.gaussian(-1.0, 0.15), 2.5]):
+                arr.write(divmod(k, 2), state)
+            stream = EntropyStream(8)
+            stream.position = 3
+            arrays.append((arr, stream))
+        return arrays
+
+    def assert_same_batch(self, addrs, plain):
+        (arr, stream), (ref, ref_stream) = self.twins()
+        values, cycles = arr.batch_sample(addrs, stream)
+        want, want_cycles = ref.batch_sample(plain, ref_stream)
+        assert list(map(float.hex, values)) == list(map(float.hex, want)) and cycles == want_cycles
+        assert arr.cost_report() == ref.cost_report()
+        assert np.array_equal(arr.endurance_map, ref.endurance_map)
+        assert stream.position == ref_stream.position
+
+    @pytest.mark.parametrize("addr", ACCEPTED, ids=repr)
+    def test_accepted_as_check_addr_reads_it(self, addr):
+        arr = self.twins()[0][0]
+        self.assert_same_batch([(0, 0), addr, (1, 1), addr], [(0, 0), arr._check_addr(addr), (1, 1),
+                                                               arr._check_addr(addr)])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.intp])
+    def test_integer_array_of_pairs(self, dtype):
+        plain = [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0)]
+        self.assert_same_batch(np.array(plain, dtype=dtype), plain)
+
+    BAD_COORDS = [1.0, np.float64(1.0), "0", None, 2**63, 2**70, -1, np.uint64(2**63), np.array(1.0)]
+
+    def assert_refused(self, addrs, first_bad):
+        (arr, stream), _ = self.twins()
+        with pytest.raises(AddressError) as want:
+            arr._check_addr(first_bad)
+        before = _state(arr)
+        with pytest.raises(AddressError) as info:
+            arr.batch_sample(addrs, stream)
+        assert str(info.value) == str(want.value)
+        _assert_untouched(arr, before)
+        assert stream.position == 3
+
+    @pytest.mark.parametrize("bad", BAD_COORDS, ids=repr)
+    @pytest.mark.parametrize("at", ["row", "col"])
+    def test_bad_coordinate_names_the_first_bad_address(self, bad, at):
+        first = (bad, 0) if at == "row" else (0, bad)
+        # a second bad address of another kind follows; the first is named
+        self.assert_refused([(0, 0), (1, 1), first, (1, 0), (0, 1.5), (5, 0)], first)
+
+    @pytest.mark.parametrize("bad", [(0,), (0, 0, 0), (), 3, "ab"], ids=repr)
+    def test_not_a_pair(self, bad):
+        self.assert_refused([(0, 0), bad, (1, 1)], bad)
+
+    def test_flat_count_of_a_pair_per_address(self):
+        """Two addresses of three and one coordinates flatten to 2n integers,
+        yet neither is a pair."""
+        self.assert_refused([(0, 0, 0), (0,)], (0, 0, 0))
