@@ -126,12 +126,10 @@ def parse_config(doc: Dict) -> ConfigDocument:
 
     defaults = ConfigDocument.default()
     arch = _load_section(doc, "arch", _ARCH_KEYS, lambda kw: replace(defaults.arch, **kw))
-    shaping = _load_section(doc, "shaping", _SHAPING_KEYS, lambda kw: ShapingPipelineSpec(
-        **{"method": defaults.backend.shaping.method, **kw}))
+    shaping = _load_section(doc, "shaping", _SHAPING_KEYS, lambda kw: replace(defaults.backend.shaping, **kw))
 
     # the shaping section rides on every kind, so a switch to von_neumann keeps it
-    backend = _load_section(doc, "backend", _BACKEND_KEYS, lambda kw: BackendConfig(
-        **{"kind": defaults.backend.kind, **kw, "shaping": shaping}))
+    backend = _load_section(doc, "backend", _BACKEND_KEYS, lambda kw: replace(defaults.backend, **kw, shaping=shaping))
     nonideality = _load_section(doc, "nonideality", _NONIDEALITY_KEYS,
                                 lambda kw: NonidealitySpec(**kw))
 

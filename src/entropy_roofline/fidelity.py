@@ -262,7 +262,7 @@ def _mcv_min_entropy(max_count: int, n: int) -> float:
     from its count among ``n`` symbols."""
     p_hat = max_count / n
     p_up = min(1.0, p_hat + _MCV_Z * math.sqrt(p_hat * (1.0 - p_hat) / n))
-    return -math.log2(p_up)
+    return 0.0 - math.log2(p_up)  # +0.0 for one symbol, where -log2 gives -0.0
 
 
 def min_entropy(symbols: np.ndarray) -> float:
@@ -280,7 +280,7 @@ def min_entropy(symbols: np.ndarray) -> float:
 
 
 def symbolize(samples: np.ndarray, target: Target, symbol_bits: int = 8) -> np.ndarray:
-    """Map a stream to integer symbols for min-entropy estimation.
+    """Map a stream to integer-valued symbols for min-entropy estimation.
 
     Bernoulli streams pass through as bits and point masses give one symbol;
     continuous streams go through the target's CDF (the identity on [0, 1]
@@ -290,7 +290,7 @@ def symbolize(samples: np.ndarray, target: Target, symbol_bits: int = 8) -> np.n
     x = np.asarray(samples, dtype=np.float64)
     if target != UNIFORM_TARGET:
         if target.family == FAMILY_BERNOULLI:
-            return x.astype(np.int64)
+            return np.trunc(x)  # float symbols: a biased sample past int64 must not collapse to INT_MIN
         if target.family == FAMILY_POINT_MASS:
             return np.zeros(x.shape[0], dtype=np.int64)
     return _quantize(target_cdf(target)(x), symbol_bits)

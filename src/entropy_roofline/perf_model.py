@@ -135,9 +135,9 @@ def effective_beta(alpha: float, arch: ArchParams) -> float:
 
 
 def system_throughput(ai: float, alpha: float, arch: ArchParams) -> float:
-    """Roofline throughput min(pi, ai * beta_eff), operations/second."""
-    _check_ai(ai)
-    return min(arch.pi, ai * effective_beta(alpha, arch))
+    """Roofline throughput in ops/s: ``pi`` where ``classify_regime`` says ComputeBound, else ``ai * beta_eff``."""
+    compute = classify_regime(ai, alpha, arch) is RegimeLabel.COMPUTE_BOUND
+    return arch.pi if compute else ai * effective_beta(alpha, arch)
 
 
 def classify_regime(ai: float, alpha: float, arch: ArchParams) -> RegimeLabel:

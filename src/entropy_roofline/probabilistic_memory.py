@@ -23,9 +23,9 @@ cell and the entropy stream:
 What a draw costs on each kind is defined once, by ``BackendConfig``'s
 per-draw answers (shaping ops, side bytes, parameter read, wear, lanes, raw
 entropy rate); ``PMemArray`` and the simulator read them and never branch on
-the kind.  At the array's default 32 bits per raw draw, the one charge they
-price differently is a decoupled draw's parameter read, which the simulator
-does not charge.
+the kind.  Both charge 32 bits of entropy a draw (``_BITS_PER_DRAW``); the
+one charge they price differently is a decoupled draw's parameter read, which
+the simulator does not charge.
 
 Per-operation charges land in a CostReport; per-cell write counts model
 endurance.  Arrays are single-writer: mutation requires exclusive access.
@@ -51,7 +51,7 @@ import operator
 import struct
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +80,17 @@ BACKEND_KINDS = (
 _FAMILIES = (FAMILY_GAUSSIAN, FAMILY_BERNOULLI, FAMILY_POINT_MASS)
 _GAUSSIAN = _FAMILIES.index(FAMILY_GAUSSIAN)
 _BERNOULLI = _FAMILIES.index(FAMILY_BERNOULLI)
+_BITS_PER_DRAW = 32  # entropy one stochastic draw consumes, on every backend
+
+
+def _draws(code, p):
+    """Whether a cell draws, elementwise on arrays: a gaussian (sigma > 0), a bernoulli of 0 < p < 1."""
+    return (code == _GAUSSIAN) | ((code == _BERNOULLI) & (0.0 < p) & (p < 1.0))
+
+
+def _parameter_elements(code):
+    """Stored parameter words of family code ``code``, elementwise on arrays: (mu, sigma) or one."""
+    return 1 + (code == _GAUSSIAN)
 
 
 def _fold(total: float, charges: np.ndarray) -> float:
@@ -150,16 +161,7 @@ class DistributionSpec:
     @property
     def consumes_entropy(self) -> bool:
         """Whether sampling this cell draws from the entropy stream."""
-        if self.family == FAMILY_GAUSSIAN:
-            return self.sigma > 0.0
-        if self.family == FAMILY_BERNOULLI:
-            return 0.0 < self.p < 1.0
-        return False
-
-    @property
-    def parameter_elements(self) -> int:
-        """Stored parameter words: (mu, sigma) for gaussian, else one."""
-        return 2 if self.family == FAMILY_GAUSSIAN else 1
+        return _draws(_FAMILIES.index(self.family), self.p)
 
 
 # A cell is written either as a raw number (deterministic value) or as a
@@ -199,7 +201,7 @@ class BackendConfig:
     latency_cycles: int = 1
     # von_neumann
     transport_bytes_per_sample: float = 4.0
-    shaping: Optional[ShapingPipelineSpec] = None
+    shaping: ShapingPipelineSpec = ShapingPipelineSpec(method="box_muller")
     # coupled_pcim device model: sigma_dev(mu) = sigma0 * (1 + gamma * |mu|)
     sigma0: float = 0.1
     gamma: float = 0.0
@@ -214,6 +216,8 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise DomainError(f"unknown backend kind {self.kind!r}")
+        if not isinstance(self.shaping, ShapingPipelineSpec):
+            raise DomainError(f"shaping must be a ShapingPipelineSpec, got {self.shaping!r}", "shaping")
         for name in ("read_energy_pj", "write_energy_pj", "sample_energy_pj", "sigma0"):
             require_finite(name, getattr(self, name), 0.0, math.inf, "()")
         for name in ("transport_bytes_per_sample", "writeback_bytes_per_sample", "gamma"):
@@ -226,10 +230,8 @@ class BackendConfig:
     # -- constructors per kind ---------------------------------------------
 
     @classmethod
-    def von_neumann(cls, shaping: Optional[ShapingPipelineSpec] = None, **kw) -> "BackendConfig":
-        if shaping is None:
-            shaping = ShapingPipelineSpec(method="box_muller")
-        return cls(kind=KIND_VON_NEUMANN, shaping=shaping, **kw)
+    def von_neumann(cls, **kw) -> "BackendConfig":
+        return cls(kind=KIND_VON_NEUMANN, **kw)
 
     @classmethod
     def coupled_pcim(cls, **kw) -> "BackendConfig":
@@ -247,16 +249,13 @@ class BackendConfig:
     def for_kind(cls, kind: str, base: "BackendConfig") -> "BackendConfig":
         """``base`` switched to backend ``kind``: ``base`` itself when the kind
         matches, else the kind's defaults with ``base.parallelism`` carried over
-        to decoupled_in_memory and ``base.shaping`` to von_neumann (its default
-        pipeline when that is None).  No rate is carried: the entropy rate is
-        the architecture's (see ``raw_entropy_rate``)."""
+        to decoupled_in_memory and ``base.shaping`` to von_neumann.  No rate is
+        carried: the entropy rate is the architecture's (see ``raw_entropy_rate``)."""
         if kind == base.kind:
             return base
-        if kind == KIND_DECOUPLED_IN_MEMORY:
-            return cls.decoupled_in_memory(parallelism=base.parallelism)
-        if kind == KIND_VON_NEUMANN:
-            return cls.von_neumann(shaping=base.shaping)
-        return cls(kind=kind)
+        carried = {KIND_DECOUPLED_IN_MEMORY: {"parallelism": base.parallelism},
+                   KIND_VON_NEUMANN: {"shaping": base.shaping}}
+        return cls(kind=kind, **carried.get(kind, {}))
 
     # -- coupled device model ------------------------------------------------
 
@@ -284,7 +283,7 @@ class BackendConfig:
     @property
     def shaping_ops_per_sample(self) -> int:
         """Shaping arithmetic per draw; only the von Neumann RNG pipeline has one."""
-        if self.kind == KIND_VON_NEUMANN and self.shaping is not None:
+        if self.kind == KIND_VON_NEUMANN:
             return self.shaping.ops_per_sample
         return 0
 
@@ -338,17 +337,15 @@ class PMemArray:
     exclusive ownership (single-writer); snapshots may be read concurrently.
     """
 
-    def __init__(self, rows: int, cols: int, backend: BackendConfig,
-                 bytes_per_element: int = 4, bits_per_raw_sample: int = 32):
+    def __init__(self, rows: int, cols: int, backend: BackendConfig, bytes_per_element: int = 4):
         require_int("rows", rows, 1)
         require_int("cols", cols, 1)
         require_int("bytes_per_element", bytes_per_element, 1)
-        require_int("bits_per_raw_sample", bits_per_raw_sample, 1)
         self.rows = rows
         self.cols = cols
         self.backend = backend
         self.bytes_per_element = bytes_per_element
-        self.bits_per_raw_sample = bits_per_raw_sample
+        self.bits_per_raw_sample = _BITS_PER_DRAW  # read-only: what each draw charges
         blank = DistributionSpec.point_mass(0.0)
         self._family = np.full((rows, cols), _FAMILIES.index(blank.family), dtype=np.int8)
         self._mu = np.full((rows, cols), blank.mu)
@@ -402,10 +399,10 @@ class PMemArray:
     def _charge_stochastic_sample(self, r: int, c: int, spec: DistributionSpec) -> None:
         backend = self.backend
         cost = self._cost
-        cost.entropy_bits_consumed += self.bits_per_raw_sample
+        cost.entropy_bits_consumed += _BITS_PER_DRAW
         cost.energy_pj += backend.sample_energy_pj
         if backend.reads_parameters_per_draw:
-            cost.bytes_moved += spec.parameter_elements * self.bytes_per_element
+            cost.bytes_moved += _parameter_elements(_FAMILIES.index(spec.family)) * self.bytes_per_element
         cost.bytes_moved += backend.side_bytes_per_sample  # x + 0.0 == x for x >= +0.0
         cost.shaping_ops += backend.shaping_ops_per_sample
         if backend.wears_cell_per_draw:
@@ -428,7 +425,7 @@ class PMemArray:
         self._store(r, c, family, mu, sigma, p)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
-        self._cost.bytes_moved += (2 if family == FAMILY_GAUSSIAN else 1) * self.bytes_per_element
+        self._cost.bytes_moved += _parameter_elements(_FAMILIES.index(family)) * self.bytes_per_element
         self._cost.energy_pj += self.backend.write_energy_pj
 
     def read(self, addr: Address) -> float:
@@ -463,7 +460,7 @@ class PMemArray:
         r, c = self._check_addr(addr)
         spec = self._spec(r, c)
         self._cost.total_reads += 1
-        self._cost.bytes_moved += spec.parameter_elements * self.bytes_per_element
+        self._cost.bytes_moved += _parameter_elements(self._family.item(r, c)) * self.bytes_per_element
         self._cost.energy_pj += self.backend.read_energy_pj
         return spec
 
@@ -512,9 +509,8 @@ class PMemArray:
         family = self._family.take(flat)
         values = self._mu.take(flat)  # what a cell that draws nothing returns (p == mu for bernoulli)
         p = self._p.take(flat)
-        gaussian = family == _GAUSSIAN
-        draws = gaussian | ((family == _BERNOULLI) & (0.0 < p) & (p < 1.0))
-        normal = gaussian[draws]
+        draws = _draws(family, p)
+        normal = family[draws] == _GAUSSIAN
         drawn = stream.next_block(normal, p[draws])
         sigma = self._sigma.take(flat[draws])
         values[draws] = np.where(normal, values[draws] + sigma * drawn, drawn)
@@ -524,7 +520,7 @@ class PMemArray:
         # nothing moves one element.  A 0.0 stands for no addition
         # (x + 0.0 == x for every total x >= +0.0).
         bpe = self.bytes_per_element
-        parameter_bytes = np.where(gaussian, 2 * bpe, bpe) if backend.reads_parameters_per_draw else 0.0
+        parameter_bytes = _parameter_elements(family) * bpe if backend.reads_parameters_per_draw else 0.0
         byte_charges = np.column_stack((np.where(draws, parameter_bytes, bpe),
                                         np.where(draws, backend.side_bytes_per_sample, 0.0)))
         n_draws = int(np.count_nonzero(draws))
@@ -532,7 +528,7 @@ class PMemArray:
         cost.total_samples += n
         cost.bytes_moved = _fold(cost.bytes_moved, byte_charges)
         cost.energy_pj = _fold(cost.energy_pj, np.where(draws, backend.sample_energy_pj, backend.read_energy_pj))
-        cost.entropy_bits_consumed += n_draws * self.bits_per_raw_sample
+        cost.entropy_bits_consumed += n_draws * _BITS_PER_DRAW
         cost.shaping_ops += n_draws * backend.shaping_ops_per_sample
         if backend.wears_cell_per_draw:
             np.add.at(self._write_counts.reshape(-1), flat[draws], 1)
@@ -575,9 +571,7 @@ def save_array_csv(array: PMemArray, path: str) -> None:
                 fh.write("{},{},{},{!r},{!r}\r\n".format(r, c, spec.family, spec.mu, spec.sigma_or_p))
 
 
-def load_array_csv(path: str, backend: BackendConfig,
-                   bytes_per_element: int = 4,
-                   bits_per_raw_sample: int = 32) -> PMemArray:
+def load_array_csv(path: str, backend: BackendConfig, bytes_per_element: int = 4) -> PMemArray:
     """Build a fresh array from a cells CSV; counters start at zero.
 
     Each physical line is one row of comma-separated fields, as
@@ -614,7 +608,7 @@ def load_array_csv(path: str, backend: BackendConfig,
         raise DomainError(f"empty cells CSV {path!r}")
     rows = max(r for r, _, _ in entries) + 1
     cols = max(c for _, c, _ in entries) + 1
-    array = PMemArray(rows, cols, backend, bytes_per_element, bits_per_raw_sample)
+    array = PMemArray(rows, cols, backend, bytes_per_element)
     for r, c, spec in entries:
         array._store(*array._check_addr((r, c)), spec.family, spec.mu, spec.sigma, spec.p)
     return array

@@ -14,11 +14,11 @@ Backend cost translation: what one stochastic sample costs on each kind is
 defined once, by ``BackendConfig`` in ``probabilistic_memory``, which
 ``PMemArray`` reads too.  Per sample the simulator charges
 ``raw_entropy_rate(beta_data, beta_rand)`` for the draw, from the arch's
-rates (``ArchParams.beta_rand`` is the one entropy rate),
-``side_bytes_per_sample`` of data-path traffic and ``shaping_ops_per_sample``
-of compute, which ``backend_effective_rates`` folds into the analytic
-model's rates.  Unlike ``PMemArray``, the simulator does not charge a
-decoupled draw's parameter read (``reads_parameters_per_draw``).
+rates (``ArchParams.beta_rand`` is the one entropy rate), ``PMemArray``'s 32
+bits of entropy, ``side_bytes_per_sample`` of data-path traffic (in elements,
+``_side_elements``) and ``shaping_ops_per_sample`` of compute, which
+``backend_effective_rates`` folds into the analytic model's rates.  Unlike
+``PMemArray``, it does not charge a decoupled draw's parameter read.
 
 One function, ``_evaluate``, defines the time terms over float64 columns:
 t_compute = (n_ops + shaping * draws) / pi, t_data = det / beta_data,
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DegenerateWorkloadError, DomainError, require_finite, require_int
 from .perf_model import (_REGIMES, ArchParams, RegimeLabel, SweepTable, _check_ai, _check_alpha,
                          _regime_codes)
-from .probabilistic_memory import BACKEND_KINDS, BackendConfig, CostReport
+from .probabilistic_memory import _BITS_PER_DRAW, BACKEND_KINDS, BackendConfig, CostReport
 from .workload import WorkloadSpec
 
 MODE_SERIALIZED = "serialized"
@@ -67,10 +67,6 @@ class SimConfig:
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
 
-    @classmethod
-    def default(cls) -> "SimConfig":
-        return cls(arch=ArchParams.default(), backend=BackendConfig.von_neumann())
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -86,6 +82,11 @@ class SimResult:
         return {**asdict(self), "regime_observed": str(self.regime_observed)}
 
 
+def _side_elements(config: SimConfig) -> float:
+    """A draw's side bytes (transport or write-back) in the arch's elements."""
+    return config.backend.side_bytes_per_sample / config.arch.bytes_per_element
+
+
 def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
     """(beta_data_eff, beta_rand_eff) for the analytic model.
 
@@ -95,7 +96,7 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
     """
     beta_data = config.arch.beta_data
     raw = config.backend.raw_entropy_rate(beta_data, config.arch.beta_rand)
-    extra = config.backend.side_bytes_per_sample / config.arch.bytes_per_element
+    extra = _side_elements(config)
     if extra == 0.0:
         return beta_data, raw
     return beta_data, 1.0 / (1.0 / raw + extra / beta_data)
@@ -116,7 +117,7 @@ def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
     stoch = np.array([float(s) for s in stochs])[:, None, None]
     det = np.array([float(total - s) for s in stochs])[:, None, None]
     pi, beta_data, extra, raw_rate, serialized = np.array([(
-        cfg.arch.pi, cfg.arch.beta_data, cfg.backend.side_bytes_per_sample / cfg.arch.bytes_per_element,
+        cfg.arch.pi, cfg.arch.beta_data, _side_elements(cfg),
         cfg.backend.raw_entropy_rate(cfg.arch.beta_data, cfg.arch.beta_rand), cfg.mode == MODE_SERIALIZED,
     ) for cfg in configs], dtype=np.float64).T[:, None, None, :]
 
@@ -146,15 +147,14 @@ def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
         raise DegenerateWorkloadError(f"workload {workload.name!r} has no accesses to simulate")
     arch, backend = config.arch, config.backend
     det, stoch = workload.det_accesses, workload.stoch_accesses
-    extra = backend.side_bytes_per_sample / arch.bytes_per_element
     elapsed, phi, beta, regime = (column.item() for column in _evaluate(
         workload.total_accesses, [stoch], [workload.n_ops], [config]))
     cost = CostReport(
         total_reads=det,
         total_writes=0,
         total_samples=stoch,
-        bytes_moved=(det + stoch * extra) * arch.bytes_per_element,
-        entropy_bits_consumed=stoch * 32,
+        bytes_moved=(det + stoch * _side_elements(config)) * arch.bytes_per_element,
+        entropy_bits_consumed=stoch * _BITS_PER_DRAW,
         energy_pj=det * backend.read_energy_pj + stoch * backend.sample_energy_pj,
         shaping_ops=stoch * backend.shaping_ops_per_sample,
     )

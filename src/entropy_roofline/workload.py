@@ -249,12 +249,17 @@ def _block_copies(fh: TextIO, line: str) -> Tuple[int, str]:
     return copies + lo, text[lo * len(line):]
 
 
-def aggregate(records: Iterable[TraceRecord], name: str = "trace") -> WorkloadSpec:
-    """Column sums of a record list as a WorkloadSpec."""
+def _summed(runs: Iterable[Tuple[TraceRecord, int]], name: str) -> WorkloadSpec:
+    """The WorkloadSpec of ``(record, k)`` runs: each op's counts, ``k`` times."""
     totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
-    for rec, k in _runs(records):
+    for rec, k in runs:
         totals[_SPEC_FIELD[rec.op]] += rec.count * k
     return WorkloadSpec(name, **totals)
+
+
+def aggregate(records: Iterable[TraceRecord], name: str = "trace") -> WorkloadSpec:
+    """Column sums of a record list as a WorkloadSpec."""
+    return _summed(_runs(records), name)
 
 
 # ------------------------------------------------------------------------
@@ -300,28 +305,30 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     surrogate, so it fails its own field's check on its own line.
     """
     records: List[TraceRecord] = []
-    totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
-    with open(path, newline="", errors="surrogateescape") as fh:
-        header = next(fh, "").rstrip("\r\n").split(",")  # readline() keeps an 8 KiB tell() snapshot
-        if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
-            raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
-        line_no, last_row, last = 2, None, None
-        for line, k in _line_runs(fh):
-            row = line.rstrip("\r\n").split(",")
-            if row != last_row:
-                if not line.strip():
-                    line_no += k
-                    continue  # blank lines
-                if len(row) != 4:
-                    raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
-                op, row_s, col_s, count_s = map(str.strip, row)
-                try:  # as save_trace writes them: digits, or a compute row's empty address
-                    last = TraceRecord(op, parse_number(row_s) if row_s else None,
-                                       parse_number(col_s) if col_s else None, parse_number(count_s))
-                except DomainError as exc:
-                    raise TraceParseError(line_no, str(exc)) from exc
-                last_row = row
-            records.extend(repeat(last, k))
-            totals[_SPEC_FIELD[last.op]] += last.count * k
-            line_no += k
-    return records, WorkloadSpec(os.path.basename(path), **totals)
+
+    def runs() -> Iterator[Tuple[TraceRecord, int]]:  # keeps each run's records as it passes
+        with open(path, newline="", errors="surrogateescape") as fh:
+            header = next(fh, "").rstrip("\r\n").split(",")  # readline() keeps an 8 KiB tell() snapshot
+            if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+                raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
+            line_no, last_row, last = 2, None, None
+            for line, k in _line_runs(fh):
+                row = line.rstrip("\r\n").split(",")
+                if row != last_row:
+                    if not line.strip():
+                        line_no += k
+                        continue  # blank lines
+                    if len(row) != 4:
+                        raise TraceParseError(line_no, f"expected 4 fields, got {len(row)}")
+                    op, row_s, col_s, count_s = map(str.strip, row)
+                    try:  # as save_trace writes them: digits, or a compute row's empty address
+                        last = TraceRecord(op, parse_number(row_s) if row_s else None,
+                                           parse_number(col_s) if col_s else None, parse_number(count_s))
+                    except DomainError as exc:
+                        raise TraceParseError(line_no, str(exc)) from exc
+                    last_row = row
+                records.extend(repeat(last, k))
+                yield last, k
+                line_no += k
+
+    return records, _summed(runs(), os.path.basename(path))

@@ -1,6 +1,7 @@
 """Tests for the statistical fidelity battery."""
 
 import gc
+import json
 import math
 import os
 import subprocess
@@ -306,6 +307,9 @@ class TestMinEntropy:
         with pytest.raises(DomainError):
             min_entropy(np.zeros(999, dtype=np.int64))
 
+    def test_one_symbol_is_positive_zero(self):
+        assert math.copysign(1.0, min_entropy(np.zeros(1000, dtype=np.int64))) == 1.0
+
 
 class TestSymbolize:
     def test_bernoulli_passthrough(self):
@@ -328,6 +332,13 @@ class TestSymbolize:
     def test_point_mass_is_one_symbol(self):
         s = symbolize(np.full(5, 2.0), DistributionSpec.point_mass(2.0))
         assert s.tolist() == [0] * 5
+
+    def test_bernoulli_symbols_past_int64_stay_distinct(self):
+        # an int64 cast sends all three to INT_MIN, with a RuntimeWarning
+        x = np.array([1e19, 1e19 + 4096.0, -3e19])
+        s = symbolize(x, DistributionSpec.bernoulli(0.5))
+        assert s.tolist() == x.tolist()
+        assert symbolize(np.array([0.7, -0.7, 1.5]), DistributionSpec.bernoulli(0.5)).tolist() == [0, 0, 1]
 
 
 class TestFidelityReport:
@@ -387,7 +398,8 @@ class TestFidelityReport:
         assert report.degenerate
         assert report.ks_statistic is None
         assert report.autocorr is None
-        assert report.min_entropy_per_sample == 0.0
+        assert math.copysign(1.0, report.min_entropy_per_sample) == 1.0  # +0.0, not -0.0
+        assert json.dumps(report.to_dict()["min_entropy_per_sample"]) == "0.0"
 
     @pytest.mark.parametrize("n", [10, N_MIN - 1, N_MAX + 1])  # N_MAX + 1 fails before any draw
     def test_sample_count_bounds(self, n):
@@ -496,6 +508,14 @@ class TestDiscreteTargetSymbols:
         x = create_source(spec).draw(n)
         report = fidelity_report(spec, n, target)
         assert report.min_entropy_per_sample == min_entropy(symbolize(x, target))
+
+    @pytest.mark.parametrize("shift", [1e15, 1e19], ids=["in-int64", "past-int64"])
+    def test_symbols_past_int64_count_as_distinct(self, shift):
+        """Bias and drift past the int64 range leave 20,000 distinct samples
+        20,000 distinct symbols, as they do inside it."""
+        spec = SourceSpec.stochastic_switch(p=0.3, nonideality=NonidealitySpec(bias=shift, drift=shift))
+        report = fidelity_report(spec, 20_000, DistributionSpec.bernoulli(0.3))
+        assert report.min_entropy_per_sample == 12.449391625007712
 
 
 class TestSourceConfig:

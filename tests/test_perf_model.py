@@ -118,6 +118,14 @@ class TestSystemThroughput:
         a = arch(pi=10.0, beta_data=100.0, beta_rand=1.0)
         assert system_throughput(2.0, 1.0, a) == pytest.approx(2.0, rel=1e-12)
 
+    def test_ridge_tie_follows_the_label(self):
+        """Where the label calls compute, ``pi`` binds, though ``ai * beta_eff``
+        rounds one ulp under it."""
+        a = arch(pi=68.0, beta_data=4.0, beta_rand=14.0)
+        assert 6.071428571428571 * effective_beta(0.9, a) < 68.0
+        assert classify_regime(6.071428571428571, 0.9, a) is RegimeLabel.COMPUTE_BOUND
+        assert system_throughput(6.071428571428571, 0.9, a) == 68.0
+
     def test_ai_must_be_positive(self):
         a = arch()
         with pytest.raises(DomainError):
@@ -286,15 +294,14 @@ class TestRooflineCurve:
     @given(st.tuples(*[st.floats(1e-3, 1e15)] * 3), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
            st.floats(1e-6, 1e6), st.floats(1.0, 1e8, exclude_min=True), st.integers(2, 16),
            st.none() | st.integers(-64, 64))
-    # a ridge tie: the label calls compute while 6.071428571428571 * beta_eff rounds under pi
+    # a ridge tie: the label calls compute while 6.071428571428571 * beta_eff rounds under pi;
+    # the row and system_throughput both give pi
     @example((68.0, 4.0, 14.0), [0.9], 6.071428571428571, 2.0, 2, None)
     def test_rows_equal_the_scalar_model(self, rates, alphas, ai_min, span, n_points, ridge_ulps):
         """Every row equals ``system_throughput`` and ``classify_regime`` at its
-        (alpha, ai), bit for bit, but for one tie rule.  A row's label compares
-        times and ``system_throughput`` compares rates, and at the ridge the two
-        can round apart: a ComputeBound row keeps ``pi``, where ``min(pi, ai *
-        beta_eff)`` gives an ``ai * beta_eff`` under ``pi`` by at most two ulps.
-        ``ridge_ulps`` puts ``ai_min`` that many ulps from the first alpha's ridge."""
+        (alpha, ai), bit for bit, at the ridge too: one rule decides which roof
+        binds.  ``ridge_ulps`` puts ``ai_min`` that many ulps from the first
+        alpha's ridge."""
         a = arch(*rates)
         if ridge_ulps is not None:
             t_access = (1.0 - alphas[0]) / a.beta_data + alphas[0] / a.beta_rand
@@ -305,10 +312,7 @@ class TestRooflineCurve:
         table = roofline_curve(a, alphas, ai_min, ai_max, n_points)
         for alpha, ai, phi, regime in zip(*(table[name].tolist() for name in ("alpha", "ai", "phi", "regime"))):
             assert regime is classify_regime(ai, alpha, a)
-            expected = system_throughput(ai, alpha, a)
-            if phi != expected:
-                assert regime is RegimeLabel.COMPUTE_BOUND and phi == a.pi
-                assert 0.0 < a.pi - expected <= 2 * math.ulp(a.pi)
+            assert phi == system_throughput(ai, alpha, a)
 
     def test_invalid_ranges(self):
         a = arch()

@@ -1,6 +1,7 @@
 """Tests for the unified memory primitives and backend cost models."""
 
 import csv
+import inspect
 import io
 import math
 from dataclasses import fields
@@ -74,6 +75,22 @@ class TestDistributionSpec:
         assert not DistributionSpec.bernoulli(0.0).consumes_entropy
         assert not DistributionSpec.bernoulli(1.0).consumes_entropy
         assert DistributionSpec.bernoulli(0.5).consumes_entropy
+        assert type(DistributionSpec.bernoulli(0.5).consumes_entropy) is bool
+
+    def test_batch_draws_exactly_the_cells_that_consume_entropy(self):
+        """The batch path's draw rule is the scalar one: one stream word per
+        bernoulli draw, two per gaussian, none for any other cell."""
+        specs = [DistributionSpec.gaussian(0.0, 1.0), DistributionSpec.gaussian(1.0, 0.0),
+                 DistributionSpec.bernoulli(0.0), DistributionSpec.bernoulli(1.0),
+                 DistributionSpec.bernoulli(0.5), DistributionSpec.point_mass(2.0)]
+        arr = PMemArray(1, len(specs), ALL_BACKENDS["decoupled_near_memory"])
+        for c, spec in enumerate(specs):
+            arr.write((0, c), spec)
+        for c, spec in enumerate(specs):
+            stream = EntropyStream(3)
+            arr.batch_sample([(0, c)], stream)
+            words = 2 if spec.family == "gaussian" else 1
+            assert stream.position == (words if spec.consumes_entropy else 0), spec
 
 
 class TestBackendConfig:
@@ -94,7 +111,19 @@ class TestBackendConfig:
 
     def test_von_neumann_default_shaping(self):
         assert BackendConfig.von_neumann().shaping_ops_per_sample == 8
+        assert BackendConfig(kind="von_neumann").shaping_ops_per_sample == 8
         assert BackendConfig.coupled_pcim().shaping_ops_per_sample == 0
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_kind_constructor_is_the_kind_defaults(self, kind):
+        assert BackendConfig(kind=kind) == getattr(BackendConfig, kind)()
+        assert BackendConfig(kind=kind).shaping == ShapingPipelineSpec(method="box_muller")
+
+    @pytest.mark.parametrize("shaping", [None, "box_muller"])
+    def test_shaping_must_be_a_pipeline(self, shaping):
+        with pytest.raises(DomainError, match="shaping") as info:
+            BackendConfig.von_neumann(shaping=shaping)
+        assert info.value.name == "shaping"
 
     @pytest.mark.parametrize("base", [
         BackendConfig.von_neumann(transport_bytes_per_sample=2.0, parallelism=8),
@@ -585,7 +614,7 @@ class TestBatchEqualsSequential:
     def test_batch_sample_is_a_loop_of_sample(self, data):
         backend = data.draw(_backends())
         rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
-        bpe, bits = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 64))
+        bpe = data.draw(st.integers(1, 8))
         # a coupled array holds only sigmas in its window (gamma 0: the same at every mu)
         cell_states = (_cell_states_with(st.floats(*backend.variance_window(0.0)))
                        if backend.kind == "coupled_pcim" else _cell_states)
@@ -595,7 +624,7 @@ class TestBatchEqualsSequential:
         seed, start = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 10**6))
         twins = []
         for _ in range(2):
-            arr = PMemArray(rows, cols, backend, bytes_per_element=bpe, bits_per_raw_sample=bits)
+            arr = PMemArray(rows, cols, backend, bytes_per_element=bpe)
             for k, state in enumerate(states):
                 arr.write(divmod(k, cols), state)
             stream = EntropyStream(seed)
@@ -743,10 +772,13 @@ class TestCostReport:
             "energy_pj": 0.0, "shaping_ops": 0,
         }
 
-    def test_bits_per_raw_sample_must_be_integer(self):
-        with pytest.raises(DomainError):
-            PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=32.5)
-        assert PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=np.int64(16)).bits_per_raw_sample == 16
+    def test_bits_per_draw_is_fixed(self):
+        # perfbench converts entropy bits to draws through this attribute
+        assert PMemArray(2, 2, ALL_BACKENDS["von_neumann"]).bits_per_raw_sample == 32
+        for fn in (PMemArray, load_array_csv):
+            assert "bits_per_raw_sample" not in inspect.signature(fn).parameters
+        with pytest.raises(TypeError):
+            PMemArray(2, 2, ALL_BACKENDS["von_neumann"], bits_per_raw_sample=32)
 
     @pytest.mark.parametrize("field", ["rows", "cols", "bytes_per_element"])
     @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, "3", -1])

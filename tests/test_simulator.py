@@ -185,6 +185,23 @@ class TestRun:
             wl.total_accesses / res.elapsed_time, rel=1e-12
         )
 
+    @pytest.mark.parametrize("backend", [BackendConfig(kind="von_neumann"), BackendConfig.von_neumann()],
+                             ids=["field-defaults", "constructor"])
+    def test_von_neumann_default_pipeline_either_way(self, backend):
+        """A von Neumann backend shapes its draws whichever way it is built: at
+        pi = 5e9 the bnn layer's 131,072 shaping ops make it compute-bound."""
+        res = run(bnn_layer(128, 128, 1), SimConfig(arch=replace(ARCH, pi=5e9), backend=backend))
+        assert res.elapsed_time == 3.2768e-05
+        assert res.regime_observed is RegimeLabel.COMPUTE_BOUND
+        assert res.cost.shaping_ops == 131_072
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_bits_per_draw_equal_the_arrays(self, kind):
+        backend = BackendConfig(kind=kind)
+        wl = mc_estimator(1000, 5)
+        bits = run(wl, SimConfig(arch=ARCH, backend=backend)).cost.entropy_bits_consumed
+        assert bits == wl.stoch_accesses * PMemArray(1, 1, backend).bits_per_raw_sample == wl.stoch_accesses * 32
+
     def test_config_shaping_overrides_backend_pipeline(self):
         wl = mc_estimator(1_000_000, 4)
         heavy = ShapingPipelineSpec(method="box_muller", cost=800_000)
