@@ -245,7 +245,7 @@ def _parse_floats(parser: argparse.ArgumentParser, flag: str, text: str) -> List
 def _workload(parser: argparse.ArgumentParser, name: str, shape_text: Optional[str],
               trace: bool = False):
     """Generator ``name`` at ``--shape`` ``shape_text``: its WorkloadSpec, or
-    with ``trace`` its trace records.  Any bad shape is a ``--shape`` usage
+    with ``trace`` its trace runs.  Any bad shape is a ``--shape`` usage
     error."""
     shape = default = _WORKLOAD_DEFAULT_SHAPE[name]
     if shape_text is not None:
@@ -353,8 +353,8 @@ def cmd_fidelity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_gen_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    records = _workload(parser, args.workload, args.shape, trace=True)
-    save_trace(records, sys.stdout if args.out is None else args.out)
+    runs = _workload(parser, args.workload, args.shape, trace=True)
+    save_trace(runs, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
 

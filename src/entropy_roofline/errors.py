@@ -14,7 +14,7 @@ class EntropyRooflineError(Exception):
 
 class DomainError(EntropyRooflineError, ValueError):
     """A parameter or argument lies outside its admissible domain; ``name``
-    is the parameter when ``require_int`` or ``require_finite`` rejected it."""
+    is the parameter when a ``require_*`` check rejected it."""
 
     def __init__(self, message: str, name: Optional[str] = None):
         self.name = name
@@ -31,6 +31,13 @@ def require_int(name: str, value, lo=-math.inf) -> None:
             and value.__class__ is not bool) or value < lo:
         bound = "" if lo == -math.inf else f" >= {lo}"
         raise DomainError(f"{name} must be an integer{bound}, got {value!r}", name)
+
+
+def require_bool(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is a bool, where a flag's ``"no"``
+    would read as true and ``0`` as false."""
+    if value.__class__ is not bool:
+        raise DomainError(f"{name} must be true or false, got {value!r}", name)
 
 
 def _real(value) -> float:

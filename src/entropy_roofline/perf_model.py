@@ -153,11 +153,12 @@ def classify_regime(ai: float, alpha: float, arch: ArchParams) -> RegimeLabel:
 _REGIMES = np.array(list(RegimeLabel), dtype=object)  # by code: 0 compute, 1 data, 2 entropy
 
 
-def _regime_codes(t_compute, t_access, t_data, t_entropy) -> np.ndarray:
-    """The one label rule, over time columns: 0 (ComputeBound) where ``t_compute
-    >= t_access``, elapsed's other term, else 2 (EntropyBound) where ``t_entropy
-    >= t_data``, else 1 (DataBound).  Ties go to compute, then to entropy."""
-    return np.where(t_compute >= t_access, 0, np.where(t_entropy >= t_data, 2, 1))
+def _regime_codes(t_compute, t_access, t_data, t_entropy):
+    """The one label rule, over times or time columns: 0 (ComputeBound) where ``t_compute
+    >= t_access``, elapsed's other term, else 2 (EntropyBound) where ``t_entropy >= t_data``,
+    else 1 (DataBound).  Ties go to compute, then to entropy; a NaN compare is false.  Python
+    floats give an int with no numpy call, arrays an int array."""
+    return ((t_compute >= t_access) == False) * (1 + (t_entropy >= t_data))  # noqa: E712
 
 
 def crossover_alpha(ai: float, arch: ArchParams) -> Optional[float]:

@@ -58,7 +58,7 @@ import numpy as np
 from .distribution_shaping import ShapingPipelineSpec
 from .entropy_sources import EntropyStream
 from .errors import (_FLOAT_MAX, AddressError, CellTypeError, DomainError, VarianceRangeError, parse_number,
-                     require_finite, require_int)
+                     require_bool, require_finite, require_int)
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_BERNOULLI = "bernoulli"
@@ -226,6 +226,7 @@ class BackendConfig:
         require_finite("sigma_max_frac", self.sigma_max_frac, 1.0)
         require_int("latency_cycles", self.latency_cycles, 1)
         require_int("parallelism", self.parallelism, 1)
+        require_bool("write_based_sampling", self.write_based_sampling)
 
     # -- constructors per kind ---------------------------------------------
 

@@ -6,12 +6,13 @@ fall out as ratios.  Generators are pure; traces round-trip through CSV
 with header ``op,row,col,count`` (compute rows leave row/col empty).
 
 A trace repeats one access many times (a Monte Carlo trace is one
-``sample,0,0,1`` line per draw), so every stage works on runs of equal lines,
-grouped and counted in C: a run is formatted, parsed and validated once, its
-count is added once, and its records share one frozen ``TraceRecord``.  The
-reader splits lines one at a time only until a line repeats; the rest of that
-run is read ``_WRITE_RUN`` copies at a time, each block checked with one
-string compare, so a million-line run costs about a thousand reads.
+``sample,0,0,1`` line per draw), so every stage works on runs of equal lines.
+The trace generators give a list of ``(record, k)`` runs, which ``save_trace``
+formats once each and ``aggregate`` sums once each.  The reader splits lines
+one at a time only until a line repeats; the rest of that run is read
+``_WRITE_RUN`` copies at a time, each block checked with one string compare,
+so a million-line run costs about a thousand reads, and its records share
+one frozen ``TraceRecord``.
 """
 
 from __future__ import annotations
@@ -19,19 +20,16 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import countOf
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, TypeVar, Union
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
-from .errors import DegenerateWorkloadError, DomainError, TraceParseError, parse_number, require_int
+from .errors import DegenerateWorkloadError, DomainError, TraceParseError, parse_number, require_bool, require_int
 
 TRACE_OPS = ("compute", "read", "write", "sample")
 TRACE_CSV_HEADER = ("op", "row", "col", "count")
 _SPEC_FIELD = {"compute": "n_ops", "read": "det_accesses", "write": "det_accesses",
                "sample": "stoch_accesses"}  # the WorkloadSpec sum each op adds to
 _WRITE_RUN = 1024  # lines per write, and per read, of a long run: 14 KiB for an mc sample line
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,9 @@ class TraceRecord:
             raise DomainError(f"{self.op!r} records need an address")
 
 
+Run = Tuple[TraceRecord, int]  # a record and the k >= 1 equal lines in a row it stands for
+
+
 # ------------------------------------------------------------------------
 # Generators
 # ------------------------------------------------------------------------
@@ -125,6 +126,7 @@ def conv_layer(
     for name, value in (("c_in", c_in), ("c_out", c_out), ("k", k), ("h", h), ("w", w),
                         ("batch", batch)):
         require_int(name, value, 1)
+    require_bool("stochastic_weights", stochastic_weights)
     weights = c_in * c_out * k * k
     det = weights + c_in * h * w * batch + c_out * h * w * batch
     stoch = weights * batch if stochastic_weights else 0
@@ -151,23 +153,20 @@ def mc_estimator(n_samples: int, ops_per_sample: int) -> WorkloadSpec:
 
 
 # ------------------------------------------------------------------------
-# Trace expansion (aggregates match the generators exactly)
+# Trace runs (aggregates match the generators exactly)
 # ------------------------------------------------------------------------
 
 
-def bnn_trace(n_in: int, n_out: int, batch: int = 1) -> List[TraceRecord]:
+def bnn_trace(n_in: int, n_out: int, batch: int = 1) -> List[Run]:
     spec = bnn_layer(n_in, n_out, batch)
-    records = [TraceRecord("compute", None, None, spec.n_ops)]
-    records.append(TraceRecord("read", 0, 0, n_in * batch))
-    records.append(TraceRecord("write", 0, 0, n_out * batch))
-    for i in range(n_in):
-        for j in range(n_out):
-            records.append(TraceRecord("sample", i, j, batch))
-    return records
+    runs = [(TraceRecord("compute", None, None, spec.n_ops), 1), (TraceRecord("read", 0, 0, n_in * batch), 1),
+            (TraceRecord("write", 0, 0, n_out * batch), 1)]
+    runs += [(TraceRecord("sample", i, j, batch), 1) for i in range(n_in) for j in range(n_out)]
+    return runs
 
 
 def conv_trace(c_in: int, c_out: int, k: int, h: int, w: int, batch: int = 1,
-               stochastic_weights: bool = False) -> List[TraceRecord]:
+               stochastic_weights: bool = False) -> List[Run]:
     spec = conv_layer(c_in, c_out, k, h, w, batch, stochastic_weights)
     weights = c_in * c_out * k * k
     records = [
@@ -178,24 +177,14 @@ def conv_trace(c_in: int, c_out: int, k: int, h: int, w: int, batch: int = 1,
     ]
     if stochastic_weights:
         records.append(TraceRecord("sample", 0, 0, weights * batch))
-    return records
+    return [(rec, 1) for rec in records]
 
 
-def mc_trace(n_samples: int, ops_per_sample: int) -> List[TraceRecord]:
-    """One compute record, ``n_samples`` draws sharing one record, one write."""
+def mc_trace(n_samples: int, ops_per_sample: int) -> List[Run]:
+    """One compute line, ``n_samples`` draws as one run, one write."""
     spec = mc_estimator(n_samples, ops_per_sample)
-    records = [TraceRecord("sample", 0, 0, 1)] * (n_samples + 2)
-    records[0] = TraceRecord("compute", None, None, spec.n_ops)
-    records[-1] = TraceRecord("write", 0, 1, 1)
-    return records
-
-
-def _runs(items: Iterable[_T]) -> Iterator[Tuple[_T, int]]:
-    """``(item, k)`` for each run of ``k`` equal consecutive items, grouped
-    and counted in C, where an object equals itself without an ``__eq__``
-    call: a run of one shared record costs a pointer compare per item."""
-    for item, run in groupby(items):
-        yield item, countOf(run, item)
+    return [(TraceRecord("compute", None, None, spec.n_ops), 1), (TraceRecord("sample", 0, 0, 1), n_samples),
+            (TraceRecord("write", 0, 1, 1), 1)]
 
 
 def _line_runs(fh: TextIO) -> Iterator[Tuple[str, int]]:
@@ -249,7 +238,7 @@ def _block_copies(fh: TextIO, line: str) -> Tuple[int, str]:
     return copies + lo, text[lo * len(line):]
 
 
-def _summed(runs: Iterable[Tuple[TraceRecord, int]], name: str) -> WorkloadSpec:
+def aggregate(runs: Iterable[Run], name: str = "trace") -> WorkloadSpec:
     """The WorkloadSpec of ``(record, k)`` runs: each op's counts, ``k`` times."""
     totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
     for rec, k in runs:
@@ -257,31 +246,28 @@ def _summed(runs: Iterable[Tuple[TraceRecord, int]], name: str) -> WorkloadSpec:
     return WorkloadSpec(name, **totals)
 
 
-def aggregate(records: Iterable[TraceRecord], name: str = "trace") -> WorkloadSpec:
-    """Column sums of a record list as a WorkloadSpec."""
-    return _summed(_runs(records), name)
-
-
 # ------------------------------------------------------------------------
 # Trace CSV I/O
 # ------------------------------------------------------------------------
 
 
-def save_trace(records: Iterable[TraceRecord], dest: Union[str, TextIO]) -> None:
-    """Write ``records`` as trace CSV to the path or open text file ``dest``.
+def save_trace(runs: Iterable[Run], dest: Union[str, TextIO]) -> None:
+    """Write ``(record, k)`` runs, ``k`` >= 1 lines of each record, as trace
+    CSV to the path or open text file ``dest``.
 
     Lines end in CRLF and no field is quoted: ops are names, the rest
     digits.  A file object writes the same bytes as a path when it does not
     translate line ends, as with ``open(..., newline="")`` or ``sys.stdout``
-    on POSIX.  A run of equal records is formatted once and written
-    ``_WRITE_RUN`` lines at a time.
+    on POSIX.  A run is formatted once and written ``_WRITE_RUN`` lines at a
+    time; runs are written as given, so equal neighbours give the same bytes
+    as one run of their summed length.
     """
     if isinstance(dest, str):
         with open(dest, "w", newline="") as fh:
-            save_trace(records, fh)
+            save_trace(runs, fh)
         return
     dest.write(",".join(TRACE_CSV_HEADER) + "\r\n")
-    for rec, k in _runs(records):
+    for rec, k in runs:
         line = "{},{},{},{}\r\n".format(rec.op, "" if rec.row is None else rec.row,
                                         "" if rec.col is None else rec.col, rec.count)
         while k > _WRITE_RUN:
@@ -331,4 +317,4 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
                 yield last, k
                 line_no += k
 
-    return records, _summed(runs(), os.path.basename(path))
+    return records, aggregate(runs(), os.path.basename(path))

@@ -116,6 +116,8 @@ class TestConfigDocument:
         ("arch", {"beta_rand": -1}),
         ("backend", {"sigma_min_frac": 1.5}),
         ("backend", {"gamma": True}),
+        ("backend", {"kind": "coupled_pcim", "write_based_sampling": "no"}),  # "no" is truthy
+        ("backend", {"write_based_sampling": 0}),
         ("seed", 1.5),
     ])
     def test_wrong_typed_value_names_its_section(self, section, payload, tmp_path, capsys):

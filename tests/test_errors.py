@@ -17,6 +17,7 @@ from entropy_roofline.errors import DomainError, parse_number, require_finite, r
 from entropy_roofline.fidelity import FidelityConfig
 from entropy_roofline.perf_model import ArchParams
 from entropy_roofline.probabilistic_memory import BackendConfig
+from entropy_roofline.workload import conv_layer
 
 
 class TestRequireFinite:
@@ -148,6 +149,19 @@ def test_every_numeric_field_checks_its_domain(make, field, value, rejected):
             make(**{field: value})
     else:
         make(**{field: value})
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda v: BackendConfig.coupled_pcim(write_based_sampling=v), "write_based_sampling"),
+    (lambda v: conv_layer(1, 1, 1, 1, 1, stochastic_weights=v), "stochastic_weights"),
+])
+def test_flags_take_only_bools(make, field):
+    """A flag is a bool: ``"no"`` would read as true, ``0`` and ``None`` as false."""
+    for value in ("no", "", 0, 1, 1.0, None):
+        with pytest.raises(DomainError, match=f"{field} must be true or false, got {value!r}") as info:
+            make(value)
+        assert info.value.name == field
+    assert make(True) != make(False)
 
 
 @pytest.mark.parametrize("bits", [17, 64])

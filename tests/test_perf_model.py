@@ -11,6 +11,7 @@ from entropy_roofline.errors import DomainError
 from entropy_roofline.perf_model import (
     ArchParams,
     RegimeLabel,
+    _regime_codes,
     bandwidth_compression,
     classify_regime,
     crossover_alpha,
@@ -174,6 +175,33 @@ class TestClassifyRegime:
         alpha = 1.0 / 101.0
         assert alpha / a.beta_rand == pytest.approx((1 - alpha) / a.beta_data, rel=1e-14)
         assert classify_regime(0.001, alpha, a) is RegimeLabel.ENTROPY_BOUND
+
+
+_TIME = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan]), st.floats(allow_nan=True))
+
+
+class TestRegimeCodes:
+    """The one label rule gives the codes of its ``np.where`` form, on Python
+    floats as an int and on columns as an int array, ties and NaN included."""
+
+    @staticmethod
+    def where(t_compute, t_access, t_data, t_entropy):
+        return np.where(t_compute >= t_access, 0, np.where(t_entropy >= t_data, 2, 1))
+
+    @given(st.lists(st.tuples(_TIME, _TIME, _TIME, _TIME), min_size=1, max_size=16))
+    def test_matches_np_where(self, rows):
+        columns = [np.array(column) for column in zip(*rows)]
+        codes = _regime_codes(*columns)
+        assert codes.dtype.kind == "i" and codes.tolist() == self.where(*columns).tolist()
+        for row, code in zip(rows, codes.tolist()):
+            scalar = _regime_codes(*row)
+            assert scalar.__class__ is int and scalar == code == self.where(*row)
+
+    def test_ties_and_nan(self):
+        nan = math.nan
+        for row, code in [((1.0, 1.0, 2.0, 1.0), 0), ((1.0, 2.0, 1.0, 1.0), 2), ((1.0, 2.0, 2.0, 1.0), 1),
+                          ((nan, 1.0, 1.0, 2.0), 2), ((1.0, nan, 2.0, 1.0), 1), ((nan, nan, nan, nan), 1)]:
+            assert _regime_codes(*row) == self.where(*row) == code
 
 
 class TestCrossoverAlpha:

@@ -5,6 +5,8 @@ import io
 import math
 import os
 import tracemalloc
+from itertools import groupby
+from operator import countOf
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from entropy_roofline.workload import (
     TraceRecord,
     WorkloadSpec,
     _line_runs,
-    _runs,
     aggregate,
     bnn_layer,
     bnn_trace,
@@ -36,6 +37,16 @@ from entropy_roofline.workload import (
     mc_trace,
     save_trace,
 )
+
+
+def _expanded(runs):
+    """The records of ``(record, k)`` runs, one per line."""
+    return [rec for rec, k in runs for _ in range(k)]
+
+
+def _grouped(items):
+    """``(item, k)`` for each run of ``k`` equal consecutive items."""
+    return [(item, countOf(run, item)) for item, run in groupby(items)]
 
 
 class TestBnnLayer:
@@ -164,7 +175,7 @@ class TestTraceRecords:
 
     def test_integral_fields_accepted(self):
         rec = TraceRecord("sample", np.int64(3), np.int32(0), np.int64(2))
-        assert aggregate([rec]).stoch_accesses == 2
+        assert aggregate([(rec, 1)]).stoch_accesses == 2
 
 
 class TestGeneratorValidation:
@@ -181,11 +192,11 @@ class TestGeneratorValidation:
 
 class TestTraceIO:
     def test_round_trip_bnn(self, tmp_path):
-        records = bnn_trace(16, 8, 2)
+        runs = bnn_trace(16, 8, 2)
         path = tmp_path / "bnn.csv"
-        save_trace(records, str(path))
+        save_trace(runs, str(path))
         loaded, agg = load_trace(str(path))
-        assert loaded == records
+        assert loaded == _expanded(runs)
         wl = bnn_layer(16, 8, 2)
         assert (agg.n_ops, agg.det_accesses, agg.stoch_accesses) == (
             wl.n_ops, wl.det_accesses, wl.stoch_accesses
@@ -203,13 +214,16 @@ class TestTraceIO:
             )
 
     def test_mc_trace_shape(self):
-        records = mc_trace(10, 3)
+        runs = mc_trace(10, 3)
+        assert len(runs) == 3
+        records = _expanded(runs)
         samples = [r for r in records if r.op == "sample"]
         writes = [r for r in records if r.op == "write"]
         assert len(samples) == 10 and all(r.count == 1 for r in samples)
         assert len(writes) == 1
         wl = mc_estimator(10, 3)
-        agg = aggregate(records)
+        agg = aggregate(runs)
+        assert agg == aggregate(_grouped(records))
         assert (agg.n_ops, agg.det_accesses, agg.stoch_accesses) == (
             wl.n_ops, wl.det_accesses, wl.stoch_accesses
         )
@@ -272,56 +286,74 @@ class TestSharedRecords:
     """Repeated trace lines share one validated record in every stage."""
 
     def test_mc_trace_repeats_one_record(self):
-        samples = mc_trace(1000, 4)[1:-1]
-        assert all(rec is samples[0] for rec in samples)
+        """The draws are one run of one record, and the runs are the trace's
+        own: no two neighbours are equal."""
+        runs = mc_trace(1000, 4)
+        assert [k for _, k in runs] == [1, 1000, 1]
+        assert runs[1][0] == TraceRecord("sample", 0, 0, 1)
+        assert _grouped(_expanded(runs)) == runs
 
     def test_load_shares_repeated_lines(self, tmp_path):
         path = tmp_path / "mc.csv"
         save_trace(mc_trace(100, 4), str(path))
         records, _ = load_trace(str(path))
-        assert records == mc_trace(100, 4)
+        assert records == _expanded(mc_trace(100, 4))
         assert all(rec is records[1] for rec in records[1:-1])
         assert records[0] is not records[1] and records[-1] is not records[-2]
 
     def test_save_from_iterator_writes_same_bytes(self):
-        for records in (mc_trace(50, 3), bnn_trace(6, 5, 2), conv_trace(2, 3, 3, 4, 4, 2, True)):
+        for runs in (mc_trace(50, 3), bnn_trace(6, 5, 2), conv_trace(2, 3, 3, 4, 4, 2, True)):
             listed, streamed = io.StringIO(newline=""), io.StringIO(newline="")
-            save_trace(records, listed)
-            save_trace(iter(records), streamed)
+            save_trace(runs, listed)
+            save_trace(iter(runs), streamed)
             assert streamed.getvalue() == listed.getvalue()
 
     def test_save_generator_of_fresh_records(self):
         """A generator's records are freed as they are written, so a new one
         may reuse a freed one's id: each still gets its own line."""
         streamed, listed = io.StringIO(newline=""), io.StringIO(newline="")
-        save_trace((TraceRecord("sample", i, 0, 1) for i in range(1000)), streamed)
-        save_trace([TraceRecord("sample", i, 0, 1) for i in range(1000)], listed)
+        save_trace(((TraceRecord("sample", i, 0, 1), 1) for i in range(1000)), streamed)
+        save_trace([(TraceRecord("sample", i, 0, 1), 1) for i in range(1000)], listed)
         assert streamed.getvalue() == listed.getvalue()
+        assert streamed.getvalue() == _line_by_line_save([TraceRecord("sample", i, 0, 1) for i in range(1000)])
 
     def test_memory_budget(self, tmp_path):
-        """A repeated record costs one list slot: at most 16 B per record to
-        build the mc trace and to load it back."""
+        """A repeated line loads as one list slot: at most 16 B per record."""
         n = 100_000
         path = tmp_path / "mc.csv"
         save_trace(mc_trace(n, 4), str(path))
         load_trace(str(path))  # first-call imports and caches
-        for stage in (lambda: mc_trace(n, 4), lambda: load_trace(str(path))):
+        tracemalloc.start()
+        try:
+            load_trace(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 16.0
+
+    def test_writing_the_mc_trace_holds_a_block(self):
+        """Building and writing the mc trace peaks at the same memory for
+        1e5 and 1e6 draws, give or take one block of text."""
+        peaks = []
+        save_trace(mc_trace(10, 4), _Writes(keep=False))  # first-call caches
+        for n in (100_000, 1_000_000):
             tracemalloc.start()
             try:
-                stage()
-                peak = tracemalloc.get_traced_memory()[1]
+                save_trace(mc_trace(n, 4), _Writes(keep=False))
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert peak / n <= 16.0
+        assert abs(peaks[1] - peaks[0]) <= len("sample,0,0,1\r\n") * _WRITE_RUN
+        assert max(peaks) < 4 * len("sample,0,0,1\r\n") * _WRITE_RUN
 
     def test_memory_budget_distinct_lines(self, tmp_path):
         """A trace whose every line differs keeps no list of runs: loading
         the bnn trace peaks at 127.9 B per record on Python 3.11, rounded up
         to 129 B (168.4 B before records had slots)."""
-        records = bnn_trace(128, 256, 4)
+        runs = bnn_trace(128, 256, 4)
         path = tmp_path / "bnn.csv"
-        save_trace(records, str(path))
-        del records
+        save_trace(runs, str(path))
+        del runs
         load_trace(str(path))  # first-call imports and caches
         tracemalloc.start()
         try:
@@ -398,13 +430,15 @@ def _outcome(load, path):
 
 
 class _Writes:
-    """A text file that keeps every ``write`` call's argument."""
+    """A text file that keeps every ``write`` call's argument, or with
+    ``keep=False`` drops it."""
 
-    def __init__(self):
-        self.calls = []
+    def __init__(self, keep=True):
+        self.calls, self.keep = [], keep
 
     def write(self, text):
-        self.calls.append(text)
+        if self.keep:
+            self.calls.append(text)
 
 
 class _CountingText(io.StringIO):
@@ -523,7 +557,7 @@ class TestRunLengthTraceIO:
                         fh.write("op,row,col,count\r\n" + ("sample,0,0,1" + end) * copies + edge
                                  + "sample,0,0,1\n" * 2 * block)
                     with open(path, newline="") as fh, open(path, newline="") as lines:
-                        assert list(_line_runs(fh)) == list(_runs(lines))
+                        assert list(_line_runs(fh)) == _grouped(lines)
                     assert _outcome(load_trace, path) == _outcome(_line_by_line_load_trace, path)
 
     def test_read_ends_between_cr_and_lf(self):
@@ -603,43 +637,50 @@ class TestRunLengthTraceIO:
 
     @pytest.mark.parametrize("k", [_WRITE_RUN - 1, _WRITE_RUN, _WRITE_RUN + 1, 3 * _WRITE_RUN + 2])
     def test_save_run_lengths(self, k):
-        records = mc_trace(k, 3)
+        runs = mc_trace(k, 3)
         dest = _Writes()
-        save_trace(records, dest)
+        save_trace(runs, dest)
         text = "".join(dest.calls)
         assert text == (f"op,row,col,count\r\ncompute,,,{3 * k}\r\n"
                         + "sample,0,0,1\r\n" * k + "write,0,1,1\r\n")
-        assert text == _line_by_line_save(records)
+        assert text == _line_by_line_save(_expanded(runs))
         assert max(len(call) for call in dest.calls) == len("sample,0,0,1\r\n") * min(k, _WRITE_RUN)
 
     def test_save_equal_records_that_are_not_shared(self):
+        """Equal records, shared or not, written one run per record or one
+        run per group of equal neighbours, give each record its line."""
         a, b, c = TraceRecord("sample", 0, 0, 1), TraceRecord("sample", 0, 0, 1), TraceRecord("read", 1, 0, 1)
         for records in ([a, b], [a, b, a, c, b, b], [c, a] + [b] * (_WRITE_RUN + 1) + [a]):
-            out = io.StringIO(newline="")
-            save_trace(records, out)
-            assert out.getvalue() == _line_by_line_save(records)
+            for runs in ([(rec, 1) for rec in records], _grouped(records)):
+                out = io.StringIO(newline="")
+                save_trace(runs, out)
+                assert out.getvalue() == _line_by_line_save(records)
 
     def test_save_formats_integral_fields_as_csv_does(self):
         records = [TraceRecord("sample", np.int64(3), np.int32(0), np.int64(2)),
                    TraceRecord("compute", None, None, 2**70), TraceRecord("read", 10**12, 7, 1)]
         out = io.StringIO(newline="")
-        save_trace(records, out)
-        assert out.getvalue() == _line_by_line_save(records)
+        save_trace([(rec, 2) for rec in records], out)
+        assert out.getvalue() == _line_by_line_save(_expanded([(rec, 2) for rec in records]))
 
     @settings(max_examples=60)
     @given(runs=st.lists(st.tuples(
         st.sampled_from(TRACE_OPS), st.integers(0, 3), st.integers(1, 3),
-        st.one_of(st.integers(1, 3), st.integers(1, 3 * _WRITE_RUN)), st.booleans()), max_size=8))
+        st.one_of(st.integers(1, 3), st.integers(_WRITE_RUN - 2, _WRITE_RUN + 2), st.integers(1, 3 * _WRITE_RUN)),
+        st.booleans()), max_size=8))
     def test_save_and_aggregate_match_line_by_line(self, runs):
-        """Runs of shared records, and runs of equal records built anew."""
-        records = []
+        """Runs written as given equal their records written line by line:
+        a run of one shared record or ``k`` runs of one fresh record each,
+        with equal neighbours left unmerged."""
+        given_runs = []
         for op, addr, count, k, shared in runs:
             make = lambda: TraceRecord(op, addr, addr, count)  # noqa: E731
-            records += [make()] * k if shared else [make() for _ in range(k)]
+            given_runs += [(make(), k)] if shared else [(make(), 1) for _ in range(k)]
+        records = _expanded(given_runs)
         out = io.StringIO(newline="")
-        save_trace(iter(records), out)
+        save_trace(iter(given_runs), out)
         assert out.getvalue() == _line_by_line_save(records)
         expected = {op: sum(r.count for r in records if r.op == op) for op in TRACE_OPS}
-        spec = aggregate(iter(records))
+        spec = aggregate(iter(given_runs))
         assert (spec.n_ops, spec.det_accesses, spec.stoch_accesses) == (
             expected["compute"], expected["read"] + expected["write"], expected["sample"])
