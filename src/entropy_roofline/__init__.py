@@ -29,7 +29,6 @@ from .entropy_sources import (  # noqa: F401
     NonidealitySpec,
     SourceHandle,
     SourceSpec,
-    apply_nonidealities,
     create_source,
     mismatch_array,
     pelgrom_sigma,
@@ -41,7 +40,6 @@ from .distribution_shaping import (  # noqa: F401
     bernoulli_from_uniform,
     box_muller,
     clt_accumulate,
-    reparameterize,
     run_pipeline,
 )
 from .probabilistic_memory import (  # noqa: F401

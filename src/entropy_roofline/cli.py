@@ -311,7 +311,10 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     mode = args.mode if args.mode is not None else config.mode
     seed = _resolve_seed(args.seed, config.seed)
 
-    result = run_sim(workload, SimConfig(arch=config.arch, backend=backend, mode=mode))
+    try:
+        result = run_sim(workload, SimConfig(arch=config.arch, backend=backend, mode=mode))
+    except DomainError as exc:  # only a rate so small that a time overflows: exit 3, naming it
+        raise ConfigError(f"arch.{exc.name}", str(exc)) from exc
     payload = {
         "workload": workload.name,
         "backend": backend.kind,

@@ -150,16 +150,6 @@ def clt_accumulate(uniforms: np.ndarray, k: int) -> np.ndarray:
     return (groups.sum(axis=1) - k / 2.0) / math.sqrt(k / 12.0)
 
 
-def reparameterize(mu: ArrayLike, sigma: ArrayLike, eps: ArrayLike):
-    """Location-scale map mu + sigma * eps (sigma >= 0)."""
-    if np.any(np.asarray(sigma) < 0.0):
-        raise DomainError("sigma must be >= 0")
-    out = np.asarray(mu) + np.asarray(sigma) * np.asarray(eps)
-    if np.isscalar(mu) and np.isscalar(sigma) and np.isscalar(eps):
-        return float(out)
-    return out
-
-
 # ------------------------------------------------------------------------
 # Inverse-CDF tables
 # ------------------------------------------------------------------------

@@ -272,16 +272,6 @@ def _apply_nonidealities_block(
     return y
 
 
-def apply_nonidealities(
-    x_t: float, state: NonidealityState, spec: NonidealitySpec
-) -> float:
-    """Transform one raw sample; updates ``state`` in place.
-
-    y_t = rho * y_{t-1} + sqrt(1 - rho^2) * x_t, then + bias + drift * t/1e6.
-    """
-    return float(_apply_nonidealities_block(np.array([x_t]), state, spec)[0])
-
-
 # ------------------------------------------------------------------------
 # Stream handles
 # ------------------------------------------------------------------------

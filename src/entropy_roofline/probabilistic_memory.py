@@ -326,6 +326,11 @@ class BackendConfig:
             return rate if rate <= _FLOAT_MAX else math.inf
         return beta_rand
 
+    @property
+    def entropy_rate_name(self) -> str:
+        """The ``ArchParams`` rate that ``raw_entropy_rate`` draws at."""
+        return "beta_data" if self.kind == KIND_COUPLED_PCIM else "beta_rand"
+
 
 Address = Tuple[int, int]
 

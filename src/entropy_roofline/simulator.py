@@ -130,6 +130,12 @@ def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
         entropy = t_entropy + np.where(serialized, t_transport, 0.0)
         access = np.where(serialized, t_data + t_transport + t_entropy, np.maximum(data, entropy))
         elapsed = np.maximum(t_compute, access)
+        if not np.isfinite(elapsed.max()):  # the config is at fault, as for an ai that overflows
+            point = tuple(np.argwhere(~np.isfinite(elapsed))[0])  # named by its largest time term's rate
+            terms = [np.broadcast_to(t, elapsed.shape)[point] for t in (t_compute, t_data, t_transport, t_entropy)]
+            cfg = configs[point[-1]]
+            name = ("pi", "beta_data", "beta_data", cfg.backend.entropy_rate_name)[int(np.argmax(terms))]
+            raise DomainError(f"elapsed time overflows the float range at {name} = {getattr(cfg.arch, name)!r}", name)
         return (elapsed, n_ops / elapsed, float(total) / elapsed,
                 _REGIMES[_regime_codes(t_compute, access, data, entropy)])
 

@@ -8,20 +8,19 @@ with header ``op,row,col,count`` (compute rows leave row/col empty).
 A trace repeats one access many times (a Monte Carlo trace is one
 ``sample,0,0,1`` line per draw), so every stage works on runs of equal lines.
 The trace generators give a list of ``(record, k)`` runs, which ``save_trace``
-formats once each and ``aggregate`` sums once each.  The reader splits lines
-one at a time only until a line repeats; the rest of that run is read
-``_WRITE_RUN`` copies at a time, each block checked with one string compare,
-so a million-line run costs about a thousand reads, and its records share
+formats once each and ``aggregate`` sums once each.  The reader splits
+small reads of bytes into lines until a line repeats; the rest of that run is
+read ``_BLOCK_BYTES`` of copies at a time, each block checked with one compare,
+so a million-line run costs about two hundred reads, and its records share
 one frozen ``TraceRecord``.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
+from itertools import chain, repeat
+from typing import BinaryIO, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .errors import DegenerateWorkloadError, DomainError, TraceParseError, parse_number, require_bool, require_int
 
@@ -29,7 +28,8 @@ TRACE_OPS = ("compute", "read", "write", "sample")
 TRACE_CSV_HEADER = ("op", "row", "col", "count")
 _SPEC_FIELD = {"compute": "n_ops", "read": "det_accesses", "write": "det_accesses",
                "sample": "stoch_accesses"}  # the WorkloadSpec sum each op adds to
-_WRITE_RUN = 1024  # lines per write, and per read, of a long run: 14 KiB for an mc sample line
+_BLOCK_BYTES = 1 << 16  # a long run's copies written, or compared, at once: under glibc's 128 KiB mmap threshold
+_READ_BYTES = 1 << 13  # a read split into lines: small, so distinct lines are held a few at a time
 
 
 @dataclass(frozen=True)
@@ -187,54 +187,51 @@ def mc_trace(n_samples: int, ops_per_sample: int) -> List[Run]:
             (TraceRecord("write", 0, 1, 1), 1)]
 
 
-def _line_runs(fh: TextIO) -> Iterator[Tuple[str, int]]:
-    """``(line, k)`` for each run of ``k`` equal lines of ``fh``, a text file
-    opened with ``newline=""``: the runs that iterating ``fh`` gives.
+def _line_runs(fh: BinaryIO) -> Iterator[Tuple[str, int]]:
+    """``(line, k)`` for each run of ``k`` equal lines of the binary file
+    ``fh``: the runs that iterating it in text mode with ``newline=""`` gives,
+    each line decoded once from UTF-8 (never a CR or LF inside a character),
+    a byte that does not decode kept as a lone surrogate.
 
-    The file splits the lines until one that ends in ``\\n`` repeats.  That
-    run's next lines are then read ``_WRITE_RUN`` copies at a time and each
-    read compared with one ``==``.  The read that differs gives up its whole
-    copies at the head; the text after them, completed to a line end with
-    ``readline``, is split by a ``StringIO``, and once that is used up the
-    file is read again, so every long run takes the block path.
+    ``bytes.splitlines`` splits each read at ``\\r\\n``, ``\\r`` and ``\\n`` alone;
+    the last piece, a partial line or a CR whose LF may come next, joins the
+    next read.  A line that ends in ``\\n`` and repeats up to the end of a read
+    is then compared with the bytes after it a block at a time, once per read.
     """
-    lines: Iterator[str] = fh
-    last, k = None, 0
-    while lines is not None:
+    last, k, rest = None, 0, b""
+    while True:
+        data = fh.read(_READ_BYTES)
+        lines = (rest + data).splitlines(keepends=True)
+        rest = lines.pop() if data else b""
         for line in lines:
             if line != last:
                 if k:
-                    yield last, k
+                    yield last.decode("utf-8", "surrogateescape"), k
                 last, k = line, 1
-                continue
-            k += 1
-            if lines is fh and line.endswith("\n"):  # a line end is whole: blocks start on one
-                copies, rest = _block_copies(fh, line)
-                k += copies
-                if rest:
-                    lines = io.StringIO(rest if rest.endswith("\n") else rest + fh.readline(), newline="")
-                    break
-        else:
-            lines = None if lines is fh else fh
+            else:
+                k += 1
+        del lines  # before the next read's pieces are made
+        if not data:
+            break
+        if k > 1 and last.endswith(b"\n"):  # a line end is whole: the copies after it are lines
+            copies, rest = _block_copies(fh, last, rest)
+            k += copies
     if k:
-        yield last, k
+        yield last.decode("utf-8", "surrogateescape"), k
 
 
-def _block_copies(fh: TextIO, line: str) -> Tuple[int, str]:
-    """How many copies of ``line`` ``fh`` reads next, checked ``_WRITE_RUN``
-    at a time, and the text read after them."""
-    block = line * _WRITE_RUN
-    copies, text = 0, fh.read(len(block))
+def _block_copies(fh: BinaryIO, line: bytes, head: bytes) -> Tuple[int, bytes]:
+    """The copies of ``line`` that ``head``, then ``fh``, hold next, and the bytes after them."""
+    block = line * max(_BLOCK_BYTES // len(line), 1)
+    copies, text = 0, head + fh.read(max(len(block) - len(head), 0))
     while text == block:
-        copies += _WRITE_RUN
+        copies += len(block) // len(line)
         text = fh.read(len(block))
-    lo, hi = 0, len(text) // len(line)  # whole copies at the head of text, by bisection
+    view = memoryview(block)  # prefixes without copies
+    lo, hi = 0, min(len(text), len(block)) // len(line)  # whole copies at the head of text, by bisection
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if text.startswith(block[:mid * len(line)]):
-            lo = mid
-        else:
-            hi = mid - 1
+        lo, hi = (mid, hi) if text.startswith(view[:mid * len(line)]) else (lo, mid - 1)
     return copies + lo, text[lo * len(line):]
 
 
@@ -242,6 +239,8 @@ def aggregate(runs: Iterable[Run], name: str = "trace") -> WorkloadSpec:
     """The WorkloadSpec of ``(record, k)`` runs: each op's counts, ``k`` times."""
     totals = dict.fromkeys(_SPEC_FIELD.values(), 0)
     for rec, k in runs:
+        if not (k.__class__ is int and k >= 1):
+            require_int(f"the k of the run of {rec!r}", k, 1)
         totals[_SPEC_FIELD[rec.op]] += rec.count * k
     return WorkloadSpec(name, **totals)
 
@@ -258,9 +257,9 @@ def save_trace(runs: Iterable[Run], dest: Union[str, TextIO]) -> None:
     Lines end in CRLF and no field is quoted: ops are names, the rest
     digits.  A file object writes the same bytes as a path when it does not
     translate line ends, as with ``open(..., newline="")`` or ``sys.stdout``
-    on POSIX.  A run is formatted once and written ``_WRITE_RUN`` lines at a
-    time; runs are written as given, so equal neighbours give the same bytes
-    as one run of their summed length.
+    on POSIX.  A run is formatted once, and a long one written a block of
+    ``_BLOCK_BYTES`` at a time; runs are written as given, so equal
+    neighbours give the same bytes as one run of their summed length.
     """
     if isinstance(dest, str):
         with open(dest, "w", newline="") as fh:
@@ -268,11 +267,16 @@ def save_trace(runs: Iterable[Run], dest: Union[str, TextIO]) -> None:
         return
     dest.write(",".join(TRACE_CSV_HEADER) + "\r\n")
     for rec, k in runs:
+        if not (k.__class__ is int and k >= 1):
+            require_int(f"the k of the run of {rec!r}", k, 1)
         line = "{},{},{},{}\r\n".format(rec.op, "" if rec.row is None else rec.row,
                                         "" if rec.col is None else rec.col, rec.count)
-        while k > _WRITE_RUN:
-            dest.write(line * _WRITE_RUN)
-            k -= _WRITE_RUN
+        if len(line) * k > _BLOCK_BYTES:  # ASCII: a character is a byte
+            n = max(_BLOCK_BYTES // len(line), 1)
+            block = line * n
+            while k > n:
+                dest.write(block)
+                k -= n
         dest.write(line * k)
 
 
@@ -283,22 +287,23 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
     ``save_trace`` writes it; fields are stripped, never unquoted, so a
     quoted field fails its own check on its own line.  Blank lines are
     skipped.  A run of equal lines, and the next lines whose fields equal
-    its, share one record.  Past a run's second line the file is compared
-    ``_WRITE_RUN`` copies of the line at a time (``_line_runs``), so a long
-    run costs a read per block, not per line.  The workload is named by the
-    file's base name, so one trace gives one workload however its path is
-    spelled.  A byte the text encoding cannot decode is kept as a lone
+    its, share one record, read as one (``_line_runs``).  The workload is
+    named by the file's base name, so one trace gives one workload however
+    its path is spelled.  A byte that is not UTF-8 is kept as a lone
     surrogate, so it fails its own field's check on its own line.
     """
     records: List[TraceRecord] = []
 
     def runs() -> Iterator[Tuple[TraceRecord, int]]:  # keeps each run's records as it passes
-        with open(path, newline="", errors="surrogateescape") as fh:
-            header = next(fh, "").rstrip("\r\n").split(",")  # readline() keeps an 8 KiB tell() snapshot
-            if tuple(h.strip() for h in header) != TRACE_CSV_HEADER:
+        with open(path, "rb", buffering=0) as fh:  # _line_runs reads in blocks of its own
+            lines = _line_runs(fh)
+            header, k = next(lines, ("", 1))
+            if tuple(h.strip() for h in header.rstrip("\r\n").split(",")) != TRACE_CSV_HEADER:
                 raise TraceParseError(1, f"expected header {','.join(TRACE_CSV_HEADER)!r}")
+            if k > 1:  # the header's copies are lines to parse
+                lines = chain([(header, k - 1)], lines)
             line_no, last_row, last = 2, None, None
-            for line, k in _line_runs(fh):
+            for line, k in lines:
                 row = line.rstrip("\r\n").split(",")
                 if row != last_row:
                     if not line.strip():
@@ -313,7 +318,10 @@ def load_trace(path: str) -> Tuple[List[TraceRecord], WorkloadSpec]:
                     except DomainError as exc:
                         raise TraceParseError(line_no, str(exc)) from exc
                     last_row = row
-                records.extend(repeat(last, k))
+                if k == 1:  # an all-distinct trace's every line: append is the cheaper call
+                    records.append(last)
+                else:
+                    records.extend(repeat(last, k))
                 yield last, k
                 line_no += k
 

@@ -21,7 +21,7 @@ from entropy_roofline.cli import SEED_ENV_VAR, main, parse_config
 from entropy_roofline.errors import ConfigError
 from entropy_roofline.fidelity import N_MAX, N_MIN
 from entropy_roofline.perf_model import RegimeLabel
-from entropy_roofline.workload import _WRITE_RUN, load_trace
+from entropy_roofline.workload import _BLOCK_BYTES, load_trace
 
 
 def run_cli(*argv):
@@ -460,6 +460,22 @@ class TestSimulate:
         cfg.write_text('{"backend": {"rng_ratee": 1}}')
         assert run_cli("simulate", "--config", str(cfg)) == 3
 
+    @pytest.mark.parametrize("arch, backend, name", [
+        ({"beta_data": 5e-324}, "von_neumann", "beta_data"),
+        ({"pi": 5e-324}, "von_neumann", "pi"),
+        ({"beta_rand": 5e-324}, "decoupled_in_memory", "beta_rand"),
+        ({"beta_data": 5e-324}, "coupled_pcim", "beta_data"),  # coupled cells sample at beta_data
+    ])
+    def test_time_overflow_exits_3_naming_the_rate(self, arch, backend, name, tmp_path, capsys):
+        """A rate so small that a time is past the float range would write
+        ``"elapsed_time": Infinity``, which is not JSON, and a rate of 0."""
+        cfg, out = tmp_path / "c.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps({"arch": arch}))
+        assert run_cli("simulate", "--config", str(cfg), "--backend", backend, "--out", str(out)) == 3
+        assert (f"config error: arch.{name}: elapsed time overflows the float range at {name} = 5e-324"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_backend_override(self, tmp_path):
         out = tmp_path / "res.json"
         run_cli("simulate", "--workload", "mc", "--backend", "coupled_pcim",
@@ -550,7 +566,7 @@ class TestGenTrace:
 
     @pytest.mark.parametrize("workload, shape", [
         ("bnn", "4,3,2"), ("conv", "2,2,3,4,4,1"), ("conv-stoch", "2,2,3,4,4,2"), ("mc", "7,3"),
-        ("mc", f"{2 * _WRITE_RUN + 1},3"),  # a run written in three blocks
+        ("mc", f"{2 * (_BLOCK_BYTES // 14) + 1},3"),  # a run of 14-byte sample lines written in three blocks
     ])
     def test_stdout_equals_out_file(self, workload, shape, tmp_path, capsysbinary):
         out = tmp_path / "t.csv"
@@ -690,6 +706,7 @@ class TestSweep:
     @pytest.mark.parametrize("payload, message", [
         ({"alpha": 0.5}, "sweep dimension 'alpha' must be a JSON array, got 0.5"),
         ({"beta_rand": [None]}, "beta_rand must be a finite number in (0.0, inf), got None"),
+        ({"beta_rand": [5e-324, 1e9]}, "elapsed time overflows the float range at beta_rand = 5e-324"),
     ])
     def test_grid_value_shape_exits_3(self, tmp_path, capsys, payload, message):
         out = tmp_path / "s.csv"

@@ -15,7 +15,6 @@ from entropy_roofline.distribution_shaping import (
     box_muller,
     box_muller_block,
     clt_accumulate,
-    reparameterize,
     run_pipeline,
     uniforms_needed,
 )
@@ -135,39 +134,6 @@ class TestCltAccumulate:
             clt_accumulate(np.ones(10), 0)
         with pytest.raises(DomainError):
             clt_accumulate(np.ones(10), 3)  # not a multiple
-
-
-class TestReparameterize:
-    def test_identity(self):
-        assert reparameterize(0.0, 1.0, 1.75) == 1.75
-
-    def test_arithmetic(self):
-        assert reparameterize(2.0, 3.0, 1.0) == 5.0
-
-    def test_zero_variance(self):
-        assert reparameterize(4.5, 0.0, 123.0) == 4.5
-
-    def test_exact_linearity_on_dyadic_inputs(self):
-        # dyadic rationals make every intermediate exact in float64, so the
-        # identity reparameterize(mu, sigma, e) - mu == sigma * e is bitwise
-        rng = np.random.default_rng(2)
-        mu = rng.integers(-8, 9, size=200) / 4.0
-        sigma = rng.integers(0, 17, size=200) / 8.0
-        eps = rng.integers(-32, 33, size=200) / 16.0
-        out = reparameterize(mu, sigma, eps)
-        assert np.array_equal(out - mu, sigma * eps)
-
-    def test_linearity_at_machine_precision_for_general_floats(self):
-        rng = np.random.default_rng(3)
-        mu = rng.normal(size=200)
-        sigma = rng.uniform(0, 5, size=200)
-        eps = rng.normal(size=200)
-        out = reparameterize(mu, sigma, eps)
-        np.testing.assert_allclose(out - mu, sigma * eps, rtol=0, atol=1e-12)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            reparameterize(0.0, -1.0, 0.5)
 
 
 class TestInverseCdfTable:

@@ -16,7 +16,6 @@ from entropy_roofline.entropy_sources import (
     NonidealitySpec,
     NonidealityState,
     SourceSpec,
-    apply_nonidealities,
     create_source,
     _apply_nonidealities_block,
     derive_stream_key,
@@ -198,11 +197,6 @@ class TestScalingLaws:
 
 
 class TestNonidealities:
-    def test_identity(self):
-        spec = NonidealitySpec()
-        state = NonidealityState()
-        assert apply_nonidealities(1.25, state, spec) == 1.25
-
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_identity_returns_its_input_and_advances(self, n):
         x = np.arange(n, dtype=np.float64)
@@ -264,11 +258,12 @@ class TestNonidealities:
         assert delta == pytest.approx(drift * 0.9, abs=0.01 * sigma)
 
     def test_scalar_op_updates_state(self):
+        """The AR(1) state carries from one one-sample block to the next."""
         spec = NonidealitySpec(rho=0.5)
         state = NonidealityState()
-        y0 = apply_nonidealities(1.0, state, spec)
+        (y0,) = _apply_nonidealities_block(np.array([1.0]), state, spec)
         assert y0 == pytest.approx(math.sqrt(0.75))
-        y1 = apply_nonidealities(0.0, state, spec)
+        (y1,) = _apply_nonidealities_block(np.array([0.0]), state, spec)
         assert y1 == pytest.approx(0.5 * y0)
         assert state.t == 2
 

@@ -1,6 +1,7 @@
 """Tests for the rate-based simulator and its agreement with the model."""
 
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -371,6 +372,23 @@ class TestSweep:
         with pytest.raises(DomainError) as info:
             sweep(cfg, {"alpha": [0.5], "ai": [1e303]})
         assert info.value.name == "ai"
+
+    def test_time_overflow_names_the_largest_term_s_rate(self):
+        """Each term is finite and their sum is not: the rate of the largest
+        term is named, and no point is returned with an infinite time."""
+        wl = WorkloadSpec("w", n_ops=1, det_accesses=1, stoch_accesses=2)
+        arch = replace(ARCH, beta_data=1.0 / sys.float_info.max, beta_rand=2.0 / sys.float_info.max)
+        cfg = SimConfig(arch=arch, backend=BackendConfig.von_neumann(transport_bytes_per_sample=0.0))
+        with pytest.raises(DomainError, match="overflows the float range at beta_data = ") as info:
+            run(wl, cfg)
+        assert info.value.name == "beta_data"
+        with pytest.raises(DomainError) as info:  # only a point that draws overflows
+            sweep(replace(cfg, arch=ARCH), {"alpha": [0.0, 0.5], "beta_rand": [1e9, 1e-310]})
+        assert info.value.name == "beta_rand"
+        coupled = SimConfig(arch=replace(ARCH, beta_data=1e-303), backend=BackendConfig.coupled_pcim())
+        with pytest.raises(DomainError) as info:  # coupled cells draw at beta_data: 1e6 draws overflow, 1 read not
+            run(mc_estimator(10**6, 1), coupled)
+        assert info.value.name == "beta_data"
 
     def test_configs_built_once_per_grid_value(self, monkeypatch):
         built = {}

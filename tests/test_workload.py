@@ -4,8 +4,9 @@ import csv
 import io
 import math
 import os
+import re
 import tracemalloc
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import countOf
 
 import numpy as np
@@ -21,7 +22,8 @@ from entropy_roofline.errors import (
     parse_number,
 )
 from entropy_roofline.workload import (
-    _WRITE_RUN,
+    _BLOCK_BYTES,
+    _READ_BYTES,
     TRACE_CSV_HEADER,
     TRACE_OPS,
     TraceRecord,
@@ -37,6 +39,9 @@ from entropy_roofline.workload import (
     mc_trace,
     save_trace,
 )
+
+
+_RUN = _BLOCK_BYTES // len("sample,0,0,1\r\n")  # lines of an mc draw in a block
 
 
 def _expanded(runs):
@@ -317,6 +322,17 @@ class TestSharedRecords:
         assert streamed.getvalue() == listed.getvalue()
         assert streamed.getvalue() == _line_by_line_save([TraceRecord("sample", i, 0, 1) for i in range(1000)])
 
+    @pytest.mark.parametrize("k", [0, -2, True, 2.0])
+    @pytest.mark.parametrize("call", ["save_trace", "aggregate"])
+    def test_run_length_must_be_a_positive_integer(self, call, k):
+        """A run stands for k >= 1 lines: a k of 0, -2 or True would write one
+        line, count nothing or fail without naming the run."""
+        rec = TraceRecord("sample", 0, 0, 1)
+        run = {"save_trace": lambda runs: save_trace(runs, io.StringIO(newline="")), "aggregate": aggregate}[call]
+        with pytest.raises(DomainError, match=re.escape(f"the k of the run of {rec!r} must be an integer >= 1, "
+                                                        f"got {k!r}")):
+            run([(rec, 1), (rec, k)])
+
     def test_memory_budget(self, tmp_path):
         """A repeated line loads as one list slot: at most 16 B per record."""
         n = 100_000
@@ -343,8 +359,8 @@ class TestSharedRecords:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= len("sample,0,0,1\r\n") * _WRITE_RUN
-        assert max(peaks) < 4 * len("sample,0,0,1\r\n") * _WRITE_RUN
+        assert abs(peaks[1] - peaks[0]) <= _BLOCK_BYTES
+        assert max(peaks) < 4 * _BLOCK_BYTES
 
     def test_memory_budget_distinct_lines(self, tmp_path):
         """A trace whose every line differs keeps no list of runs: loading
@@ -441,25 +457,17 @@ class _Writes:
             self.calls.append(text)
 
 
-class _CountingText(io.StringIO):
-    """A text stream, as ``open(..., newline="")`` gives, that counts the
-    lines taken one at a time and keeps what each ``read`` returned."""
+class _CountingBytes(io.BytesIO):
+    """A binary stream, as ``open(..., "rb")`` gives, that keeps the size
+    asked of each ``read`` and what it returned."""
 
     def __init__(self, text):
-        super().__init__(text, newline="")
-        self.line_calls, self.reads = 0, []
-
-    def __next__(self):
-        self.line_calls += 1
-        return super().__next__()
-
-    def readline(self, size=-1):
-        self.line_calls += 1
-        return super().readline(size)
+        super().__init__(text.encode())
+        self.reads = []
 
     def read(self, size=-1):
-        self.reads.append(super().read(size))
-        return self.reads[-1]
+        self.reads.append((size, super().read(size)))
+        return self.reads[-1][1]
 
 
 def _spell(value):
@@ -492,19 +500,26 @@ def _trace_line(draw):
 
 
 @st.composite
-def _trace_text(draw):
-    """A trace CSV: runs of equal lines, some long enough to span several
-    write blocks, with mixed line ends and an optional missing last one."""
+def _trace_text(draw, long_run):
+    """A trace CSV: runs of equal lines, some up to ``long_run`` lines, with
+    mixed line ends and an optional missing last one."""
     header = draw(st.sampled_from(["op,row,col,count"] * 8 + [" op , row,col,count", "op,row,col"]))
     parts = [header + draw(st.sampled_from(["\n", "\r\n", "\r"]))]
     for _ in range(draw(st.integers(0, 10))):
         line = draw(_trace_line())
-        k = draw(st.one_of(st.integers(1, 3), st.integers(1, 3 * _WRITE_RUN)))
+        k = draw(st.one_of(st.integers(1, 3), st.integers(1, long_run)))
         parts.append((line + draw(st.sampled_from(["\n", "\r\n", "\r"]))) * k)
     text = "".join(parts)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
     return text
+
+
+def _small_reads_and_blocks(mp, block):
+    """Reads of 1, 3 or 5 bytes, prime to a sample line of 13 or 14, so
+    they end at every offset in a line, and blocks of ``block`` lines."""
+    mp.setattr(workload, "_READ_BYTES", 2 * block - 1)
+    mp.setattr(workload, "_BLOCK_BYTES", block * len("sample,0,0,1\r\n"))
 
 
 @pytest.fixture(scope="module")
@@ -517,7 +532,7 @@ class TestRunLengthTraceIO:
     give what the line-by-line parser and writer gave."""
 
     @settings(max_examples=120)
-    @given(text=_trace_text())
+    @given(text=_trace_text(3 * _RUN))  # runs over several blocks
     def test_load_matches_line_by_line_parser(self, trace_file, text):
         with open(trace_file, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
@@ -525,13 +540,13 @@ class TestRunLengthTraceIO:
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @settings(max_examples=40)
-    @given(text=_trace_text())
+    @given(text=_trace_text(3 * 1024))
     def test_load_matches_line_by_line_parser_at_small_blocks(self, trace_file, block, text):
-        """Runs of a few lines cross many of the reader's block edges."""
+        """Runs of a few lines cross many of the reader's read and block edges."""
         with open(trace_file, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(workload, "_WRITE_RUN", block)
+            _small_reads_and_blocks(mp, block)
             assert _outcome(load_trace, trace_file) == _outcome(_line_by_line_load_trace, trace_file)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
@@ -543,54 +558,68 @@ class TestRunLengthTraceIO:
         "sample,0,0,x\r\n",  # a malformed line
         "sample,0,0,1",  # no final line end
         "sample,0,0,1\r\n" * 3 + "sample,0,0,1\n" * 3,  # a run of the other line end
-    ], ids=["crlf", "lone-cr", "final-cr", "blank", "malformed", "no-line-end", "other-end"])
+        "read,0,0,1\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r\n",  # str.splitlines breaks, universal newlines do not
+    ], ids=["crlf", "lone-cr", "final-cr", "blank", "malformed", "no-line-end", "other-end", "not-newlines"])
     def test_edge_on_every_block_offset(self, tmp_path, block, edge):
         """``edge`` after each count of copies of a line falls at every offset
         from the reader's block edges, for each line end: the reader gives the
         file's own runs of lines, and the parse the line-by-line parser's."""
         path = str(tmp_path / "t.csv")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(workload, "_WRITE_RUN", block)
+            _small_reads_and_blocks(mp, block)
             for end in ("\n", "\r\n", "\r"):
                 for copies in range(1, 3 * block + 4):
                     with open(path, "w", newline="") as fh:
                         fh.write("op,row,col,count\r\n" + ("sample,0,0,1" + end) * copies + edge
                                  + "sample,0,0,1\n" * 2 * block)
-                    with open(path, newline="") as fh, open(path, newline="") as lines:
+                    with open(path, "rb") as fh, open(path, newline="") as lines:
                         assert list(_line_runs(fh)) == _grouped(lines)
                     assert _outcome(load_trace, path) == _outcome(_line_by_line_load_trace, path)
 
     def test_read_ends_between_cr_and_lf(self):
         """A block read that stops inside a CRLF pair: the pair is still one
-        line, unlike the copies of its LF-ended neighbour."""
+        line, unlike the copies of its LF-ended neighbour.  The reads of a
+        run alone show where a block read ends; the pair's CR goes there."""
         line = "sample,0,0,1\n"
-        stream = _CountingText(line * (_WRITE_RUN + 1) + "sample,0,0,1\r\nread,0,0,1\r\n")
+        probe = _CountingBytes(line * 3 * _RUN)
+        list(_line_runs(probe))
+        ends = accumulate(len(data) for _, data in probe.reads)
+        copies = next(end for end in ends if end > _READ_BYTES and end % len(line) == 0) // len(line) - 1
+        stream = _CountingBytes(line * copies + "sample,0,0,1\r\nread,0,0,1\r\n")
         assert list(_line_runs(stream)) == [
-            (line, _WRITE_RUN + 1), ("sample,0,0,1\r\n", 1), ("read,0,0,1\r\n", 1)]
-        assert any(text.endswith("sample,0,0,1\r") for text in stream.reads)
+            (line, copies), ("sample,0,0,1\r\n", 1), ("read,0,0,1\r\n", 1)]
+        assert any(size != _READ_BYTES and data.endswith(b"sample,0,0,1\r") for size, data in stream.reads)
 
     def test_every_long_run_takes_the_block_path(self):
-        """Three long runs split by distinct lines: the lines taken one at a
-        time stay far fewer than the 300,000 lines of the runs."""
+        """Three long runs split by distinct lines: the bytes split into
+        lines stay a read or two per run, far fewer than the 4.4 MB of the
+        runs."""
         runs = []
         for i in range(3):
             runs += [(f"sample,{i},0,1\r\n", 100_000), (f"read,{i},0,1\r\n", 1)]
-        stream = _CountingText("".join(line * k for line, k in runs))
+        stream = _CountingBytes("".join(line * k for line, k in runs))
         assert list(_line_runs(stream)) == runs
-        assert stream.line_calls <= 3 * _WRITE_RUN
+        assert sum(len(data) for size, data in stream.reads if size == _READ_BYTES) <= 3 * 2 * _READ_BYTES
 
-    def test_reader_memory_is_bounded(self, tmp_path):
-        """Reading a 14 MB, 1,000,000-line mc trace holds a block or two of
-        text at a time, never the file."""
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_reader_memory_is_bounded(self, tmp_path, end):
+        """Reading a 1,000,000-line mc trace holds a block or two of text at
+        a time, never the file: with CRLF line ends, which take the block
+        path, and with CR alone, which do not, and which a reader that split
+        at LF alone would hold as one line."""
         path = tmp_path / "mc.csv"
-        save_trace(mc_trace(1_000_000, 4), str(path))
-        with open(path, newline="") as fh:
+        with open(path, "w", newline="") as fh:
+            fh.write(f"op,row,col,count{end}compute,,,4000000{end}" + f"sample,0,0,1{end}" * 1_000_000
+                     + f"write,0,1,1{end}")
+        with open(path, "rb") as fh:
             tracemalloc.start()
             try:
                 runs = list(_line_runs(fh))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+        with open(path, newline="") as lines:
+            assert runs == _grouped(lines)
         assert [k for _, k in runs] == [1, 1, 1_000_000, 1]
         assert peak < 2**20
 
@@ -635,7 +664,7 @@ class TestRunLengthTraceIO:
         with pytest.raises(csv.Error, match="field limit"):
             _line_by_line_load_trace(str(path))
 
-    @pytest.mark.parametrize("k", [_WRITE_RUN - 1, _WRITE_RUN, _WRITE_RUN + 1, 3 * _WRITE_RUN + 2])
+    @pytest.mark.parametrize("k", [_RUN - 1, _RUN, _RUN + 1, 3 * _RUN + 2])
     def test_save_run_lengths(self, k):
         runs = mc_trace(k, 3)
         dest = _Writes()
@@ -644,13 +673,13 @@ class TestRunLengthTraceIO:
         assert text == (f"op,row,col,count\r\ncompute,,,{3 * k}\r\n"
                         + "sample,0,0,1\r\n" * k + "write,0,1,1\r\n")
         assert text == _line_by_line_save(_expanded(runs))
-        assert max(len(call) for call in dest.calls) == len("sample,0,0,1\r\n") * min(k, _WRITE_RUN)
+        assert max(len(call) for call in dest.calls) == len("sample,0,0,1\r\n") * min(k, _RUN)
 
     def test_save_equal_records_that_are_not_shared(self):
         """Equal records, shared or not, written one run per record or one
         run per group of equal neighbours, give each record its line."""
         a, b, c = TraceRecord("sample", 0, 0, 1), TraceRecord("sample", 0, 0, 1), TraceRecord("read", 1, 0, 1)
-        for records in ([a, b], [a, b, a, c, b, b], [c, a] + [b] * (_WRITE_RUN + 1) + [a]):
+        for records in ([a, b], [a, b, a, c, b, b], [c, a] + [b] * (_RUN + 1) + [a]):
             for runs in ([(rec, 1) for rec in records], _grouped(records)):
                 out = io.StringIO(newline="")
                 save_trace(runs, out)
@@ -666,7 +695,7 @@ class TestRunLengthTraceIO:
     @settings(max_examples=60)
     @given(runs=st.lists(st.tuples(
         st.sampled_from(TRACE_OPS), st.integers(0, 3), st.integers(1, 3),
-        st.one_of(st.integers(1, 3), st.integers(_WRITE_RUN - 2, _WRITE_RUN + 2), st.integers(1, 3 * _WRITE_RUN)),
+        st.one_of(st.integers(1, 3), st.integers(_RUN - 2, _RUN + 2), st.integers(1, 3 * _RUN)),
         st.booleans()), max_size=8))
     def test_save_and_aggregate_match_line_by_line(self, runs):
         """Runs written as given equal their records written line by line:
