@@ -37,6 +37,7 @@ from .perf_model import ArchParams, roofline_curve
 from .probabilistic_memory import BACKEND_KINDS, BackendConfig, DistributionSpec
 from .simulator import MODES, SimConfig, sweep as run_sweep, run as run_sim
 from .workload import (
+    WorkloadSpec,
     bnn_layer,
     bnn_trace,
     conv_layer,
@@ -88,6 +89,7 @@ class ConfigDocument:
 
 
 _ARCH_KEYS = {f.name for f in dc_fields(ArchParams)}
+_COUNT_KEYS = {f.name for f in dc_fields(WorkloadSpec)} - {"name"}
 _BACKEND_KEYS = {f.name for f in dc_fields(BackendConfig)} - {"shaping"}
 _SHAPING_KEYS = {f.name for f in dc_fields(ShapingPipelineSpec)}
 _NONIDEALITY_KEYS = {f.name for f in dc_fields(NonidealitySpec)}
@@ -288,6 +290,8 @@ def cmd_roofline(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         arch = replace(config.arch, **overrides)
         table = roofline_curve(arch, alphas, args.ai_min, args.ai_max, args.points)
     except DomainError as exc:
+        if exc.name in _ARCH_KEYS and exc.name not in overrides:  # a config rate whose time overflows
+            raise ConfigError(f"arch.{exc.name}", str(exc)) from exc
         parser.error(f"{_ROOFLINE_FLAGS[exc.name]}: {exc}")
     _emit(_csv_blocks("roofline", table.columns, table.shape), args.out)
     return EXIT_OK
@@ -313,8 +317,12 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
     try:
         result = run_sim(workload, SimConfig(arch=config.arch, backend=backend, mode=mode))
-    except DomainError as exc:  # only a rate so small that a time overflows: exit 3, naming it
-        raise ConfigError(f"arch.{exc.name}", str(exc)) from exc
+    except DomainError as exc:  # a rate so small that a time overflows, or a count past the float range
+        if exc.name in _ARCH_KEYS:
+            raise ConfigError(f"arch.{exc.name}", str(exc)) from exc
+        if args.trace is None:
+            parser.error(f"--shape: {exc}")
+        raise ConfigError(args.trace, str(exc)) from exc
     payload = {
         "workload": workload.name,
         "backend": backend.kind,
@@ -383,6 +391,8 @@ def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         table = run_sweep(sim_config, grid, workload=workload)
     except DomainError as exc:
+        if exc.name in _COUNT_KEYS:  # only --workload's counts can be past the float range
+            parser.error(f"--shape: {exc}")
         raise ConfigError("<grid>", str(exc)) from exc
     _emit(_csv_blocks("sweep", table.columns, table.shape), args.out)
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Parametric models of hardware entropy sources with seeded, splittable streams.
 
-Every stream is driven by a counter-based generator: output word ``i`` of a
-stream is a pure function of ``(seed, stream_id, i)``, so sequences are
-bit-identical across platforms, across block sizes, and across parallel
+All randomness comes from one counter-based word stream, ``EntropyStream``:
+word ``i`` of stream ``(seed, stream_id)`` is a pure function of ``i``, so
+sequences are bit-identical across platforms, block sizes and parallel
 sweeps.  The mixing function is the SplitMix64 finalizer applied to a keyed
 counter (state = key + (i+1) * 0x9E3779B97F4A7C15), i.e. word ``i`` equals
 output ``i`` of the canonical SplitMix64 sequence seeded at ``key``.  The
@@ -17,6 +17,11 @@ Source kinds:
 * ``mismatch_static``  — per-device Gaussian offsets whose sigma follows the
   1/sqrt(area) mismatch law; as a stream, each draw is a fresh device.
 * ``stochastic_switch``— Bernoulli(p) switching events, emitted as 0.0/1.0.
+
+A source (``SourceHandle``) models its kind over the stream of its spec's
+``(seed, stream_id)``, and its cursor is that stream's position in words:
+one per uniform or switch sample, two per Gaussian sample (the cosine branch
+of Box-Muller on a word pair).
 
 Ideal draws are i.i.d.; non-idealities are layered on top as an AR(1)
 correlation filter, an additive bias, and a linear drift of the mean
@@ -101,25 +106,16 @@ def _raw_block(key: int, start: int, n: int) -> np.ndarray:
     return z
 
 
-def _uniform_block(key: int, start: int, n: int) -> np.ndarray:
-    """Uniform doubles in [0, 1) from the top 53 bits of each word."""
-    return (_raw_block(key, start, n) >> np.uint64(11)) * (2.0 ** -53)
-
-
 def _uniform_scalar(key: int, counter: int) -> float:
-    """Scalar path of _uniform_block; bit-identical, no array overhead."""
+    """Scalar path of ``EntropyStream._uniforms``; bit-identical, no array overhead."""
     return (_finalize((key + ((counter + 1) * _GOLDEN)) & _MASK64) >> 11) * 2.0 ** -53
 
 
-def _normal_block(key: int, start_index: int, n: int) -> np.ndarray:
-    """Standard normals; sample ``i`` consumes counters (2i, 2i+1).
-
-    The cosine branch of ``box_muller_block`` alone, so every sample index
-    maps to a fixed counter pair and block boundaries cannot shift the
-    stream.  u1 is mapped to (0, 1] via u -> 1 - u to dodge log(0).
-    """
-    u = _uniform_block(key, 2 * start_index, 2 * n)
-    z1, _ = box_muller_block(1.0 - u[0::2], u[1::2], sine=False)
+def _pair_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from word pairs ``(u1, u2)``: the cosine branch of
+    ``box_muller_block`` alone, so block boundaries cannot shift the stream.
+    u1 is mapped to (0, 1] via u -> 1 - u to dodge log(0)."""
+    z1, _ = box_muller_block(1.0 - u1, u2, sine=False)
     return z1
 
 
@@ -277,47 +273,11 @@ def _apply_nonidealities_block(
 # ------------------------------------------------------------------------
 
 
-class SourceHandle:
-    """A running entropy stream.
-
-    Single-owner mutable state (the AR(1)/drift state and the sample index);
-    distinct handles may be driven concurrently, one handle may not.
-    """
-
-    def __init__(self, spec: SourceSpec):
-        self.spec = spec
-        self._key = derive_stream_key(spec.seed, spec.stream_id)
-        self._index = 0
-        self._ni_state = NonidealityState()
-
-    def _ideal_block(self, start: int, n: int) -> np.ndarray:
-        spec = self.spec
-        if spec.kind == KIND_PSEUDO_UNIFORM:
-            return _uniform_block(self._key, start, n)
-        if spec.kind == KIND_STOCHASTIC_SWITCH:
-            u = _uniform_block(self._key, start, n)
-            return (u < spec.p).astype(np.float64)
-        # Gaussian kinds: one normal per counter pair
-        return spec.ideal_sigma() * _normal_block(self._key, start, n)
-
-    def draw(self, n: int) -> np.ndarray:
-        """Next ``n`` samples; draw(a) then draw(b) equals draw(a + b)."""
-        require_int("n", n, 0)
-        x = self._ideal_block(self._index, n)
-        self._index += n
-        return _apply_nonidealities_block(x, self._ni_state, self.spec.nonideality)
-
-
-def create_source(spec: SourceSpec) -> SourceHandle:
-    """Instantiate a deterministic stream for ``spec``."""
-    return SourceHandle(spec)
-
-
 class EntropyStream:
-    """Mixed-type deterministic draw stream for memory-array sampling.
+    """Mixed-type deterministic draw stream: the package's one word stream.
 
-    Uniform draws consume one counter, normal draws consume two (a
-    Box-Muller pair, cosine branch).  The cursor is exposed so callers can
+    Uniform draws consume one word, normal draws two (a Box-Muller pair,
+    cosine branch).  The cursor counts words and is exposed so callers can
     snapshot/replay the stream state.
     """
 
@@ -337,6 +297,17 @@ class EntropyStream:
     def position(self, value: int) -> None:
         require_int("position", value, 0)
         self._pos = value
+
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` words as uniform doubles in [0, 1), from their top 53 bits."""
+        u = (_raw_block(self._key, self._pos, n) >> np.uint64(11)) * (2.0 ** -53)
+        self._pos += n
+        return u
+
+    def _normals(self, n: int) -> np.ndarray:
+        """The next ``n`` standard normals, two words each: ``n`` calls of ``next_normal()``."""
+        u = self._uniforms(2 * n)
+        return _pair_normals(u[0::2], u[1::2])
 
     def next_uniform(self) -> float:
         u = _uniform_scalar(self._key, self._pos)
@@ -371,13 +342,41 @@ class EntropyStream:
             raise DomainError("every bit's p must lie in [0, 1]")
         words = np.where(normal, 2, 1)
         offsets = np.cumsum(words) - words
-        n_words = int(offsets[-1] + words[-1]) if words.size else 0
-        u = _uniform_block(self._key, self._pos, n_words)
+        u = self._uniforms(int(offsets[-1] + words[-1]) if words.size else 0)
         out = (u[offsets] < p).astype(np.float64)
         first = offsets[normal]
-        out[normal], _ = box_muller_block(1.0 - u[first], u[first + 1], sine=False)
-        self._pos += n_words
+        out[normal] = _pair_normals(u[first], u[first + 1])
         return out
+
+
+class SourceHandle:
+    """A running entropy source; its cursor counts words of one ``EntropyStream``.
+
+    Single-owner mutable state (the stream and the AR(1)/drift state);
+    distinct handles may be driven concurrently, one handle may not.
+    """
+
+    def __init__(self, spec: SourceSpec):
+        self.spec = spec
+        self._stream = EntropyStream(spec.seed, spec.stream_id)
+        self._ni_state = NonidealityState()
+
+    def draw(self, n: int) -> np.ndarray:
+        """Next ``n`` samples; draw(a) then draw(b) equals draw(a + b)."""
+        require_int("n", n, 0)
+        spec = self.spec
+        if spec.kind == KIND_PSEUDO_UNIFORM:
+            x = self._stream._uniforms(n)
+        elif spec.kind == KIND_STOCHASTIC_SWITCH:
+            x = (self._stream._uniforms(n) < spec.p).astype(np.float64)
+        else:  # the Gaussian kinds
+            x = spec.ideal_sigma() * self._stream._normals(n)
+        return _apply_nonidealities_block(x, self._ni_state, spec.nonideality)
+
+
+def create_source(spec: SourceSpec) -> SourceHandle:
+    """Instantiate a deterministic stream for ``spec``."""
+    return SourceHandle(spec)
 
 
 # ------------------------------------------------------------------------

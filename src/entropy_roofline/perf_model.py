@@ -120,6 +120,15 @@ def _check_ai(ai: float) -> None:
     require_finite("ai", ai, 0.0, math.inf, "()")
 
 
+def _overflow(arch: ArchParams, t_compute: float, t_data: float, t_entropy: float) -> DomainError:
+    """The error for a time per access past the float range: the compute time,
+    ``t_data``, ``t_entropy`` or their sum, the access time.  It names the rate
+    that divides the largest of the three, as the simulator does for elapsed time."""
+    terms = [t_compute, t_data, t_entropy]
+    name = ("pi", "beta_data", "beta_rand")[terms.index(max(terms))]
+    return DomainError(f"the time per access overflows the float range at {name} = {getattr(arch, name)!r}", name)
+
+
 def effective_beta(alpha: float, arch: ArchParams) -> float:
     """Effective access rate at stochastic fraction ``alpha``.
 
@@ -131,7 +140,10 @@ def effective_beta(alpha: float, arch: ArchParams) -> float:
         return arch.beta_data
     if alpha == 1.0:
         return arch.beta_rand
-    return 1.0 / (alpha / arch.beta_rand + (1.0 - alpha) / arch.beta_data)
+    t_access = alpha / arch.beta_rand + (1.0 - alpha) / arch.beta_data
+    if t_access == math.inf:
+        raise _overflow(arch, 0.0, (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand)
+    return 1.0 / t_access
 
 
 def system_throughput(ai: float, alpha: float, arch: ArchParams) -> float:
@@ -146,8 +158,11 @@ def classify_regime(ai: float, alpha: float, arch: ArchParams) -> RegimeLabel:
     shaping ops too: ``shaping_ops_per_sample * alpha`` on a shaping backend."""
     _check_ai(ai)
     _check_alpha(alpha)
-    t_data, t_entropy = (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
-    return _REGIMES[_regime_codes(ai / arch.pi, t_data + t_entropy, t_data, t_entropy)]
+    t_compute, t_data, t_entropy = ai / arch.pi, (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
+    t_access = t_data + t_entropy
+    if t_compute == math.inf or t_access == math.inf:
+        raise _overflow(arch, t_compute, t_data, t_entropy)
+    return _REGIMES[_regime_codes(t_compute, t_access, t_data, t_entropy)]
 
 
 _REGIMES = np.array(list(RegimeLabel), dtype=object)  # by code: 0 compute, 1 data, 2 entropy
@@ -171,9 +186,10 @@ def crossover_alpha(ai: float, arch: ArchParams) -> Optional[float]:
     _check_ai(ai)
     if arch.beta_rand == arch.beta_data:
         return None
-    alpha = (ai / arch.pi - 1.0 / arch.beta_data) / (
-        1.0 / arch.beta_rand - 1.0 / arch.beta_data
-    )
+    t_compute, t_data, t_entropy = ai / arch.pi, 1.0 / arch.beta_data, 1.0 / arch.beta_rand
+    if max(t_compute, t_data, t_entropy) == math.inf:
+        raise _overflow(arch, t_compute, t_data, t_entropy)
+    alpha = (t_compute - t_data) / (t_entropy - t_data)
     if 0.0 <= alpha <= 1.0:
         return alpha
     return None
@@ -201,20 +217,26 @@ def roofline_curve(
     whose last ulp ``np.power`` does not always match, and ``phi`` and
     ``regime`` (RegimeLabel) at every point; ``phi`` is float64, or objects
     for an int ``pi``.  ``ai_min``, ``ai_max`` and ``n_points`` are checked
-    first, then each alpha in order, then whether ``ai_max / ai_min`` overflows."""
+    first, then each alpha in order, then whether ``ai_max / ai_min`` overflows,
+    then whether a time per access does."""
     require_finite("ai_min", ai_min, 0.0, math.inf, "()")
     require_finite("ai_max", ai_max, ai_min, math.inf, "()")
     require_int("n_points", n_points, 2)
-    beta_effs = [effective_beta(alpha, arch) for alpha in alphas]
+    for value in alphas:
+        _check_alpha(value)
     ratio = ai_max / ai_min
     if ratio == math.inf:
         raise DomainError(f"ai_max / ai_min overflows: {ai_max!r} / {ai_min!r}", "ai_max")
     ai = np.array([[ai_min * ratio ** (i / (n_points - 1)) for i in range(n_points)]])
     alpha = np.array(alphas, dtype=float)[:, None]
     with np.errstate(over="ignore"):  # past the float range is inf, as for Python floats
-        t_data, t_entropy = (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
+        t_compute, t_data, t_entropy = ai / arch.pi, (1.0 - alpha) / arch.beta_data, alpha / arch.beta_rand
+        t_access = t_data + t_entropy
+        if max(t_compute.max(), t_access.max(initial=0.0)) == math.inf:
+            raise _overflow(arch, t_compute.max(), t_data.max(initial=0.0), t_entropy.max(initial=0.0))
+        beta_effs = [effective_beta(value, arch) for value in alphas]
         roof = ai * np.array(beta_effs, dtype=float)[:, None]
-        code = _regime_codes(ai / arch.pi, t_data + t_entropy, t_data, t_entropy)
+        code = _regime_codes(t_compute, t_access, t_data, t_entropy)
     # phi is pi itself where compute binds, so a pi given as an int stays one
     pi = arch.pi if isinstance(arch.pi, float) else np.array(arch.pi, dtype=object)
     columns = {"alpha": np.array(alphas, dtype=object)[:, None], "ai": ai,

@@ -31,7 +31,8 @@ whole alpha x ai x config grid, ``run`` over a one-point column.  Counts are
 float64 (an ai near the float maximum gives counts far past int64), each
 rounded once from its Python integer, the operation demand after the exact
 integer sum, so a column equals Python's scalar arithmetic bit for bit
-(except that Python divides a count past 2**53 by an int rate exactly).
+(except that Python divides a count past 2**53 by an int rate exactly); a
+count or demand past the float range raises DomainError naming it.
 
 Simulation is counts divided by capacities -- no queueing, caching or DRAM
 timing."""
@@ -105,17 +106,29 @@ def backend_effective_rates(config: SimConfig) -> Tuple[float, float]:
 _RESULT_FIELDS = ("elapsed_time", "achieved_phi", "achieved_beta", "regime")
 
 
+def _floats(counts: List[int], name: str, what: Optional[str] = None) -> np.ndarray:
+    """Python integer counts as float64, each rounded once; where one is past
+    the float range, DomainError naming the count ``name`` (``what`` says it)."""
+    try:
+        return np.array([float(n) for n in counts])
+    except OverflowError:
+        bits = max(counts).bit_length()
+        raise DomainError(f"{what or name} is past the float range: a {bits:,}-bit count, "
+                          "and floats end below 2**1024", name) from None
+
+
 def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
               configs: Sequence[SimConfig]) -> Tuple[np.ndarray, ...]:
     """The ``_RESULT_FIELDS`` at every point of stochs x ops x configs, each of
     that shape: workload (a, i) makes ``stochs[a]`` of its ``total`` accesses
     as draws and ``ops[i]`` operations."""
+    n_ops = _floats(ops, "n_ops")[None, :, None]
+    stoch = _floats(stochs, "stoch_accesses")[:, None, None]
+    det = _floats([total - s for s in stochs], "det_accesses")[:, None, None]
     costs = [cfg.backend.shaping_ops_per_sample for cfg in configs]
-    demand = {k: np.array([float(n + k * s) for s in stochs for n in ops]) for k in set(costs)}
+    demand = {k: _floats([n + k * s for s in stochs for n in ops], "n_ops",
+                         "the operation demand n_ops + shaping_ops_per_sample * stoch_accesses") for k in set(costs)}
     ops_demand = np.stack([demand[k] for k in costs], axis=-1).reshape(len(stochs), len(ops), -1)
-    n_ops = np.array([float(n) for n in ops])[None, :, None]
-    stoch = np.array([float(s) for s in stochs])[:, None, None]
-    det = np.array([float(total - s) for s in stochs])[:, None, None]
     pi, beta_data, extra, raw_rate, serialized = np.array([(
         cfg.arch.pi, cfg.arch.beta_data, _side_elements(cfg),
         cfg.backend.raw_entropy_rate(cfg.arch.beta_data, cfg.arch.beta_rand), cfg.mode == MODE_SERIALIZED,
@@ -224,6 +237,7 @@ def sweep(
         if not isinstance(values, (list, tuple)) or not values:
             raise DomainError(f"sweep dimension {dim!r} must be a non-empty list or tuple, got {values!r}")
     require_int("base_accesses", base_accesses, 0)
+    _floats([base_accesses], "base_accesses")  # as the grid's alpha and ai multiply it
 
     if workload is None or "alpha" in grid or "ai" in grid:
         # synthetic workloads of base_accesses accesses, the default at alpha 0.5, ai 2
@@ -243,6 +257,7 @@ def sweep(
     if total < 1:
         raise DegenerateWorkloadError("a sweep needs workloads with accesses to simulate")
     configs = _grid_configs(config, grid)
+    results = _evaluate(total, stochs, ops, configs)  # which checks the counts before they are divided
 
     columns = {
         "alpha": np.array([s / total for s in stochs])[:, None, None],
@@ -252,5 +267,5 @@ def sweep(
                   for cfg in configs]  # the configs' own values, ints included
     columns.update(zip(("beta_rand", "backend", "mode", "beta_data_eff", "beta_rand_eff"),
                        np.array(per_config, dtype=object).T[:, None, None, :]))
-    columns.update(zip(_RESULT_FIELDS, _evaluate(total, stochs, ops, configs)))
+    columns.update(zip(_RESULT_FIELDS, results))
     return SweepTable(columns=columns, shape=(len(stochs), len(ops), len(configs)))

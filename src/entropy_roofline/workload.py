@@ -7,12 +7,13 @@ with header ``op,row,col,count`` (compute rows leave row/col empty).
 
 A trace repeats one access many times (a Monte Carlo trace is one
 ``sample,0,0,1`` line per draw), so every stage works on runs of equal lines.
-The trace generators give a list of ``(record, k)`` runs, which ``save_trace``
-formats once each and ``aggregate`` sums once each.  The reader splits
-small reads of bytes into lines until a line repeats; the rest of that run is
-read ``_BLOCK_BYTES`` of copies at a time, each block checked with one compare,
-so a million-line run costs about two hundred reads, and its records share
-one frozen ``TraceRecord``.
+The trace generators give ``(record, k)`` runs, which ``save_trace`` formats
+once each and ``aggregate`` sums once each: the mc and conv traces as a list
+of a few runs, the bnn trace, whose every line differs, as an iterator.  The
+reader splits small reads of bytes into lines until a line repeats; the rest
+of that run is read ``_BLOCK_BYTES`` of copies at a time, each block checked
+with one compare, so a million-line run costs about two hundred reads, and
+its records share one frozen ``TraceRecord``.
 """
 
 from __future__ import annotations
@@ -157,12 +158,13 @@ def mc_estimator(n_samples: int, ops_per_sample: int) -> WorkloadSpec:
 # ------------------------------------------------------------------------
 
 
-def bnn_trace(n_in: int, n_out: int, batch: int = 1) -> List[Run]:
+def bnn_trace(n_in: int, n_out: int, batch: int = 1) -> Iterator[Run]:
+    """Three head runs, then one sample run per weight, each made as it is
+    read, so no list of runs is held; the shape is checked at the call."""
     spec = bnn_layer(n_in, n_out, batch)
-    runs = [(TraceRecord("compute", None, None, spec.n_ops), 1), (TraceRecord("read", 0, 0, n_in * batch), 1),
+    head = [(TraceRecord("compute", None, None, spec.n_ops), 1), (TraceRecord("read", 0, 0, n_in * batch), 1),
             (TraceRecord("write", 0, 0, n_out * batch), 1)]
-    runs += [(TraceRecord("sample", i, j, batch), 1) for i in range(n_in) for j in range(n_out)]
-    return runs
+    return chain(head, ((TraceRecord("sample", i, j, batch), 1) for i in range(n_in) for j in range(n_out)))
 
 
 def conv_trace(c_in: int, c_out: int, k: int, h: int, w: int, batch: int = 1,

@@ -201,6 +201,26 @@ class TestRoofline:
         assert f"error: {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--beta-data", "--beta-rand", "--config"])
+    def test_time_overflow_names_the_rate(self, flag, tmp_path, capsys):
+        """A rate so small that a time per access overflows wrote phi 0.0 as
+        DataBound: a flag's exits 2 naming the flag, a config's 3 naming its key."""
+        cfg, out = tmp_path / "c.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"arch": {"beta_data": 5e-324}}))
+        value = str(cfg) if flag == "--config" else "5e-324"
+        name = "beta_rand" if flag == "--beta-rand" else "beta_data"
+        argv = ["roofline", flag, value, "--alpha", "0.5", "--points", "2", "--out", str(out)]
+        if flag == "--config":
+            assert run_cli(*argv) == 3
+        else:
+            with pytest.raises(SystemExit) as info:
+                run_cli(*argv)
+            assert info.value.code == 2
+        where = f"config error: arch.{name}" if flag == "--config" else f"error: {flag}"
+        assert (f"{where}: the time per access overflows the float range at {name} = 5e-324"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["", " "])
     def test_empty_alpha_needs_a_value(self, value, capsys):
         with pytest.raises(SystemExit) as info:
@@ -476,6 +496,23 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["--shape", "--trace"])
+    def test_count_past_the_float_range_names_its_source(self, source, tmp_path, capsys):
+        """A count of 320 digits exited 1 with an OverflowError traceback."""
+        out, trace = tmp_path / "res.json", tmp_path / "t.csv"
+        trace.write_bytes(b"op,row,col,count\r\nsample,0,0," + b"9" * 320 + b"\r\nread,0,0,1\r\n")
+        if source == "--shape":
+            with pytest.raises(SystemExit) as info:
+                run_cli("simulate", "--workload", "mc", "--shape", "9" * 320 + ",4", "--out", str(out))
+            assert info.value.code == 2
+            want = "error: --shape: n_ops is past the float range"
+        else:
+            assert run_cli("simulate", "--trace", str(trace), "--out", str(out)) == 3
+            want = f"config error: {trace}: stoch_accesses is past the float range"
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_backend_override(self, tmp_path):
         out = tmp_path / "res.json"
         run_cli("simulate", "--workload", "mc", "--backend", "coupled_pcim",
@@ -712,6 +749,21 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--grid", self.grid(tmp_path, payload), "--out", str(out)) == 3
         assert f"config error: <grid>: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workload, shape", [
+        ("mc", "9" * 320 + ",4"),
+        ("conv", "1,1," + "1" + "0" * 400 + ",1" + "0" * 400 + ",1,1"),  # ai itself past the float range
+    ], ids=["mc", "conv"])
+    def test_count_past_the_float_range_exits_2(self, workload, shape, tmp_path, capsys):
+        """A count of 320 digits exited 1 with an OverflowError traceback."""
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as info:
+            run_cli("sweep", "--grid", self.grid(tmp_path, {"mode": ["serialized"]}),
+                    "--workload", workload, "--shape", shape, "--out", str(out))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --shape: n_ops is past the float range" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_missing_grid_exits_4(self, tmp_path):

@@ -12,6 +12,7 @@ from entropy_roofline.entropy_sources import (
     KIND_PSEUDO_UNIFORM,
     KIND_STOCHASTIC_SWITCH,
     KIND_THERMAL_GAUSSIAN,
+    SOURCE_KINDS,
     EntropyStream,
     NonidealitySpec,
     NonidealityState,
@@ -104,6 +105,42 @@ class TestDeterminismAndSplitting:
         create_source(SourceSpec.pseudo_uniform(seed=99)).draw(100)  # unrelated
         tail = src.draw(16)
         assert np.array_equal(np.concatenate([head, tail]), reference)
+
+
+class TestOneStream:
+    """A source reads its words through the EntropyStream of its (seed, stream_id)."""
+
+    @pytest.mark.parametrize("spec, words", [
+        (SourceSpec.pseudo_uniform(seed=3, stream_id=1), 1),
+        (SourceSpec.thermal_gaussian(sigma=0.25, seed=4, stream_id=1), 2),
+        (SourceSpec.mismatch_static(0.02, 4.0, seed=5), 2),
+        (SourceSpec.stochastic_switch(0.3, seed=3, stream_id=2), 1),
+    ], ids=SOURCE_KINDS)
+    def test_draw_equals_the_stream_s_words(self, spec, words):
+        n = 1_001
+        src = create_source(spec)
+        got = src.draw(n)
+        stream = EntropyStream(spec.seed, spec.stream_id)
+        if spec.kind == KIND_PSEUDO_UNIFORM:
+            want = stream._uniforms(n)
+        elif spec.kind == KIND_STOCHASTIC_SWITCH:
+            want = (stream._uniforms(n) < spec.p).astype(np.float64)
+        else:
+            z = stream._normals(n)
+            scalar = EntropyStream(spec.seed, spec.stream_id)
+            assert np.array_equal(z, [scalar.next_normal() for _ in range(n)])
+            want = spec.ideal_sigma() * z
+        assert np.array_equal(got, want)
+        assert src._stream.position == stream.position == words * n
+
+    @pytest.mark.parametrize("nonideality", [NonidealitySpec(), NonidealitySpec(rho=0.6, bias=0.1, drift=3.0)])
+    def test_uneven_pieces_keep_word_pairs_aligned(self, nonideality):
+        spec = SourceSpec.thermal_gaussian(sigma=1.5, seed=8, stream_id=2, nonideality=nonideality)
+        pieces = [1, 3, 65_537, 0, 2, 1, 4_095]
+        src = create_source(spec)
+        parts = np.concatenate([src.draw(k) for k in pieces])
+        assert np.array_equal(parts, create_source(spec).draw(sum(pieces)))
+        assert src._stream.position == 2 * sum(pieces)
 
 
 class TestSourceKinds:

@@ -372,6 +372,41 @@ class TestRooflineCurve:
         assert info.value.name == name
 
 
+class TestTimeOverflow:
+    """A rate so small that a time per access is past the float range is named,
+    as the simulator names it, where it gave a rate of 0 or a wrong answer."""
+
+    @pytest.mark.parametrize("call, name", ids=[
+        "roofline-beta_data", "roofline-pi", "compression", "effective-beta", "classify", "throughput",
+        "crossover-beta_rand", "crossover-beta_data"], argvalues=[
+        (lambda: roofline_curve(arch(beta_data=5e-324), [0.5], 0.01, 1e4, 2), "beta_data"),  # phi 0.0, DataBound
+        (lambda: roofline_curve(arch(pi=5e-324), [0.0], 0.01, 1e4, 2), "pi"),
+        (lambda: bandwidth_compression(0.5, arch(beta_data=5e-324)), "beta_data"),  # ZeroDivisionError
+        (lambda: effective_beta(0.5, arch(beta_rand=5e-324)), "beta_rand"),
+        (lambda: classify_regime(2.0, 0.5, arch(beta_rand=5e-324)), "beta_rand"),
+        (lambda: system_throughput(2.0, 0.0, arch(pi=5e-324)), "pi"),
+        (lambda: crossover_alpha(2.0, arch(1e13, 2.5e10, 5e-324)), "beta_rand"),  # -0.0
+        (lambda: crossover_alpha(2.0, arch(1e13, 5e-324, 1e9)), "beta_data"),
+    ])
+    def test_rate_is_named(self, call, name):
+        with pytest.raises(DomainError, match=f"overflows the float range at {name} = 5e-324") as info:
+            call()
+        assert info.value.name == name
+
+    def test_a_rate_with_finite_times_still_answers(self):
+        assert crossover_alpha(2.0, arch(1e13, 2.5e10, 1e-300)) is None
+        assert effective_beta(0.0, arch(beta_data=5e-324)) == 5e-324  # no time is computed at the ends
+
+    @pytest.mark.parametrize("alphas, ai_min, ai_max, name", [
+        ([0.5, math.nan], 0.01, 1e4, "alpha"),  # each alpha first
+        ([0.5], 1e-300, 1e300, "ai_max"),  # then the ratio
+    ])
+    def test_roofline_checks_the_times_last(self, alphas, ai_min, ai_max, name):
+        with pytest.raises(DomainError) as info:
+            roofline_curve(arch(beta_data=5e-324), alphas, ai_min, ai_max, 3)
+        assert info.value.name == name
+
+
 class TestBandwidthCompression:
     def test_alpha_zero_is_unity(self):
         assert bandwidth_compression(0.0, arch()) == 1.0

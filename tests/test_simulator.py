@@ -390,6 +390,28 @@ class TestSweep:
             run(mc_estimator(10**6, 1), coupled)
         assert info.value.name == "beta_data"
 
+    @pytest.mark.parametrize("counts, name, what", [
+        ((int("9" * 320) * 4, 1, int("9" * 320)), "n_ops", "n_ops"),
+        ((1, 10**400, 0), "det_accesses", "det_accesses"),
+        ((1, 0, 10**400), "stoch_accesses", "stoch_accesses"),
+        # each count converts, the operation demand of a shaping backend does not
+        ((int(1.7e308), 1, int(1e307)), "n_ops", "the operation demand"),
+    ])
+    def test_count_past_the_float_range_is_named(self, counts, name, what):
+        wl = WorkloadSpec("w", *counts)
+        cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
+        assert cfg.backend.shaping_ops_per_sample * int(1e307) > 1e307
+        for call in (lambda: run(wl, cfg), lambda: sweep(cfg, {"mode": [MODE_SERIALIZED]}, workload=wl)):
+            with pytest.raises(DomainError, match=f"^{what} .*is past the float range") as info:
+                call()
+            assert info.value.name == name
+
+    def test_base_accesses_past_the_float_range_is_named(self):
+        cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
+        with pytest.raises(DomainError, match="^base_accesses is past the float range") as info:
+            sweep(cfg, {"alpha": [0.5]}, base_accesses=10**400)  # an OverflowError
+        assert info.value.name == "base_accesses"
+
     def test_configs_built_once_per_grid_value(self, monkeypatch):
         built = {}
         for cls in (ArchParams, BackendConfig):
