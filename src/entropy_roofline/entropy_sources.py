@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distribution_shaping import box_muller, box_muller_block
+from .distribution_shaping import box_muller_block
 from .errors import DomainError, require_finite, require_int
 
 # Boltzmann constant, J/K (2019 SI exact value).
@@ -94,7 +94,7 @@ def raw_u64(seed: int, stream_id: int, counter: int) -> int:
 def _raw_block(key: int, start: int, n: int) -> np.ndarray:
     """Vectorized words for counters [start, start + n) of a keyed stream."""
     # uint64 array arithmetic wraps mod 2**64 (C semantics), which is exactly
-    # the masking the scalar path does explicitly.
+    # the masking ``_finalize`` does explicitly.
     z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(key)
@@ -104,11 +104,6 @@ def _raw_block(key: int, start: int, n: int) -> np.ndarray:
         z *= np.uint64(mix)
     z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
-
-
-def _uniform_scalar(key: int, counter: int) -> float:
-    """Scalar path of ``EntropyStream._uniforms``; bit-identical, no array overhead."""
-    return (_finalize((key + ((counter + 1) * _GOLDEN)) & _MASK64) >> 11) * 2.0 ** -53
 
 
 def _pair_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -274,11 +269,10 @@ def _apply_nonidealities_block(
 
 
 class EntropyStream:
-    """Mixed-type deterministic draw stream: the package's one word stream.
-
-    Uniform draws consume one word, normal draws two (a Box-Muller pair,
-    cosine branch).  The cursor counts words and is exposed so callers can
-    snapshot/replay the stream state.
+    """Mixed-type deterministic draw stream: the package's one word stream,
+    drawn only in blocks.  Uniform draws consume one word, normal draws two
+    (a Box-Muller pair, cosine branch).  The cursor counts words and is
+    exposed so callers can snapshot/replay the stream state.
     """
 
     def __init__(self, seed: int = 0, stream_id: int = 0):
@@ -305,34 +299,18 @@ class EntropyStream:
         return u
 
     def _normals(self, n: int) -> np.ndarray:
-        """The next ``n`` standard normals, two words each: ``n`` calls of ``next_normal()``."""
+        """The next ``n`` standard normals, each of two words through ``_pair_normals``."""
         u = self._uniforms(2 * n)
         return _pair_normals(u[0::2], u[1::2])
 
-    def next_uniform(self) -> float:
-        u = _uniform_scalar(self._key, self._pos)
-        self._pos += 1
-        return u
-
-    def next_normal(self) -> float:
-        u1 = 1.0 - _uniform_scalar(self._key, self._pos)
-        u2 = _uniform_scalar(self._key, self._pos + 1)
-        self._pos += 2
-        z1, _ = box_muller(u1, u2)
-        return z1
-
-    def next_bit(self, p: float) -> int:
-        if not (0.0 <= p <= 1.0):
-            raise DomainError(f"p must lie in [0, 1], got {p!r}")
-        return 1 if self.next_uniform() < p else 0
-
     def next_block(self, normal: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Many draws at once, as float64: draw ``i`` is ``next_normal()``
-        where ``normal[i]`` is true, else ``float(next_bit(p[i]))``.
+        """Many draws at once, as float64: where ``normal[i]`` is true, draw
+        ``i`` is the standard normal of the next two words (``_pair_normals``),
+        else the bit ``float(u < p[i])`` of the next word ``u``.
 
-        Bit-identical to those calls made in order, and advances the cursor
-        by the same number of words; all words come from one block, and the
-        normals from one ``box_muller_block`` (libm, as ``next_normal``).
+        A block equals the same draws made in blocks of one, word for word;
+        all words come from one ``_uniforms`` block, and the normals from one
+        ``box_muller_block`` (libm).
         """
         normal = np.asarray(normal, dtype=bool)
         p = np.asarray(p, dtype=np.float64)

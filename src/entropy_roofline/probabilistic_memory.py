@@ -34,12 +34,12 @@ Cells are stored as a structure of arrays: a family code and the ``mu``,
 ``sigma`` and ``p`` fields of the cell's DistributionSpec, each a rows x cols
 numpy array, so a spec read back is equal to the one written on every field.
 A cell is checked once, when WRITE, SET_VARIANCE or ``load_array_csv`` stores
-it; a spec read back (READ_DISTRIBUTION, SAMPLE, ``cell``) is built from the
-stored fields and not checked again.
-``batch_sample`` is one vectorized pass over those arrays, bit-identical to
-sequential SAMPLE calls: the same values, the same CostReport fields, endurance
-map and stream position, with all the batch's entropy words drawn as one
-block.  An address is an in-bounds pair of integers (numpy integer types
+it; a spec read back (READ_DISTRIBUTION, ``cell``) is built from the stored
+fields and not checked again.
+``batch_sample`` is the one SAMPLE path, one vectorized pass over those
+arrays; ``sample`` is a batch of one, and a batch of ``n`` equals ``n``
+batches of one bit for bit (values, CostReport, endurance map and stream
+position).  An address is an in-bounds pair of integers (numpy integer types
 included); any other address raises AddressError before anything is charged,
 in every primitive and anywhere in a batch.
 """
@@ -96,9 +96,9 @@ def _parameter_elements(code):
 def _fold(total: float, charges: np.ndarray) -> float:
     """``total`` after ``total += charge`` for each charge in order.
 
-    ``np.add.accumulate`` is a sequential left fold, so this equals a loop of
-    scalar charges bit for bit; ``np.sum`` (pairwise) and ``count * charge``
-    do not.
+    ``np.add.accumulate`` is a sequential left fold, so this equals charging
+    one at a time bit for bit; ``np.sum`` (pairwise) and ``count * charge`` do
+    not.
     """
     return float(np.add.accumulate(np.concatenate(([total], charges.ravel())))[-1])
 
@@ -398,22 +398,6 @@ class PMemArray:
         self._sigma[r, c] = sigma
         self._p[r, c] = p
 
-    def _charge_deterministic_access(self) -> None:
-        self._cost.bytes_moved += self.bytes_per_element
-        self._cost.energy_pj += self.backend.read_energy_pj
-
-    def _charge_stochastic_sample(self, r: int, c: int, spec: DistributionSpec) -> None:
-        backend = self.backend
-        cost = self._cost
-        cost.entropy_bits_consumed += _BITS_PER_DRAW
-        cost.energy_pj += backend.sample_energy_pj
-        if backend.reads_parameters_per_draw:
-            cost.bytes_moved += _parameter_elements(_FAMILIES.index(spec.family)) * self.bytes_per_element
-        cost.bytes_moved += backend.side_bytes_per_sample  # x + 0.0 == x for x >= +0.0
-        cost.shaping_ops += backend.shaping_ops_per_sample
-        if backend.wears_cell_per_draw:
-            self._write_counts[r, c] += 1
-
     # -- primitives ------------------------------------------------------------
 
     def write(self, addr: Address, state: CellState) -> None:
@@ -439,27 +423,18 @@ class PMemArray:
         cell (the zero-variance interpretation keeps READ total)."""
         r, c = self._check_addr(addr)
         self._cost.total_reads += 1
-        self._charge_deterministic_access()
+        self._cost.bytes_moved += self.bytes_per_element
+        self._cost.energy_pj += self.backend.read_energy_pj
         return self._mu.item(r, c)
 
     def sample(self, addr: Address, stream: EntropyStream) -> float:
-        """SAMPLE primitive: draw one value from the cell's distribution.
+        """SAMPLE primitive: draw one value from the cell's distribution, as a
+        batch of one (about 55 µs a call; draw many with ``batch_sample``).
 
         Zero-variance cells return their value exactly and are charged as a
         deterministic access -- no entropy is consumed.
         """
-        r, c = self._check_addr(addr)
-        spec = self._spec(r, c)
-        self._cost.total_samples += 1
-        if not spec.consumes_entropy:
-            self._charge_deterministic_access()
-            if spec.family == FAMILY_BERNOULLI:
-                return float(spec.p)  # degenerate: exactly 0.0 or 1.0
-            return spec.mu
-        self._charge_stochastic_sample(r, c, spec)
-        if spec.family == FAMILY_GAUSSIAN:
-            return spec.mu + spec.sigma * stream.next_normal()
-        return float(stream.next_bit(spec.p))
+        return self.batch_sample([addr], stream)[0][0]
 
     def read_distribution(self, addr: Address) -> DistributionSpec:
         """READ_DISTRIBUTION primitive: the cell's parameters."""
@@ -496,14 +471,14 @@ class PMemArray:
                      stream: EntropyStream) -> Tuple[List[float], int]:
         """Sample many addresses; returns (values, elapsed model-cycles).
 
-        Bit-identical to sequential ``sample`` calls on the same stream: the
-        values, every CostReport field, the endurance map and the stream
-        position all come out the same, with the batch's entropy words drawn
-        in one block.  Elapsed cycles model the backend's sampling
-        parallelism: ceil(n / lanes) * latency_cycles, with lanes = 1 on
-        serial paths (von Neumann RNG, near-memory), one full row on coupled
-        arrays, and the configured lane count in-memory.  Every address is
-        checked up front, so a bad one charges nothing.
+        Bit-identical to sampling the addresses one batch of one at a time
+        on the same stream: the values, every CostReport field, the endurance
+        map and the stream position all come out the same, with the batch's
+        entropy words drawn in one block.  Elapsed cycles model the backend's
+        sampling parallelism: ceil(n / lanes) * latency_cycles, with lanes = 1
+        on serial paths (von Neumann RNG, near-memory), one full row on
+        coupled arrays, and the configured lane count in-memory.  Every
+        address is checked up front, so a bad one charges nothing.
         """
         flat = self._flat_index(addrs)
         n = flat.size
@@ -521,7 +496,7 @@ class PMemArray:
         sigma = self._sigma.take(flat[draws])
         values[draws] = np.where(normal, values[draws] + sigma * drawn, drawn)
 
-        # Charges in the order sample() makes them, one address after another:
+        # Charges one address after another, in the batch's order:
         # a draw's parameter bytes, then its side bytes; a cell that draws
         # nothing moves one element.  A 0.0 stands for no addition
         # (x + 0.0 == x for every total x >= +0.0).

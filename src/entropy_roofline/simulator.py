@@ -161,7 +161,7 @@ def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
     ``bnn_layer(128, 128, 1)`` and the default config, 39–45 µs; Python
     3.11, numpy 2.4, 2-core x86-64 Xeon), about 150 times ``sweep``'s cost
     per point (0.26 µs over a 1000 × 100 alpha × ai grid).  Evaluate many
-    points with one ``sweep``."""
+    points with one ``sweep``.  A cost past the float range raises ``DomainError`` naming its field."""
     if workload.total_accesses < 1:
         raise DegenerateWorkloadError(f"workload {workload.name!r} has no accesses to simulate")
     arch, backend = config.arch, config.backend
@@ -177,6 +177,9 @@ def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
         energy_pj=det * backend.read_energy_pj + stoch * backend.sample_energy_pj,
         shaping_ops=stoch * backend.shaping_ops_per_sample,
     )
+    for name in ("bytes_moved", "energy_pj"):  # float products of finite counts and charges
+        if getattr(cost, name) == math.inf:
+            raise DomainError(f"the cost report's {name} is past the float range", name)
     return SimResult(
         elapsed_time=elapsed,
         achieved_phi=phi,

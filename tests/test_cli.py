@@ -513,6 +513,25 @@ class TestSimulate:
         assert want in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("backend, name", [
+        ("coupled_pcim", "energy_pj"), ("decoupled_near_memory", "bytes_moved")])
+    @pytest.mark.parametrize("source", ["--shape", "--trace"])
+    def test_cost_past_the_float_range_names_its_source(self, source, backend, name, tmp_path, capsys):
+        """10**308 draws wrote ``"energy_pj": Infinity``, which is not JSON, and exited 0."""
+        out, trace = tmp_path / "res.json", tmp_path / "t.csv"
+        trace.write_bytes(b"op,row,col,count\r\nsample,0,0,1" + b"0" * 308 + b"\r\nread,0,0,1\r\n")
+        if source == "--shape":
+            with pytest.raises(SystemExit) as info:
+                run_cli("simulate", "--workload", "mc", "--shape", f"{10**308},1", "--backend", backend,
+                        "--out", str(out))
+            assert info.value.code == 2
+            want = f"error: --shape: the cost report's {name} is past the float range"
+        else:
+            assert run_cli("simulate", "--trace", str(trace), "--backend", backend, "--out", str(out)) == 3
+            want = f"config error: {trace}: the cost report's {name} is past the float range"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
     def test_backend_override(self, tmp_path):
         out = tmp_path / "res.json"
         run_cli("simulate", "--workload", "mc", "--backend", "coupled_pcim",

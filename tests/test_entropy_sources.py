@@ -27,6 +27,7 @@ from entropy_roofline.entropy_sources import (
 )
 from entropy_roofline.errors import DomainError
 from entropy_roofline.fidelity import autocorrelation
+from stream_reference import ref_draws, ref_normal
 
 # Frozen outputs of the counter generator; any change to the mixing
 # function is a breaking change to every seeded experiment.
@@ -127,8 +128,7 @@ class TestOneStream:
             want = (stream._uniforms(n) < spec.p).astype(np.float64)
         else:
             z = stream._normals(n)
-            scalar = EntropyStream(spec.seed, spec.stream_id)
-            assert np.array_equal(z, [scalar.next_normal() for _ in range(n)])
+            assert np.array_equal(z, [ref_normal(spec.seed, spec.stream_id, 2 * i) for i in range(n)])
             want = spec.ideal_sigma() * z
         assert np.array_equal(got, want)
         assert src._stream.position == stream.position == words * n
@@ -354,44 +354,37 @@ class TestMismatchArrays:
 
 class TestEntropyStream:
     def test_deterministic(self):
+        normal, p = np.array([True, False, False, True]), np.array([0.5, 0.4, 0.9, 0.5])
         a = EntropyStream(seed=5, stream_id=7)
         b = EntropyStream(seed=5, stream_id=7)
-        seq_a = [a.next_normal(), a.next_uniform(), float(a.next_bit(0.4)), a.next_normal()]
-        seq_b = [b.next_normal(), b.next_uniform(), float(b.next_bit(0.4)), b.next_normal()]
-        assert seq_a == seq_b
+        assert a.next_block(normal, p).tolist() == b.next_block(normal, p).tolist()
+        assert a.position == b.position == 6
 
     def test_position_replay(self):
         s = EntropyStream(seed=5)
-        first = s.next_normal()
+        first = s.next_block(np.array([True]), np.array([0.0]))
         s.position = 0
-        assert s.next_normal() == first
+        assert np.array_equal(s.next_block(np.array([True]), np.array([0.0])), first)
 
-    def test_bit_probability_domain(self):
-        with pytest.raises(DomainError):
-            EntropyStream(seed=1).next_bit(1.5)
-
-    def test_next_block_normals_equal_next_normal(self):
+    def test_next_block_normals_equal_the_word_reference(self):
         # one libm Box-Muller behind both: numpy's AVX-512 log differs in the last bit
         n = 100_000
         block = EntropyStream(seed=21, stream_id=3)
         block.position = 7
-        scalar = EntropyStream(seed=21, stream_id=3)
-        scalar.position = 7
         got = block.next_block(np.ones(n, dtype=bool), np.zeros(n))
-        want = np.array([scalar.next_normal() for _ in range(n)])
+        want, end = ref_draws(21, 3, 7, np.ones(n, dtype=bool), np.zeros(n))
         assert np.array_equal(got, want)
-        assert block.position == scalar.position == 7 + 2 * n
+        assert block.position == end == 7 + 2 * n
 
-    def test_next_block_mixed_equals_scalar_calls(self):
+    def test_next_block_mixed_equals_the_word_reference(self):
         rng = np.random.default_rng(0)
         normal = rng.random(5_000) < 0.5
         p = rng.choice([0.0, 1.0, 0.3, 0.999], normal.size)
-        block, scalar = EntropyStream(seed=4), EntropyStream(seed=4)
+        block = EntropyStream(seed=4)
         got = block.next_block(normal, p)
-        want = [scalar.next_normal() if is_normal else float(scalar.next_bit(q))
-                for is_normal, q in zip(normal, p)]
+        want, end = ref_draws(4, 0, 0, normal, p)
         assert got.tolist() == want
-        assert block.position == scalar.position
+        assert block.position == end
 
     def test_next_block_empty_and_domain(self):
         s = EntropyStream(seed=1)

@@ -30,6 +30,7 @@ from entropy_roofline.probabilistic_memory import (
     load_array_csv,
     save_array_csv,
 )
+from stream_reference import ref_normal, ref_uniform
 
 ALL_BACKENDS = {
     "von_neumann": BackendConfig.von_neumann(),
@@ -292,7 +293,7 @@ class TestSample:
         arr.write((0, 0), DistributionSpec.gaussian(0.0, 1.0))
         stream = EntropyStream(3)
         n = 100_000
-        vals = np.array([arr.sample((0, 0), stream) for _ in range(n)])
+        vals = np.array(arr.batch_sample([(0, 0)] * n, stream)[0])
         assert abs(vals.mean()) <= 4.0 / math.sqrt(n)
 
     def test_gaussian_sample_matches_reparameterization(self):
@@ -300,14 +301,14 @@ class TestSample:
         arr.write((0, 0), DistributionSpec.gaussian(5.0, 3.0))
         stream = EntropyStream(4)
         value = arr.sample((0, 0), stream)
-        eps = EntropyStream(4).next_normal()
+        eps = ref_normal(4, 0, 0)
         assert value == 5.0 + 3.0 * eps
 
     def test_bernoulli_sample_frequency(self):
         arr = fresh()
         arr.write((0, 0), DistributionSpec.bernoulli(0.3))
         stream = EntropyStream(5)
-        vals = np.array([arr.sample((0, 0), stream) for _ in range(100_000)])
+        vals = np.array(arr.batch_sample([(0, 0)] * 100_000, stream)[0])
         assert vals.mean() == pytest.approx(0.3, abs=0.006)
 
     def test_statistical_correctness_all_backends(self):
@@ -318,7 +319,7 @@ class TestSample:
             arr = fresh(name)
             arr.write((0, 0), DistributionSpec.gaussian(1.0, 0.15))
             stream = EntropyStream(6)
-            vals = np.array([arr.sample((0, 0), stream) for _ in range(n)])
+            vals = np.array(arr.batch_sample([(0, 0)] * n, stream)[0])
             _, ok = ks_test(vals, lambda x: normal_cdf(x, 1.0, 0.15), 0.01)
             assert ok, name
 
@@ -635,6 +636,20 @@ class TestBatchEqualsSequential:
         values, cycles = batch.batch_sample(addrs, batch_stream)
         expected = [seq.sample(a, seq_stream) for a in addrs]
         assert list(map(float.hex, values)) == list(map(float.hex, expected))
+        # and each value is its cell's draw at its stream position, by the word reference
+        pos, drawn = start, []
+        for a in addrs:
+            spec = batch.cell(a)
+            if spec.family == "gaussian":
+                drawn.append(spec.mu + spec.sigma * ref_normal(seed, 0, pos))
+                pos += 2
+            elif spec.consumes_entropy:
+                drawn.append(float(ref_uniform(seed, 0, pos) < spec.p))
+                pos += 1
+            else:
+                drawn.append(spec.mu)  # a point mass, or a bernoulli of p == mu in {0, 1}
+        assert list(map(float.hex, values)) == list(map(float.hex, drawn))
+        assert batch_stream.position == pos
         got, want = batch.cost_report(), seq.cost_report()
         for f in fields(CostReport):
             assert getattr(got, f.name) == getattr(want, f.name), f.name

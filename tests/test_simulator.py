@@ -406,6 +406,17 @@ class TestSweep:
                 call()
             assert info.value.name == name
 
+    @pytest.mark.parametrize("backend, name", [
+        (BackendConfig.coupled_pcim(), "energy_pj"),  # 10**308 draws at 5 pJ each
+        (BackendConfig.decoupled_near_memory(), "bytes_moved"),  # and 4 write-back bytes each
+    ])
+    def test_cost_past_the_float_range_is_named(self, backend, name):
+        """Every count and time is finite, a cost product is not: it gave
+        ``energy_pj`` (or ``bytes_moved``) inf, which JSON cannot hold."""
+        with pytest.raises(DomainError, match=f"^the cost report's {name} is past the float range") as info:
+            run(mc_estimator(10**308, 1), SimConfig(arch=ARCH, backend=backend))
+        assert info.value.name == name
+
     def test_base_accesses_past_the_float_range_is_named(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
         with pytest.raises(DomainError, match="^base_accesses is past the float range") as info:
