@@ -317,9 +317,10 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
     try:
         result = run_sim(workload, SimConfig(arch=config.arch, backend=backend, mode=mode))
-    except DomainError as exc:  # a rate so small that a time overflows, or a count past the float range
-        if exc.name in _ARCH_KEYS:
-            raise ConfigError(f"arch.{exc.name}", str(exc)) from exc
+    except DomainError as exc:  # a config rate or charge at fault, or a count past the float range
+        for section, keys in (("arch", _ARCH_KEYS), ("backend", _BACKEND_KEYS)):
+            if exc.name in keys:
+                raise ConfigError(f"{section}.{exc.name}", str(exc)) from exc
         if args.trace is None:
             parser.error(f"--shape: {exc}")
         raise ConfigError(args.trace, str(exc)) from exc

@@ -21,15 +21,15 @@ class DomainError(EntropyRooflineError, ValueError):
         super().__init__(message)
 
 
-def require_int(name: str, value, lo=-math.inf) -> None:
-    """Raise DomainError unless ``value`` is a non-bool integer >= ``lo``.
+def require_int(name: str, value, lo=-math.inf, hi=math.inf) -> None:
+    """Raise DomainError unless ``value`` is a non-bool integer in [``lo``, ``hi``].
 
     A bool is no count, though True would pass as 1.  Traces build a record
     per distinct line, so the Integral ABC is only asked about a non-int.
     """
     if not (value.__class__ is int or isinstance(value, numbers.Integral)
-            and value.__class__ is not bool) or value < lo:
-        bound = "" if lo == -math.inf else f" >= {lo}"
+            and value.__class__ is not bool) or not lo <= value <= hi:
+        bound = "" if lo == -math.inf else f" >= {lo}" if hi == math.inf else f" in [{lo}, {hi!r}]"
         raise DomainError(f"{name} must be an integer{bound}, got {value!r}", name)
 
 

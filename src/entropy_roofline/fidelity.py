@@ -7,8 +7,8 @@ FidelityReport.  All estimators are deterministic functions of the sample
 vector; degenerate inputs produce flagged None fields, never silent NaNs.
 
 A report holds one float64 array per sample and nothing else: it draws
-and shapes into that array a block of ``_BLOCK`` samples at a time (the
-streams are counter-based, so blocks equal one long draw), takes moments
+and shapes into that array a block of at most ``_BLOCK`` words at a time
+(the streams are counter-based, so blocks equal one long draw), takes moments
 and autocorrelation over it, sorts it in place and overwrites it with the
 target CDF, block by block, for the KS statistic and the symbol counts.
 Every sum is numpy's own pairwise tree (``np.add.reduce``), rebuilt one
@@ -62,8 +62,9 @@ N_MAX = 100_000_000
 # (512 KiB at the largest)
 _MAX_SYMBOL_BITS = 16
 
-# Samples per block of every draw, shaping step and sum: the scratch a
-# report needs besides its sample array
+# Samples per block of every sum, and words per block of every draw and
+# shaping step (one sample at least): the scratch a report needs besides its
+# sample array
 _BLOCK = 2**16
 
 # A target is a DistributionSpec, or this string for raw uniform streams.
@@ -324,10 +325,7 @@ class FidelityConfig:
     def __post_init__(self) -> None:
         require_finite("significance", self.significance, 0.0, 1.0, "()")
         require_int("max_lag", self.max_lag, 1)
-        require_int("symbol_bits", self.symbol_bits, 1)
-        if self.symbol_bits > _MAX_SYMBOL_BITS:
-            raise DomainError(f"symbol_bits must be an integer in [1, {_MAX_SYMBOL_BITS}],"
-                              f" got {self.symbol_bits!r}", "symbol_bits")
+        require_int("symbol_bits", self.symbol_bits, 1, _MAX_SYMBOL_BITS)
         require_int("seed", self.seed)
         require_int("stream_id", self.stream_id)
 
@@ -354,11 +352,11 @@ class FidelityReport:
 Subject = Union[SourceSpec, SourceHandle, ShapingPipelineSpec]
 
 
-def _filled(n: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
-    """One array of ``n`` samples, ``draw(k)`` giving the next ``k``."""
+def _filled(n: int, draw: Callable[[int], np.ndarray], block: int = _BLOCK) -> np.ndarray:
+    """One array of ``n`` samples, ``draw(k)`` giving the next ``k <= block``."""
     out = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
         out[lo:hi] = draw(hi - lo)
     return out
 
@@ -373,7 +371,10 @@ def _pipeline_samples(spec: ShapingPipelineSpec, n: int, config: FidelityConfig)
         y = run_pipeline(spec, source.draw(uniforms_needed(spec, k)))[:k]
         return _apply_nonidealities_block(y, state, config.nonideality)
 
-    return _filled(n, draw)
+    # _BLOCK words a block: k per clt_accumulate sample, one per other sample,
+    # Box–Muller pairs included, since _BLOCK is even and no pair is split
+    words_per_sample = uniforms_needed(spec, _BLOCK) // _BLOCK
+    return _filled(n, draw, max(1, _BLOCK // words_per_sample))
 
 
 def _check_source_config(subject: Union[SourceSpec, SourceHandle], config: FidelityConfig) -> None:

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, require_finite, require_int
+from .errors import _FLOAT_MAX, DomainError, require_finite, require_int
 
 
 class RegimeLabel(str, Enum):
@@ -69,7 +69,7 @@ class ArchParams:
         require_finite("pi", self.pi, 0.0, math.inf, "()")
         require_finite("beta_data", self.beta_data, 0.0, math.inf, "()")
         require_finite("beta_rand", self.beta_rand, 0.0, math.inf, "()")
-        require_int("bytes_per_element", self.bytes_per_element, 1)
+        require_int("bytes_per_element", self.bytes_per_element, 1, _FLOAT_MAX)
 
     @classmethod
     def from_byte_bandwidth(

@@ -30,12 +30,14 @@ the simulator does not charge.
 Per-operation charges land in a CostReport; per-cell write counts model
 endurance.  Arrays are single-writer: mutation requires exclusive access.
 
-Cells are stored as a structure of arrays: a family code and the ``mu``,
-``sigma`` and ``p`` fields of the cell's DistributionSpec, each a rows x cols
-numpy array, so a spec read back is equal to the one written on every field.
+Cells are stored as a structure of arrays: a family code and the ``mu`` and
+``sigma`` fields of the cell's DistributionSpec, each a rows x cols numpy
+array, so a spec read back is equal to the one written on every field.
 A cell is checked once, when WRITE, SET_VARIANCE or ``load_array_csv`` stores
 it; a spec read back (READ_DISTRIBUTION, ``cell``) is built from the stored
-fields and not checked again.
+fields and not checked again.  Every primitive computes its new cost totals
+before it charges or draws anything: a total past the float range raises
+DomainError naming the CostReport field and changes nothing.
 ``batch_sample`` is the one SAMPLE path, one vectorized pass over those
 arrays; ``sample`` is a batch of one, and a batch of ``n`` equals ``n``
 batches of one bit for bit (values, CostReport, endurance map and stream
@@ -51,7 +53,7 @@ import operator
 import struct
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,12 +82,15 @@ BACKEND_KINDS = (
 _FAMILIES = (FAMILY_GAUSSIAN, FAMILY_BERNOULLI, FAMILY_POINT_MASS)
 _GAUSSIAN = _FAMILIES.index(FAMILY_GAUSSIAN)
 _BERNOULLI = _FAMILIES.index(FAMILY_BERNOULLI)
+_POINT_MASS = _FAMILIES.index(FAMILY_POINT_MASS)
 _BITS_PER_DRAW = 32  # entropy one stochastic draw consumes, on every backend
+_SIDE_BYTES_NAMES = {KIND_VON_NEUMANN: "transport_bytes_per_sample",
+                     KIND_DECOUPLED_NEAR_MEMORY: "writeback_bytes_per_sample"}
 
 
-def _draws(code, p):
-    """Whether a cell draws, elementwise on arrays: a gaussian (sigma > 0), a bernoulli of 0 < p < 1."""
-    return (code == _GAUSSIAN) | ((code == _BERNOULLI) & (0.0 < p) & (p < 1.0))
+def _draws(code, mu):
+    """Whether a cell draws, elementwise on arrays: a gaussian (sigma > 0), a bernoulli of 0 < p = mu < 1."""
+    return (code == _GAUSSIAN) | ((code == _BERNOULLI) & (0.0 < mu) & (mu < 1.0))
 
 
 def _parameter_elements(code):
@@ -103,39 +108,43 @@ def _fold(total: float, charges: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([total], charges.ravel())))[-1])
 
 
+def _check_totals(bytes_moved: float, energy_pj: float) -> None:
+    """Raise DomainError naming the CostReport field whose new total is past the float range."""
+    if bytes_moved == math.inf or energy_pj == math.inf:
+        name = "bytes_moved" if bytes_moved == math.inf else "energy_pj"
+        raise DomainError(f"the cost report's {name} is past the float range", name)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
-    """What a cell returns when sampled: gaussian, bernoulli or point mass.
+    """What a cell returns when sampled: a family, a mean and a gaussian's spread.
 
-    Every field must be finite.  A gaussian with sigma == 0 canonicalizes
-    to a point mass on construction; a bernoulli stores its mean in ``mu``
-    (= p).
+    Every field must be finite.  A bernoulli's p is its ``mu``, in [0, 1]; only a
+    gaussian has a nonzero ``sigma``, and one of sigma 0 is a point mass (the
+    zero-variance limit) on construction.  Nothing else is clamped or coerced.
     """
 
     family: str
     mu: float = 0.0
     sigma: float = 0.0
-    p: float = 0.5
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown distribution family {self.family!r}")
         gaussian, bernoulli = self.family == FAMILY_GAUSSIAN, self.family == FAMILY_BERNOULLI
-        require_finite("mu", self.mu)
-        require_finite("sigma", self.sigma, 0.0 if gaussian else -math.inf)
-        require_finite("p", self.p, 0.0 if bernoulli else -math.inf, 1.0 if bernoulli else math.inf)
-        if gaussian and self.sigma == 0.0:
-            object.__setattr__(self, "family", FAMILY_POINT_MASS)
-        if bernoulli:
-            object.__setattr__(self, "mu", self.p)
-        if self.family == FAMILY_POINT_MASS:
+        require_finite("p" if bernoulli else "mu", self.mu, 0.0 if bernoulli else -math.inf,
+                       1.0 if bernoulli else math.inf)
+        require_finite("sigma", self.sigma, 0.0, math.inf if gaussian else 0.0)
+        if self.sigma == 0.0:
             object.__setattr__(self, "sigma", 0.0)
+            if gaussian:
+                object.__setattr__(self, "family", FAMILY_POINT_MASS)
 
     @classmethod
-    def _trusted(cls, family: str, mu: float, sigma: float, p: float) -> "DistributionSpec":
+    def _trusted(cls, family: str, mu: float, sigma: float) -> "DistributionSpec":
         """A spec of fields already checked and canonical (a stored cell's), skipping ``__post_init__``."""
         spec = object.__new__(cls)
-        spec.__dict__.update(family=family, mu=mu, sigma=sigma, p=p)
+        spec.__dict__.update(family=family, mu=mu, sigma=sigma)
         return spec
 
     @classmethod
@@ -144,7 +153,7 @@ class DistributionSpec:
 
     @classmethod
     def bernoulli(cls, p: float) -> "DistributionSpec":
-        return cls(family=FAMILY_BERNOULLI, p=p)
+        return cls(family=FAMILY_BERNOULLI, mu=p)
 
     @classmethod
     def point_mass(cls, mu: float) -> "DistributionSpec":
@@ -156,17 +165,28 @@ class DistributionSpec:
 
     @property
     def sigma_or_p(self) -> float:
-        return self.p if self.family == FAMILY_BERNOULLI else self.sigma
+        return self.mu if self.family == FAMILY_BERNOULLI else self.sigma
 
     @property
     def consumes_entropy(self) -> bool:
         """Whether sampling this cell draws from the entropy stream."""
-        return _draws(_FAMILIES.index(self.family), self.p)
+        return _draws(_FAMILIES.index(self.family), self.mu)
 
 
 # A cell is written either as a raw number (deterministic value) or as a
 # DistributionSpec; raw numbers canonicalize to point masses.
 CellState = Union[float, int, DistributionSpec]
+
+
+def _stored_fields(backend: "BackendConfig", state: CellState) -> Tuple[int, float, float]:
+    """The checked (family code, mu, sigma) that WRITE and ``load_array_csv`` store for
+    ``state``: a number (not a bool) is a point mass, a gaussian in ``check_sigma``'s window."""
+    if not isinstance(state, DistributionSpec):
+        require_finite("value", state)
+        return _POINT_MASS, float(state), 0.0
+    if state.family == FAMILY_GAUSSIAN:
+        backend.check_sigma(state.mu, state.sigma)
+    return _FAMILIES.index(state.family), state.mu, state.sigma
 
 
 @dataclass
@@ -289,13 +309,15 @@ class BackendConfig:
         return 0
 
     @property
+    def side_bytes_name(self) -> Optional[str]:
+        """The field that sets ``side_bytes_per_sample``, if the kind moves side bytes."""
+        return _SIDE_BYTES_NAMES.get(self.kind)
+
+    @property
     def side_bytes_per_sample(self) -> float:
         """Bytes a draw moves besides a parameter read: transport or write-back."""
-        if self.kind == KIND_VON_NEUMANN:
-            return self.transport_bytes_per_sample
-        if self.kind == KIND_DECOUPLED_NEAR_MEMORY:
-            return self.writeback_bytes_per_sample
-        return 0.0
+        name = self.side_bytes_name
+        return 0.0 if name is None else getattr(self, name)
 
     @property
     def reads_parameters_per_draw(self) -> bool:
@@ -346,17 +368,15 @@ class PMemArray:
     def __init__(self, rows: int, cols: int, backend: BackendConfig, bytes_per_element: int = 4):
         require_int("rows", rows, 1)
         require_int("cols", cols, 1)
-        require_int("bytes_per_element", bytes_per_element, 1)
+        require_int("bytes_per_element", bytes_per_element, 1, _FLOAT_MAX)
         self.rows = rows
         self.cols = cols
         self.backend = backend
         self.bytes_per_element = bytes_per_element
         self.bits_per_raw_sample = _BITS_PER_DRAW  # read-only: what each draw charges
-        blank = DistributionSpec.point_mass(0.0)
-        self._family = np.full((rows, cols), _FAMILIES.index(blank.family), dtype=np.int8)
-        self._mu = np.full((rows, cols), blank.mu)
-        self._sigma = np.full((rows, cols), blank.sigma)
-        self._p = np.full((rows, cols), blank.p)
+        self._family = np.full((rows, cols), _POINT_MASS, dtype=np.int8)
+        self._mu = np.zeros((rows, cols))
+        self._sigma = np.zeros((rows, cols))
         self._write_counts = np.zeros((rows, cols), dtype=np.int64)
         self._cost = CostReport()
 
@@ -389,14 +409,22 @@ class PMemArray:
 
     def _spec(self, r: int, c: int) -> DistributionSpec:
         return DistributionSpec._trusted(_FAMILIES[self._family.item(r, c)], self._mu.item(r, c),
-                                         self._sigma.item(r, c), self._p.item(r, c))
+                                         self._sigma.item(r, c))
 
-    def _store(self, r: int, c: int, family: str, mu: float, sigma: float, p: float) -> None:
+    def _store(self, r: int, c: int, code: int, mu: float, sigma: float) -> None:
         """Store a cell's fields; every caller has checked them and made them canonical."""
-        self._family[r, c] = _FAMILIES.index(family)
+        self._family[r, c] = code
         self._mu[r, c] = mu
         self._sigma[r, c] = sigma
-        self._p[r, c] = p
+
+    def _charge_access(self, elements: int, energy_pj: float) -> None:
+        """Charge one access that moves ``elements`` words at ``energy_pj``; a
+        total past the float range raises DomainError and charges nothing."""
+        cost = self._cost
+        bytes_moved = cost.bytes_moved + elements * float(self.bytes_per_element)
+        energy = cost.energy_pj + energy_pj
+        _check_totals(bytes_moved, energy)
+        cost.bytes_moved, cost.energy_pj = bytes_moved, energy
 
     # -- primitives ------------------------------------------------------------
 
@@ -405,31 +433,23 @@ class PMemArray:
         outside a coupled backend's variance window raises VarianceRangeError
         and changes nothing."""
         r, c = self._check_addr(addr)
-        if isinstance(state, DistributionSpec):
-            family, mu, sigma, p = state.family, state.mu, state.sigma, state.p
-            if family == FAMILY_GAUSSIAN:
-                self.backend.check_sigma(mu, sigma)
-        else:
-            require_finite("value", state)  # a bool is no cell value
-            family, mu, sigma, p = FAMILY_POINT_MASS, float(state), DistributionSpec.sigma, DistributionSpec.p
-        self._store(r, c, family, mu, sigma, p)
+        code, mu, sigma = _stored_fields(self.backend, state)
+        self._charge_access(_parameter_elements(code), self.backend.write_energy_pj)
+        self._store(r, c, code, mu, sigma)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
-        self._cost.bytes_moved += _parameter_elements(_FAMILIES.index(family)) * self.bytes_per_element
-        self._cost.energy_pj += self.backend.write_energy_pj
 
     def read(self, addr: Address) -> float:
         """Deterministic read: stored value, or the mean of a distribution
         cell (the zero-variance interpretation keeps READ total)."""
         r, c = self._check_addr(addr)
+        self._charge_access(1, self.backend.read_energy_pj)
         self._cost.total_reads += 1
-        self._cost.bytes_moved += self.bytes_per_element
-        self._cost.energy_pj += self.backend.read_energy_pj
         return self._mu.item(r, c)
 
     def sample(self, addr: Address, stream: EntropyStream) -> float:
         """SAMPLE primitive: draw one value from the cell's distribution, as a
-        batch of one (about 55 µs a call; draw many with ``batch_sample``).
+        batch of one (to draw many, call ``batch_sample`` once).
 
         Zero-variance cells return their value exactly and are charged as a
         deterministic access -- no entropy is consumed.
@@ -439,11 +459,9 @@ class PMemArray:
     def read_distribution(self, addr: Address) -> DistributionSpec:
         """READ_DISTRIBUTION primitive: the cell's parameters."""
         r, c = self._check_addr(addr)
-        spec = self._spec(r, c)
+        self._charge_access(_parameter_elements(self._family.item(r, c)), self.backend.read_energy_pj)
         self._cost.total_reads += 1
-        self._cost.bytes_moved += _parameter_elements(self._family.item(r, c)) * self.bytes_per_element
-        self._cost.energy_pj += self.backend.read_energy_pj
-        return spec
+        return self._spec(r, c)
 
     def set_variance(self, addr: Address, sigma_new: float) -> None:
         """SET_VARIANCE primitive.
@@ -460,12 +478,11 @@ class PMemArray:
         mu = self._mu.item(r, c)
         require_finite("sigma", sigma_new, 0.0)  # as DistributionSpec.gaussian checks it
         self.backend.check_sigma(mu, sigma_new)  # 0 too: a coupled window starts above 0
-        sigma = sigma_new or DistributionSpec.sigma  # a gaussian of sigma 0 is a point mass of sigma +0.0
-        self._store(r, c, FAMILY_GAUSSIAN if sigma else FAMILY_POINT_MASS, mu, sigma, DistributionSpec.p)
+        self._charge_access(1, self.backend.write_energy_pj)
+        sigma = sigma_new or 0.0  # a gaussian of sigma 0 is a point mass of sigma +0.0
+        self._store(r, c, _GAUSSIAN if sigma else _POINT_MASS, mu, sigma)
         self._write_counts[r, c] += 1
         self._cost.total_writes += 1
-        self._cost.bytes_moved += self.bytes_per_element
-        self._cost.energy_pj += self.backend.write_energy_pj
 
     def batch_sample(self, addrs: Sequence[Address],
                      stream: EntropyStream) -> Tuple[List[float], int]:
@@ -478,7 +495,8 @@ class PMemArray:
         sampling parallelism: ceil(n / lanes) * latency_cycles, with lanes = 1
         on serial paths (von Neumann RNG, near-memory), one full row on
         coupled arrays, and the configured lane count in-memory.  Every
-        address is checked up front, so a bad one charges nothing.
+        address and the new cost totals are checked up front, so a bad
+        address, or a total past the float range, charges and draws nothing.
         """
         flat = self._flat_index(addrs)
         n = flat.size
@@ -488,27 +506,30 @@ class PMemArray:
             return [], cycles
 
         family = self._family.take(flat)
-        values = self._mu.take(flat)  # what a cell that draws nothing returns (p == mu for bernoulli)
-        p = self._p.take(flat)
-        draws = _draws(family, p)
-        normal = family[draws] == _GAUSSIAN
-        drawn = stream.next_block(normal, p[draws])
-        sigma = self._sigma.take(flat[draws])
-        values[draws] = np.where(normal, values[draws] + sigma * drawn, drawn)
+        values = self._mu.take(flat)  # what a cell that draws nothing returns, and a bernoulli's p
+        draws = _draws(family, values)
 
         # Charges one address after another, in the batch's order:
         # a draw's parameter bytes, then its side bytes; a cell that draws
         # nothing moves one element.  A 0.0 stands for no addition
         # (x + 0.0 == x for every total x >= +0.0).
-        bpe = self.bytes_per_element
-        parameter_bytes = _parameter_elements(family) * bpe if backend.reads_parameters_per_draw else 0.0
-        byte_charges = np.column_stack((np.where(draws, parameter_bytes, bpe),
-                                        np.where(draws, backend.side_bytes_per_sample, 0.0)))
-        n_draws = int(np.count_nonzero(draws))
         cost = self._cost
+        bpe = float(self.bytes_per_element)
+        with np.errstate(over="ignore"):  # a total past the float range is inf, then refused
+            parameter_bytes = _parameter_elements(family) * bpe if backend.reads_parameters_per_draw else 0.0
+            byte_charges = np.column_stack((np.where(draws, parameter_bytes, bpe),
+                                            np.where(draws, backend.side_bytes_per_sample, 0.0)))
+            bytes_moved = _fold(cost.bytes_moved, byte_charges)
+            energy = _fold(cost.energy_pj, np.where(draws, backend.sample_energy_pj, backend.read_energy_pj))
+        _check_totals(bytes_moved, energy)
+
+        mu = values[draws]
+        normal = family[draws] == _GAUSSIAN
+        drawn = stream.next_block(normal, mu)
+        values[draws] = np.where(normal, mu + self._sigma.take(flat[draws]) * drawn, drawn)
+        n_draws = int(np.count_nonzero(draws))
         cost.total_samples += n
-        cost.bytes_moved = _fold(cost.bytes_moved, byte_charges)
-        cost.energy_pj = _fold(cost.energy_pj, np.where(draws, backend.sample_energy_pj, backend.read_energy_pj))
+        cost.bytes_moved, cost.energy_pj = bytes_moved, energy
         cost.entropy_bits_consumed += n_draws * _BITS_PER_DRAW
         cost.shaping_ops += n_draws * backend.shaping_ops_per_sample
         if backend.wears_cell_per_draw:
@@ -578,18 +599,18 @@ def load_array_csv(path: str, backend: BackendConfig, bytes_per_element: int = 4
                 *address, family, mu, sp = row
                 r, c = (parse_number(t, signed=True) for t in address)  # bounds reject < 0
                 mu, sp = parse_number(mu, float), parse_number(sp, float)
-                kwargs = {FAMILY_GAUSSIAN: {"mu": mu, "sigma": sp}, FAMILY_BERNOULLI: {"p": sp}}
-                spec = DistributionSpec(family, **kwargs.get(family, {"mu": mu}))  # checks the family
-                if spec.family == FAMILY_GAUSSIAN:
-                    backend.check_sigma(spec.mu, spec.sigma)
+                spec = DistributionSpec(family, *((sp,) if family == FAMILY_BERNOULLI else (mu, sp)))
+                if spec.family == FAMILY_BERNOULLI and repr(mu) != repr(sp):  # p in both columns, -0.0 too
+                    raise DomainError(f"a bernoulli's mu is its p, got mu {mu!r} and p {sp!r}", "mu")
+                stored = _stored_fields(backend, spec)
             except (DomainError, VarianceRangeError) as exc:
                 raise DomainError(f"line {line_no} of {path!r}: {exc}", getattr(exc, "name", None)) from exc
-            entries.append((r, c, spec))
+            entries.append((r, c, stored))
     if not entries:
         raise DomainError(f"empty cells CSV {path!r}")
     rows = max(r for r, _, _ in entries) + 1
     cols = max(c for _, c, _ in entries) + 1
     array = PMemArray(rows, cols, backend, bytes_per_element)
-    for r, c, spec in entries:
-        array._store(*array._check_addr((r, c)), spec.family, spec.mu, spec.sigma, spec.p)
+    for r, c, stored in entries:
+        array._store(*array._check_addr((r, c)), *stored)
     return array

@@ -153,33 +153,62 @@ def _evaluate(total: int, stochs: Sequence[int], ops: Sequence[int],
                 _REGIMES[_regime_codes(t_compute, access, data, entropy)])
 
 
-def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
-    """Execute one workload; pure function of (workload, config).
-
-    The point goes through ``_evaluate``'s numpy calls on one-element
-    columns: about 40 µs per call (``timeit`` best of 5 at
-    ``bnn_layer(128, 128, 1)`` and the default config, 39–45 µs; Python
-    3.11, numpy 2.4, 2-core x86-64 Xeon), about 150 times ``sweep``'s cost
-    per point (0.26 µs over a 1000 × 100 alpha × ai grid).  Evaluate many
-    points with one ``sweep``.  A cost past the float range raises ``DomainError`` naming its field."""
-    if workload.total_accesses < 1:
-        raise DegenerateWorkloadError(f"workload {workload.name!r} has no accesses to simulate")
-    arch, backend = config.arch, config.backend
-    det, stoch = workload.det_accesses, workload.stoch_accesses
-    elapsed, phi, beta, regime = (column.item() for column in _evaluate(
-        workload.total_accesses, [stoch], [workload.n_ops], [config]))
-    cost = CostReport(
+def _cost(det: int, stoch: int, config: SimConfig) -> CostReport:
+    """What ``det`` reads and ``stoch`` draws cost under ``config``; a float total may be inf."""
+    backend = config.backend
+    return CostReport(
         total_reads=det,
         total_writes=0,
         total_samples=stoch,
-        bytes_moved=(det + stoch * _side_elements(config)) * arch.bytes_per_element,
+        bytes_moved=(det + stoch * _side_elements(config)) * config.arch.bytes_per_element,
         entropy_bits_consumed=stoch * _BITS_PER_DRAW,
         energy_pj=det * backend.read_energy_pj + stoch * backend.sample_energy_pj,
         shaping_ops=stoch * backend.shaping_ops_per_sample,
     )
+
+
+def _cost_error(name: str, cost: CostReport, config: SimConfig) -> DomainError:
+    """The error for ``cost``'s total ``name`` past the float range.
+
+    The counts are at fault, and the error names the total, if the same
+    counts overflow it at the kind's default ``BackendConfig`` and the default
+    element width too.  Else it names the charge the config raised above its
+    default that adds the most to the total: ``read_energy_pj``,
+    ``sample_energy_pj``, ``bytes_per_element`` or the side-bytes field."""
+    det, stoch = cost.total_reads, cost.total_samples
+    arch, backend = config.arch, config.backend
+    base, width = BackendConfig(kind=backend.kind), ArchParams.bytes_per_element
+    if name == "energy_pj":  # charge: (the count it is paid per, its value, its default)
+        charges = {"read_energy_pj": (det, backend.read_energy_pj, base.read_energy_pj),
+                   "sample_energy_pj": (stoch, backend.sample_energy_pj, base.sample_energy_pj)}
+    else:
+        charges = {"bytes_per_element": (det, arch.bytes_per_element, width)}
+        if backend.side_bytes_name is not None:
+            charges[backend.side_bytes_name] = (stoch, backend.side_bytes_per_sample, base.side_bytes_per_sample)
+    raised = [(count * value, charge) for charge, (count, value, default) in charges.items() if value > default]
+    at_defaults = _cost(det, stoch, SimConfig(arch=replace(arch, bytes_per_element=width), backend=base))
+    if not raised or getattr(at_defaults, name) == math.inf:
+        return DomainError(f"the cost report's {name} is past the float range", name)
+    charge = max(raised)[1]
+    return DomainError(f"the cost report's {name} is past the float range at {charge} = {charges[charge][1]!r}",
+                       charge)
+
+
+def run(workload: WorkloadSpec, config: SimConfig) -> SimResult:
+    """Execute one workload; pure function of (workload, config).
+
+    The point goes through ``_evaluate``'s numpy calls on one-element
+    columns, so to evaluate many points call ``sweep`` once.  A cost past
+    the float range raises ``DomainError`` naming the charge the config set
+    or, if the counts overflow at the default charges too, the cost field."""
+    if workload.total_accesses < 1:
+        raise DegenerateWorkloadError(f"workload {workload.name!r} has no accesses to simulate")
+    elapsed, phi, beta, regime = (column.item() for column in _evaluate(
+        workload.total_accesses, [workload.stoch_accesses], [workload.n_ops], [config]))
+    cost = _cost(workload.det_accesses, workload.stoch_accesses, config)
     for name in ("bytes_moved", "energy_pj"):  # float products of finite counts and charges
         if getattr(cost, name) == math.inf:
-            raise DomainError(f"the cost report's {name} is past the float range", name)
+            raise _cost_error(name, cost, config)
     return SimResult(
         elapsed_time=elapsed,
         achieved_phi=phi,

@@ -532,6 +532,33 @@ class TestSimulate:
         assert want in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, key", [
+        ({"backend": {"kind": "decoupled_in_memory", "sample_energy_pj": 1e308}}, "backend.sample_energy_pj"),
+        ({"backend": {"kind": "von_neumann", "read_energy_pj": 1e308}}, "backend.read_energy_pj"),
+        ({"arch": {"bytes_per_element": 10**308}}, "arch.bytes_per_element"),
+    ])
+    def test_cost_past_the_float_range_names_the_config_charge(self, config, key, tmp_path, capsys):
+        """Draws at 1e308 pJ exited 2 blaming ``--shape``."""
+        cfg, out = tmp_path / "c.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--workload", "bnn", "--shape", "2,2,1"]  # four reads and four draws
+        assert run_cli("simulate", "--config", str(cfg), *argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"config error: {key}: the cost report's " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_element_width_past_the_float_range_exits_3(self, command, tmp_path, capsys):
+        """A width of 401 digits exited 1 with an OverflowError traceback."""
+        cfg, grid, out = tmp_path / "c.json", tmp_path / "g.json", tmp_path / "o"
+        cfg.write_text('{"arch": {"bytes_per_element": 1' + "0" * 400 + "}}")
+        grid.write_text(json.dumps({"alpha": [0.5]}))
+        argv = ["simulate", "--workload", "mc", "--shape", "10,1"] if command == "simulate" else ["sweep", "--grid", str(grid)]
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "config error: arch: bytes_per_element must be an integer in [1, " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_backend_override(self, tmp_path):
         out = tmp_path / "res.json"
         run_cli("simulate", "--workload", "mc", "--backend", "coupled_pcim",

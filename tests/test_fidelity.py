@@ -564,6 +564,25 @@ def test_report_memory_budget(subject, target):
     assert peak / n <= 12.0
 
 
+def test_clt_scratch_is_bounded_in_words():
+    """A block held _BLOCK samples, so k words each: about 96 MiB of scratch
+    at k = 96 and 1e5 samples, and some 10 GiB at k = 10,000.  A block now
+    holds at most _BLOCK words, and the sample is still one whole draw."""
+    n, peaks = 20_000, {}
+    for k in (12, 96):
+        spec, config = ShapingPipelineSpec(method="clt_accumulate", k=k), FidelityConfig(seed=5)
+        _pipeline_samples(spec, 1_000, config)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            x = _pipeline_samples(spec, n, config)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        u = create_source(SourceSpec.pseudo_uniform(seed=5)).draw(uniforms_needed(spec, n))
+        assert x.tobytes() == run_pipeline(spec, u).tobytes()
+    assert peaks[96] <= 2 * peaks[12]
+
+
 def test_report_leaves_nothing_alive():
     """With the cycle collector off, a report frees all it allocated: no
     reference cycle (a closure that calls itself) holds the sample."""

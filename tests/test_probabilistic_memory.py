@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -64,11 +65,42 @@ class TestDistributionSpec:
             DistributionSpec(family="beta")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "3"])
-    @pytest.mark.parametrize("field", ["mu", "sigma", "p"])
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "point_mass"])
     def test_non_finite_field_rejected(self, family, field, value):
         with pytest.raises(DomainError):
             DistributionSpec(family=family, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "3", -0.5, 1.5])
+    def test_bernoulli_p_is_its_checked_mu(self, value):
+        with pytest.raises(DomainError, match="^p must be a finite number in \\[0.0, 1.0\\]") as info:
+            DistributionSpec.bernoulli(value)
+        assert info.value.name == "p"
+
+    def test_fields_are_family_mean_and_spread(self):
+        assert [f.name for f in fields(DistributionSpec)] == ["family", "mu", "sigma"]
+        assert not hasattr(PMemArray(1, 1, ALL_BACKENDS["von_neumann"]), "_p")
+
+    def test_positional_bernoulli_mean_is_its_p(self):
+        """``DistributionSpec("bernoulli", 0.9)`` was p = 0.5, its default."""
+        spec = DistributionSpec("bernoulli", 0.9)
+        assert spec == DistributionSpec.bernoulli(0.9)
+        assert (spec.mu, spec.sigma, spec.sigma_or_p) == (0.9, 0.0, 0.9)
+
+    @pytest.mark.parametrize("family", ["bernoulli", "point_mass"])
+    @pytest.mark.parametrize("sigma", [0.7, -0.5, 1e-300])
+    def test_only_a_gaussian_has_a_sigma(self, family, sigma):
+        """A bernoulli kept a sigma nothing read, and a point mass zeroed it."""
+        with pytest.raises(DomainError, match="^sigma must be a finite number in \\[0.0, 0.0\\]") as info:
+            DistributionSpec(family, 0.3, sigma)
+        assert info.value.name == "sigma"
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "point_mass"])
+    def test_zero_sigma_is_stored_as_plus_zero(self, family):
+        for sigma in (0, -0.0, np.float64(0.0)):
+            spec = DistributionSpec(family, 0.5, sigma)
+            assert repr(spec.sigma) == "0.0" and type(spec.sigma) is float
+            assert spec.family == ("point_mass" if family == "gaussian" else family)
 
     def test_entropy_consumption_flags(self):
         assert DistributionSpec.gaussian(0.0, 1.0).consumes_entropy
@@ -644,7 +676,7 @@ class TestBatchEqualsSequential:
                 drawn.append(spec.mu + spec.sigma * ref_normal(seed, 0, pos))
                 pos += 2
             elif spec.consumes_entropy:
-                drawn.append(float(ref_uniform(seed, 0, pos) < spec.p))
+                drawn.append(float(ref_uniform(seed, 0, pos) < spec.mu))
                 pos += 1
             else:
                 drawn.append(spec.mu)  # a point mass, or a bernoulli of p == mu in {0, 1}
@@ -764,8 +796,9 @@ class TestBatchEqualsSequential:
 
     @given(
         spec=st.one_of(
-            st.builds(DistributionSpec, family=st.sampled_from(["gaussian", "bernoulli", "point_mass"]),
-                      mu=_finite, sigma=st.floats(0.0, 5.0), p=st.floats(0.0, 1.0)),
+            st.builds(DistributionSpec, family=st.just("gaussian"), mu=_finite, sigma=st.floats(0.0, 5.0)),
+            st.builds(DistributionSpec, family=st.just("bernoulli"), mu=st.floats(0.0, 1.0)),
+            st.builds(DistributionSpec, family=st.just("point_mass"), mu=_finite, sigma=st.just(-0.0)),
             _cell_states,
         )
     )
@@ -773,7 +806,7 @@ class TestBatchEqualsSequential:
         arr = fresh(rows=2, cols=2)
         arr.write((1, 0), spec)
         written = spec if isinstance(spec, DistributionSpec) else DistributionSpec.point_mass(float(spec))
-        # dataclass == compares every field: family, mu, sigma and p
+        # dataclass == compares every field: family, mu and sigma
         assert arr.cell((1, 0)) == written
         assert arr.read_distribution((1, 0)) == written
 
@@ -923,6 +956,10 @@ class TestCsvRoundTrip:
         ("0,1,poisson,1.0,0.0", "unknown distribution family 'poisson'"),
         ("0,1,gaussian,1.0,-0.5", "sigma must be a finite number in [0.0, inf), got -0.5"),
         ("0,1,bernoulli,0.0,1.5", "p must be a finite number in [0.0, 1.0], got 1.5"),
+        # a bernoulli's p is its mu, written in both columns; it loaded the last as p
+        ("0,1,bernoulli,0.9,0.3", "a bernoulli's mu is its p, got mu 0.9 and p 0.3"),
+        ("0,1,bernoulli,-0.0,0.0", "a bernoulli's mu is its p, got mu -0.0 and p 0.0"),
+        ("0,1,point_mass,1.0,0.5", "sigma must be a finite number in [0.0, 0.0], got 0.5"),
     ])
     def test_row_error_names_line(self, tmp_path, line, message):
         path = tmp_path / "cells.csv"
@@ -966,8 +1003,8 @@ _written_states = st.one_of(
     st.builds(np.float64, _finite),
     st.builds(np.float32, st.floats(-1e6, 1e6, width=32)),
     st.builds(DistributionSpec.gaussian, _finite, st.one_of(st.just(0.0), _WINDOW, st.floats(0.0, 5.0))),
-    st.builds(lambda mu, sigma, p: DistributionSpec("gaussian", mu, sigma, p),  # a non-default p
-              _finite, st.one_of(st.just(0.0), _WINDOW), st.floats(0.0, 1.0)),
+    st.builds(lambda mu, sigma: DistributionSpec("gaussian", mu, sigma),  # an int or -0.0 sigma
+              _finite, st.one_of(st.sampled_from([0, -0.0]), st.integers(0, 3))),
     st.builds(DistributionSpec.bernoulli, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
     st.builds(DistributionSpec.point_mass, st.one_of(_finite, st.integers(-5, 5))),  # an int field reads back a float
 )
@@ -980,7 +1017,7 @@ def _reference_write(backend, state):
     from the canonical fields the array stores (float64 each)."""
     if not isinstance(state, DistributionSpec):
         return DistributionSpec("point_mass", float(state))
-    spec = DistributionSpec(state.family, float(state.mu), float(state.sigma), float(state.p))
+    spec = DistributionSpec(state.family, float(state.mu), float(state.sigma))
     if spec.family == "gaussian":
         backend.check_sigma(spec.mu, spec.sigma)
     return spec
@@ -1171,3 +1208,64 @@ class TestBatchAddressesMatchCheckAddr:
         """Two addresses of three and one coordinates flatten to 2n integers,
         yet neither is a pair."""
         self.assert_refused([(0, 0, 0), (0,)], (0, 0, 0))
+
+
+class TestChargesPastTheFloatRange:
+    """A charge that carries a cost total past the float range raises
+    DomainError naming the total, and charges, wears, stores and draws
+    nothing: every primitive computes its new totals before it commits."""
+
+    GAUSSIAN = DistributionSpec.gaussian(0.0, 0.1)
+    BIG = int(sys.float_info.max)  # the widest element an array takes
+
+    @pytest.mark.parametrize("primitive, charges, bpe, name", [
+        ("write", {"write_energy_pj": 1e308}, 4, "energy_pj"),
+        ("set_variance", {"write_energy_pj": 1e308}, 4, "energy_pj"),
+        ("read", {"read_energy_pj": 1e308}, 4, "energy_pj"),
+        ("read", {}, BIG, "bytes_moved"),
+        ("read_distribution", {"read_energy_pj": 1e308}, 4, "energy_pj"),
+        ("read_distribution", {}, BIG, "bytes_moved"),
+        ("sample", {"sample_energy_pj": 1e308}, 4, "energy_pj"),
+        ("batch_sample", {"sample_energy_pj": 1e308}, 4, "energy_pj"),
+        ("batch_sample", {}, BIG, "bytes_moved"),
+    ])
+    def test_second_charge_changes_nothing(self, primitive, charges, bpe, name):
+        arr = PMemArray(2, 2, BackendConfig.coupled_pcim(write_based_sampling=True, **charges),
+                        bytes_per_element=bpe)
+        arr._store(0, 0, 0, 0.0, 0.1)  # a gaussian, stored at no charge
+        stream = EntropyStream(3)
+        op = {
+            "write": lambda: arr.write((0, 1), self.GAUSSIAN),
+            "set_variance": lambda: arr.set_variance((0, 1), 0.1),
+            "read": lambda: arr.read((0, 0)),
+            "read_distribution": lambda: arr.read_distribution((1, 1)),  # a point mass: one element
+            "sample": lambda: arr.sample((0, 0), stream),
+            "batch_sample": lambda: arr.batch_sample([(0, 1)] if bpe == self.BIG else [(0, 0)], stream),
+        }[primitive]
+        op()  # the first charge reaches the float maximum's order
+        before, position = _state(arr), stream.position
+        with pytest.raises(DomainError, match=f"^the cost report's {name} is past the float range$") as info:
+            op()
+        assert info.value.name == name
+        _assert_untouched(arr, before)
+        assert stream.position == position
+
+    def test_two_draws_in_one_batch(self):
+        """Two draws at 1e308 pJ emitted an overflow warning, an error under
+        this suite, after charging the samples and bytes and drawing."""
+        arr = PMemArray(1, 1, BackendConfig.decoupled_in_memory(sample_energy_pj=1e308))
+        arr.write((0, 0), self.GAUSSIAN)
+        stream = EntropyStream(3)
+        before = _state(arr)
+        with pytest.raises(DomainError, match="energy_pj") as info:
+            arr.batch_sample([(0, 0), (0, 0)], stream)
+        assert info.value.name == "energy_pj"
+        _assert_untouched(arr, before)
+        assert stream.position == 0
+
+    @pytest.mark.parametrize("bpe", [BIG + 2**971, 10**400])
+    def test_element_width_past_the_float_range_rejected(self, bpe):
+        """A width of 401 digits failed with an OverflowError at its first charge."""
+        with pytest.raises(DomainError, match="^bytes_per_element must be an integer in \\[1, ") as info:
+            PMemArray(2, 2, BackendConfig.von_neumann(), bytes_per_element=bpe)
+        assert info.value.name == "bytes_per_element"

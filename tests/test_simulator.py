@@ -417,6 +417,39 @@ class TestSweep:
             run(mc_estimator(10**308, 1), SimConfig(arch=ARCH, backend=backend))
         assert info.value.name == name
 
+    @pytest.mark.parametrize("backend, bpe, counts, charge, name", [
+        (BackendConfig.decoupled_in_memory(sample_energy_pj=1e308), 4, (1, 0, 10), "sample_energy_pj", "energy_pj"),
+        (BackendConfig.von_neumann(read_energy_pj=1e308), 4, (1, 10, 0), "read_energy_pj", "energy_pj"),
+        (BackendConfig.von_neumann(transport_bytes_per_sample=4e307), 4, (1, 1, 10),
+         "transport_bytes_per_sample", "bytes_moved"),
+        (BackendConfig.decoupled_near_memory(writeback_bytes_per_sample=4e307), 4, (1, 1, 10),
+         "writeback_bytes_per_sample", "bytes_moved"),
+        (BackendConfig.coupled_pcim(), 10**308, (1, 10, 0), "bytes_per_element", "bytes_moved"),
+        # the larger of two raised charges is named
+        (BackendConfig.coupled_pcim(read_energy_pj=1e307, sample_energy_pj=1e308), 4, (1, 10, 10),
+         "sample_energy_pj", "energy_pj"),
+    ])
+    def test_cost_past_the_float_range_names_the_charge(self, backend, bpe, counts, charge, name):
+        """Ten draws at 1e308 pJ blamed the counts, which are finite at every default charge."""
+        cfg = SimConfig(arch=replace(ARCH, bytes_per_element=bpe), backend=backend)
+        with pytest.raises(DomainError, match=f"^the cost report's {name} is past the float range at {charge} = ") as info:
+            run(WorkloadSpec("w", *counts), cfg)
+        assert info.value.name == charge
+
+    def test_counts_past_the_float_range_at_default_charges_are_named(self):
+        """A raised charge is not named where the default charges overflow the same counts."""
+        cfg = SimConfig(arch=ARCH, backend=BackendConfig.coupled_pcim(sample_energy_pj=50.0))
+        with pytest.raises(DomainError, match="^the cost report's energy_pj is past the float range$") as info:
+            run(mc_estimator(10**308, 1), cfg)
+        assert info.value.name == "energy_pj"
+
+    @pytest.mark.parametrize("bpe", [int(sys.float_info.max) + 2**971, 10**400])
+    def test_element_width_past_the_float_range_rejected(self, bpe):
+        """A width of 401 digits failed with an OverflowError in the simulator."""
+        with pytest.raises(DomainError, match=r"^bytes_per_element must be an integer in \[1, ") as info:
+            replace(ARCH, bytes_per_element=bpe)
+        assert info.value.name == "bytes_per_element"
+
     def test_base_accesses_past_the_float_range_is_named(self):
         cfg = SimConfig(arch=ARCH, backend=BackendConfig.von_neumann())
         with pytest.raises(DomainError, match="^base_accesses is past the float range") as info:
